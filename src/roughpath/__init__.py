@@ -36,7 +36,6 @@ from .dyadic import (
     DyadicPath,
     HolderEstimate,
     average_pyramid,
-    build_path,
     holder_seminorm,
 )
 from .errors import (

@@ -198,7 +198,6 @@ def operator_tail_constant(pyramid: AveragePyramid, beta: float) -> float:
     report = existence_report(pyramid, beta)
     if report.verdict == "diverging":
         return float("inf")
-    terms = report.terms
     total = report.partial_sums[-1]
     best = 0.0
     for i, k0 in enumerate(report.levels[:-1]):

@@ -67,11 +67,6 @@ class DyadicPath:
         return f"DyadicPath(K={self.resolution_level}, n={self.samples.size})"
 
 
-def build_path(samples, resolution_level: int) -> DyadicPath:
-    """Wrap validated samples; length must be 2**K + 1 and all values finite."""
-    return DyadicPath(samples, resolution_level)
-
-
 class AveragePyramid:
     """Cell averages h[k][n] of a path for all levels k = 0 .. K-1.
 

@@ -3,20 +3,22 @@
 The level-k approximation replaces the path by a horizontal/vertical
 staircase through the points (t_{k,n}, h_{k,n}); the line integral of
 f(t, x) dx over that staircase is a sum of one-dimensional integrals over the
-vertical segments.  ``staircase_integral`` evaluates one level exactly as the
-defining sum; ``integrate`` runs levels until two consecutive differences
-fall under tolerance, closing each staircase to the true endpoint values
-(g(a), g(b)) so that endpoint truncation never pollutes the limit.
+vertical segments.  One kernel sums them at one level for a run of equal
+blocks of cells, each block closed by verticals to given end values.
+``staircase_integral`` is its one-block call and ``cumulative_increments``
+(behind ``indefinite_integral`` and the Picard operator) its many-block call.
+``integrate`` runs the one-block sum, closed to (g(a), g(b)), over levels
+until two consecutive differences fall under tolerance, so endpoint
+truncation never pollutes the limit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import gap_functional, gap_truncation_level
+from .diagnostics import _cells_within, gap_functional, gap_truncation_level
 from .dyadic import AveragePyramid, DyadicPath, HolderEstimate
 from .errors import BadExponents, BadInterval, LevelOutOfRange, NonFinite
 from .quadrature import QuadratureConfig, refine_batch
@@ -82,7 +84,6 @@ class ConvergenceConfig:
     min_level: int = 2
     max_level: int | None = None  # default: K - 2
     quad: QuadratureConfig = QuadratureConfig()
-    closures: bool = True       # join staircases to (a, g(a)) and (b, g(b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,9 +110,7 @@ def index_range(a: float, b: float, k: int) -> tuple[int, int] | None:
         raise BadInterval(f"bad interval [{a}, {b}]")
     if k < 1:
         raise LevelOutOfRange("index_range needs k >= 1")
-    scale = float(1 << (k - 1))
-    p_lo = math.ceil(a * scale - 4.0 * np.spacing(max(1.0, a * scale)))
-    p_hi = math.floor(b * scale + 4.0 * np.spacing(max(1.0, b * scale))) - 1
+    p_lo, p_hi = _cells_within(a, b, k - 1)
     if p_hi < p_lo:
         return None
     return 2 * p_lo, 2 * p_hi + 1
@@ -127,6 +126,34 @@ def _vertical_batch(field: ScalarField, t_abs: np.ndarray, lo: np.ndarray, hi: n
     return refine_batch(eval_xs, lo, hi, quad)
 
 
+def _closed_sums(field: ScalarField, h: np.ndarray, k: int, first: int, span: int,
+                 g: np.ndarray, quad: QuadratureConfig) -> np.ndarray:
+    """Closed level-k staircase sums over consecutive blocks of ``span`` cells.
+
+    Block i covers cells first + i*span .. first + (i+1)*span - 1 of the
+    level-k averages ``h``; ``g`` holds the len(g) - 1 blocks' end values.
+    Block i's staircase rises from g[i] to h[first + i*span], runs through
+    the block's averages and ends at g[i + 1]: span + 1 verticals at times
+    (first + i*span + j) * 2**-k for j = 0 .. span.  All verticals go into one
+    quadrature batch, or one elementwise product for t_only fields, and each
+    block's terms are summed in one fixed order.
+    """
+    n_blocks = g.size - 1
+    heights = np.empty((n_blocks, span + 2))
+    heights[:, 0] = g[:-1]
+    heights[:, 1:-1] = h[first : first + n_blocks * span].reshape(n_blocks, span)
+    heights[:, -1] = g[1:]
+    lo = heights[:, :-1].ravel()
+    hi = heights[:, 1:].ravel()
+    n = first + span * np.arange(n_blocks)[:, None] + np.arange(span + 1)
+    t_abs = n.ravel() * 2.0 ** -k
+    if field.depends_on == "t_only":
+        terms = field.value_at_times(t_abs) * (hi - lo)
+    else:
+        terms = _vertical_batch(field, t_abs, lo, hi, quad)
+    return terms.reshape(n_blocks, span + 1).sum(axis=1)
+
+
 def staircase_integral(
     field: ScalarField,
     pyramid: AveragePyramid,
@@ -134,15 +161,14 @@ def staircase_integral(
     b: float,
     k: int,
     quad: QuadratureConfig | None = None,
-    closures: bool = False,
     endpoint_values: tuple[float, float] | None = None,
 ) -> float:
     """Level-k staircase line integral of f(t, x) dx over [a, b].
 
-    With ``closures=False`` this is exactly the defining sum over interior
-    vertical segments.  With ``closures=True`` two extra verticals join the
-    staircase to the supplied endpoint values (g(a), g(b)), which removes the
-    first-order endpoint truncation; ``integrate`` uses that form.
+    With ``endpoint_values=None`` this is exactly the defining sum over
+    interior vertical segments.  Given the endpoint values
+    (g(a), g(b)), the closing verticals join the staircase to them, which
+    removes the first-order endpoint truncation; ``integrate`` uses that form.
     """
     quad = quad or QuadratureConfig()
     if k > pyramid.K - 1:
@@ -152,36 +178,12 @@ def staircase_integral(
         raise BadInterval(f"no level-{k} parent cell fits inside [{a}, {b}]")
     n_lo, n_hi = rng
     h = pyramid.level(k)
-    step = 2.0 ** -k
-    total = 0.0
-    if n_hi > n_lo:
-        t_abs = np.arange(n_lo + 1, n_hi + 1) * step
-        lo = h[n_lo:n_hi]
-        hi = h[n_lo + 1 : n_hi + 1]
-        if field.depends_on == "t_only":
-            total += float(field.value_at_times(t_abs) @ (hi - lo))
-        else:
-            total += float(_vertical_batch(field, t_abs, lo, hi, quad).sum())
-    if closures:
-        if endpoint_values is None:
-            raise BadInterval("closures need endpoint values g(a), g(b)")
-        ga, gb = endpoint_values
-        t_l = n_lo * step
-        t_r = (n_hi + 1) * step
-        if field.depends_on == "t_only":
-            fl, fr = field.value_at_times(np.array([t_l, t_r]))
-            total += fl * (h[n_lo] - ga) + fr * (gb - h[n_hi])
-        else:
-            total += float(
-                _vertical_batch(
-                    field,
-                    np.array([t_l, t_r]),
-                    np.array([ga, h[n_hi]]),
-                    np.array([h[n_lo], gb]),
-                    quad,
-                ).sum()
-            )
-    return total
+    if endpoint_values is None:
+        # The inner cells closed at the first and last averages: the field is
+        # evaluated only on the defining sum's own verticals.
+        n_lo, n_hi, endpoint_values = n_lo + 1, n_hi - 1, (h[n_lo], h[n_hi])
+    return float(_closed_sums(field, h, k, n_lo, n_hi - n_lo + 1,
+                              np.array(endpoint_values, dtype=float), quad)[0])
 
 
 def _check_field_finite(field: ScalarField, path: DyadicPath) -> None:
@@ -230,10 +232,8 @@ def integrate(
     for k in range(max(cfg.min_level, 1), k_hi + 1):
         if index_range(a, b, k) is None:
             continue
-        v = staircase_integral(
-            field, pyramid, a, b, k,
-            quad=cfg.quad, closures=cfg.closures, endpoint_values=endpoints,
-        )
+        v = staircase_integral(field, pyramid, a, b, k, quad=cfg.quad,
+                               endpoint_values=endpoints)
         values.append(v)
         levels.append(k)
         if len(values) >= 2:
@@ -351,13 +351,12 @@ def cumulative_increments(
 ) -> np.ndarray:
     """Closed staircase integrals over every level-``grid_level`` cell of [a, b].
 
-    [a, b] must be aligned to the grid.  All increments share each level's
-    vertical-segment work, so the whole sweep costs one pass over the pyramid
-    per level.  Levels run from grid_level + 1 to K - 2 (no early stop; the
-    span per increment is short).
+    [a, b] must be aligned to the grid.  Every increment is a closed
+    staircase sum at the one level k = K - 2 (or ``cfg.max_level``, kept
+    between grid_level + 1 and K - 1), and all increments share that level's
+    vertical-segment work in one pass.
     """
     cfg = cfg or ConvergenceConfig()
-    pyramid = path.pyramid()
     K = path.resolution_level
     G = grid_level
     scale = float(1 << G)
@@ -368,46 +367,8 @@ def cumulative_increments(
         raise BadInterval(f"[{a}, {b}] must be aligned to the level-{G} grid")
     if G + 1 > K - 1:
         raise LevelOutOfRange("grid_level must leave at least one staircase level")
-    n_inc = ib - ia
-    grid_t = (ia + np.arange(n_inc + 1)) / scale
-    g_at = path.eval(grid_t)
-    totals = np.zeros(n_inc)
-    k_hi = min(cfg.max_level if cfg.max_level is not None else K - 2, K - 1)
-    k_hi = max(k_hi, G + 1)
-    for k in range(G + 1, k_hi + 1):
-        h = pyramid.level(k)
-        step = 2.0 ** -k
-        span = 1 << (k - G)               # cells per increment at this level
-        first = ia << (k - G)             # first cell index of the sweep
-        last = (ib << (k - G)) - 1        # last cell index
-        # Interior verticals: at t_{k,n} for n in (start_i, end_i] per increment.
-        n_all = np.arange(first + 1, last + 1)
-        inside = (n_all % span) != 0      # skip increment boundaries
-        n_in = n_all[inside]
-        level_vals = np.zeros(n_inc)
-        if n_in.size:
-            t_abs = n_in * step
-            lo = h[n_in - 1]
-            hi = h[n_in]
-            if field.depends_on == "t_only":
-                terms = field.value_at_times(t_abs) * (hi - lo)
-            else:
-                terms = _vertical_batch(field, t_abs, lo, hi, cfg.quad)
-            owner = (n_in - first) // span
-            np.add.at(level_vals, owner, terms)
-        # Closures: join each increment's staircase to the path values at its ends.
-        starts = first + span * np.arange(n_inc)
-        ends = starts + span - 1
-        t_l = starts * step
-        t_r = (ends + 1) * step
-        if field.depends_on == "t_only":
-            level_vals += field.value_at_times(t_l) * (h[starts] - g_at[:-1])
-            level_vals += field.value_at_times(t_r) * (g_at[1:] - h[ends])
-        else:
-            t_abs = np.concatenate([t_l, t_r])
-            lo = np.concatenate([g_at[:-1], h[ends]])
-            hi = np.concatenate([h[starts], g_at[1:]])
-            closure = _vertical_batch(field, t_abs, lo, hi, cfg.quad)
-            level_vals += closure[:n_inc] + closure[n_inc:]
-        totals = level_vals              # finest computed level wins
-    return totals
+    g_at = path.eval((ia + np.arange(ib - ia + 1)) / scale)
+    k = min(cfg.max_level if cfg.max_level is not None else K - 2, K - 1)
+    k = max(k, G + 1)
+    span = 1 << (k - G)                   # cells per increment
+    return _closed_sums(field, path.pyramid().level(k), k, ia * span, span, g_at, cfg.quad)

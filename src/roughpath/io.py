@@ -36,20 +36,6 @@ DIAGNOSE_SCHEMA = {
     },
 }
 
-WIENER_SCHEMA = {
-    "type": "object",
-    "required": ["K", "n_paths", "seed", "target", "levels"],
-    "properties": {
-        "levels": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["k", "mean", "variance", "stderr"],
-            },
-        }
-    },
-}
-
 
 def validate_schema(obj, schema, where="$") -> None:
     """Minimal structural validation (types and required keys)."""

@@ -22,6 +22,7 @@ class QuadratureConfig:
 
 
 _NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_SLICE = 1 << 13        # intervals refined together (see refine_batch)
 
 
 def gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -30,45 +31,45 @@ def gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _NODE_CACHE[n]
 
 
-def panel_batch(eval_xs, lo, hi, nodes=8):
-    """Single Gauss-Legendre panel over each [lo[i], hi[i]] (signed).
-
-    ``eval_xs(owner_index, x2d) -> values`` evaluates the integrand on a
-    (n_intervals, nodes) grid; owner_index maps rows back to the caller's
-    bookkeeping and lets per-row parameters (e.g. the frozen abscissa of a
-    vertical segment) ride along.
-    """
-    xi, w = gauss_nodes(nodes)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    x = mid[:, None] + half[:, None] * xi[None, :]
-    vals = eval_xs(np.arange(lo.size), x)
-    return half * (vals @ w)
-
-
 def refine_batch(eval_xs, lo, hi, cfg: QuadratureConfig | None = None):
     """Adaptive signed integrals over a batch of intervals.
 
-    Each interval is refined by bisection until the one-panel value and the
-    two-half value agree to ``cfg.tol`` (budget halves with each split so the
-    accumulated error stays below tol per original interval).
+    ``eval_xs(owner, x2d) -> values`` evaluates the integrand on an
+    (n_panels, nodes) grid; ``owner[r]`` is the index of the requested
+    interval that row r belongs to, so per-interval parameters (e.g. the
+    frozen abscissa of a vertical segment) ride along.  Each interval is
+    refined by bisection until, on every leaf, the one-panel value and the
+    two-half value agree to ``cfg.tol``.  The budget does not halve with each
+    split: every leaf keeps ``cfg.tol``, so an interval's accumulated error
+    estimate is at most its leaf count times tol.
+
+    Intervals are refined in slices of at most ``_SLICE``, which keeps each
+    (rows, nodes) temporary at 0.5 MiB for 8 nodes.  With glibc's default
+    malloc settings, freed arrays of 2 MiB and more go back to the system,
+    so a whole-batch temporary of that size pays fresh page faults at every
+    panel.
     """
     cfg = cfg or QuadratureConfig()
-    xi, w = gauss_nodes(cfg.nodes)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
+    total = np.zeros(lo.size)
+    for first in range(0, lo.size, _SLICE):
+        rows = slice(first, first + _SLICE)
+        total[rows] = _refine_slice(eval_xs, lo[rows], hi[rows], first, cfg)
+    return total
+
+
+def _refine_slice(eval_xs, lo, hi, first: int, cfg: QuadratureConfig):
+    """refine_batch for the intervals first .. first + lo.size - 1."""
+    xi, w = gauss_nodes(cfg.nodes)
     n = lo.size
     total = np.zeros(n)
-    if n == 0:
-        return total
 
     def panels(owner, a, b):
         half = 0.5 * (b - a)
         mid = 0.5 * (b + a)
         x = mid[:, None] + half[:, None] * xi[None, :]
-        return half * (eval_xs(owner, x) @ w)
+        return half * (eval_xs(first + owner, x) @ w)
 
     owner = np.arange(n)
     a, b = lo.copy(), hi.copy()
@@ -95,13 +96,3 @@ def refine_batch(eval_xs, lo, hi, cfg: QuadratureConfig | None = None):
         f"{owner.size} subintervals still above tolerance after {cfg.max_splits} splits"
     )
 
-
-def integrate_adaptive(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> float:
-    """Adaptive integral of a vectorized one-argument callable over [a, b] (signed)."""
-    if a == b:
-        return 0.0
-
-    def eval_xs(_owner, x):
-        return np.asarray(f(x), dtype=float)
-
-    return float(refine_batch(eval_xs, [a], [b], cfg)[0])

@@ -8,7 +8,7 @@ from roughpath.io import DIAGNOSE_SCHEMA, validate_schema
 
 
 def constant_pyramid(value=1.5, K=10):
-    return rp.build_path(np.full((1 << K) + 1, value), K).pyramid()
+    return rp.DyadicPath(np.full((1 << K) + 1, value), K).pyramid()
 
 
 class TestLevyArea:
@@ -140,7 +140,7 @@ class TestScalingNorm:
 
     def test_positive_homogeneity(self):
         path = rp.gen_brownian(10, 33)
-        scaled = rp.build_path(-2.5 * path.samples, 10)
+        scaled = rp.DyadicPath(-2.5 * path.samples, 10)
         a = rp.scaling_norm(path.pyramid(), 0.6, 0.3, scan_depth=3).value
         b = rp.scaling_norm(scaled.pyramid(), 0.6, 0.3, scan_depth=3).value
         assert b == pytest.approx(2.5 * a, rel=1e-12)
@@ -191,7 +191,7 @@ class TestQuadraticGapSum:
 
     def test_degree_two_homogeneity(self):
         path = rp.gen_brownian(10, 5)
-        scaled = rp.build_path(3.0 * path.samples, 10)
+        scaled = rp.DyadicPath(3.0 * path.samples, 10)
         a = rp.quadratic_gap_sum(path.pyramid(), 0.0, 1.0, 4)
         b = rp.quadratic_gap_sum(scaled.pyramid(), 0.0, 1.0, 4)
         assert b == pytest.approx(9.0 * a, rel=1e-12)
@@ -215,7 +215,7 @@ class TestWienerStatistic:
 
     def test_positive_homogeneity(self):
         path = rp.gen_brownian(12, 17)
-        scaled = rp.build_path(4.0 * path.samples, 12)
+        scaled = rp.DyadicPath(4.0 * path.samples, 12)
         a = rp.wiener_statistic(path.pyramid(), 5)
         b = rp.wiener_statistic(scaled.pyramid(), 5)
         assert b == pytest.approx(4.0 * a, rel=1e-12)

@@ -6,25 +6,25 @@ import roughpath as rp
 
 class TestBuildPath:
     def test_identity_path(self):
-        path = rp.build_path([0.0, 0.5, 1.0], 1)
+        path = rp.DyadicPath([0.0, 0.5, 1.0], 1)
         assert path.eval(0.25) == 0.25
         assert path.eval(1.0) == 1.0
 
     def test_square_grid_point_exact(self):
         t = np.linspace(0, 1, 2**10 + 1)
-        path = rp.build_path(t * t, 10)
+        path = rp.DyadicPath(t * t, 10)
         assert path.eval(0.5) == 0.25
 
     def test_length_mismatch(self):
         with pytest.raises(rp.LengthMismatch):
-            rp.build_path([0.0, 1.0, 2.0, 3.0], 2)  # needs 5
+            rp.DyadicPath([0.0, 1.0, 2.0, 3.0], 2)  # needs 5
 
     def test_non_finite(self):
         with pytest.raises(rp.NonFinite):
-            rp.build_path([0.0, np.nan, 1.0], 1)
+            rp.DyadicPath([0.0, np.nan, 1.0], 1)
 
     def test_samples_immutable(self):
-        path = rp.build_path([0.0, 0.5, 1.0], 1)
+        path = rp.DyadicPath([0.0, 0.5, 1.0], 1)
         with pytest.raises(ValueError):
             path.samples[0] = 2.0
 
@@ -38,7 +38,7 @@ class TestAveragePyramid:
         assert pyr.level(2)[1] == pytest.approx(0.375, abs=1e-15)
 
     def test_constant_path(self):
-        pyr = rp.build_path(np.full(2**6 + 1, 3.25), 6).pyramid()
+        pyr = rp.DyadicPath(np.full(2**6 + 1, 3.25), 6).pyramid()
         for k in range(6):
             assert np.all(pyr.level(k) == 3.25)
 
@@ -57,7 +57,7 @@ class TestAveragePyramid:
         rng = np.random.default_rng(7)
         for _ in range(25):
             samples = np.cumsum(rng.standard_normal(2**9 + 1))
-            pyr = rp.build_path(samples, 9).pyramid()
+            pyr = rp.DyadicPath(samples, 9).pyramid()
             for k in range(8):
                 child = pyr.level(k + 1)
                 err = np.abs(pyr.level(k) - 0.5 * (child[0::2] + child[1::2])).max()
@@ -66,7 +66,7 @@ class TestAveragePyramid:
     def test_finest_level_is_trapezoid_of_three(self):
         rng = np.random.default_rng(3)
         s = rng.standard_normal(2**5 + 1)
-        pyr = rp.build_path(s, 5).pyramid()
+        pyr = rp.DyadicPath(s, 5).pyramid()
         expect = (s[0:-2:2] + 2.0 * s[1:-1:2] + s[2::2]) / 4.0
         assert np.allclose(pyr.level(4), expect, atol=1e-15)
 
@@ -84,7 +84,7 @@ class TestHolderSeminorm:
         assert est.seminorm_lower_bound == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_is_zero(self):
-        path = rp.build_path(np.full(2**6 + 1, 2.0), 6)
+        path = rp.DyadicPath(np.full(2**6 + 1, 2.0), 6)
         assert rp.holder_seminorm(path, 0.5).seminorm_lower_bound == 0.0
 
     def test_sqrt_half_exponent(self):

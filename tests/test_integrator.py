@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import roughpath as rp
 from roughpath.experiments import riemann_stieltjes_oracle
@@ -65,7 +67,7 @@ class TestStaircaseIntegral:
         pyr = path.pyramid()
         v = rp.staircase_integral(
             rp.BUILTIN_FIELDS["x"], pyr, 0.0, 1.0, 5,
-            closures=True, endpoint_values=(path.eval(0.0), path.eval(1.0)),
+            endpoint_values=(path.eval(0.0), path.eval(1.0)),
         )
         assert v == pytest.approx(0.5 * path.eval(1.0) ** 2, abs=1e-12)
 
@@ -195,7 +197,7 @@ class TestStateOnly:
 
 class TestAdversarialIntegrand:
     def test_constant_path_gives_zero(self):
-        pyr = rp.build_path(np.full(2**10 + 1, 5.0), 10).pyramid()
+        pyr = rp.DyadicPath(np.full(2**10 + 1, 5.0), 10).pyramid()
         f_path, predicted = rp.adversarial_integrand(pyr, 0.5, 5)
         assert predicted == 0.0
         assert np.all(f_path.samples == 0.0)
@@ -252,3 +254,52 @@ class TestIndefiniteIntegral:
     def test_grid_guard(self):
         with pytest.raises(rp.LevelOutOfRange):
             rp.indefinite_integral(rp.BUILTIN_FIELDS["x"], rp.gen_analytic("linear", 6), 5)
+
+
+KERNEL_FIELDS = {
+    "t_only": rp.ScalarField.t_only(lambda t: np.cos(3.0 * t) + t),
+    "x": rp.BUILTIN_FIELDS["x"],
+    "sin_t_x": rp.BUILTIN_FIELDS["sin_t_x"],
+}
+
+
+@st.composite
+def aligned_cases(draw):
+    """A Brownian path, a field, a grid level G and a level-G aligned [a, b]."""
+    K = draw(st.integers(8, 12))
+    G = draw(st.integers(1, K - 2))
+    ia = draw(st.integers(0, (1 << G) - 1))
+    ib = draw(st.integers(ia + 1, 1 << G))
+    path = rp.gen_brownian(K, draw(st.integers(0, 2**16)))
+    field = KERNEL_FIELDS[draw(st.sampled_from(sorted(KERNEL_FIELDS)))]
+    return path, field, G, ia / 2.0**G, ib / 2.0**G
+
+
+class TestStaircaseKernelProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(aligned_cases())
+    def test_increments_match_one_block_sums(self, case):
+        # a many-block call equals one one-block call per block at the same level
+        path, field, G, a, b = case
+        k = max(path.resolution_level - 2, G + 1)   # the level cumulative_increments uses
+        inc = rp.cumulative_increments(field, path, a, b, G)
+        t = np.linspace(a, b, inc.size + 1)
+        single = [
+            rp.staircase_integral(field, path.pyramid(), t[i], t[i + 1], k,
+                                  endpoint_values=(path.eval(t[i]), path.eval(t[i + 1])))
+            for i in range(inc.size)
+        ]
+        scale = max(1.0, np.abs(single).max())
+        assert np.abs(inc - single).max() <= 1e-12 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(aligned_cases())
+    def test_increments_add_up_to_the_whole(self, case):
+        # inner closures cancel: the block sums add up to the closed sum over
+        # [a, b], up to one quadrature tolerance per block
+        path, field, G, a, b = case
+        k = max(path.resolution_level - 2, G + 1)   # the level cumulative_increments uses
+        inc = rp.cumulative_increments(field, path, a, b, G)
+        whole = rp.staircase_integral(field, path.pyramid(), a, b, k,
+                                      endpoint_values=(path.eval(a), path.eval(b)))
+        assert abs(inc.sum() - whole) <= rp.QuadratureConfig().tol * inc.size + 1e-13
