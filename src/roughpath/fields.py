@@ -3,7 +3,9 @@
 The CLI accepts either a builtin field name or an arithmetic expression in
 ``t`` and ``x`` using +, -, *, /, ** and the functions sin, cos, exp, abs,
 pow, sqrt, log.  Expressions compile to vectorized numpy callables; the
-dependence class is inferred from which variables appear.
+dependence class is inferred from which variables appear.  Expressions above
+a fixed length or nesting depth are rejected with ``SchemaError``: compiling
+and evaluating them recurse once per level of nesting.
 """
 
 import ast
@@ -12,6 +14,9 @@ import numpy as np
 
 from .errors import SchemaError
 from .integrator import ScalarField
+
+_MAX_CHARS = 2000         # field expression length cap
+_MAX_DEPTH = 200          # syntax-tree levels, counting operator and context nodes
 
 _FUNCS = {
     "sin": np.sin,
@@ -62,11 +67,25 @@ def _compile(node, names: set):
     raise SchemaError(f"unsupported syntax in field expression: {ast.dump(node)}")
 
 
+def _check_depth(tree: ast.AST) -> None:
+    stack = [(tree, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > _MAX_DEPTH:
+            raise SchemaError(f"field expression nests deeper than {_MAX_DEPTH} levels")
+        stack.extend((child, depth + 1) for child in ast.iter_child_nodes(node))
+
+
 def field_from_expression(expr: str) -> ScalarField:
+    if len(expr) > _MAX_CHARS:
+        raise SchemaError(f"field expression longer than {_MAX_CHARS} characters")
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise SchemaError(f"cannot parse field expression: {exc}") from exc
+    except (RecursionError, MemoryError) as exc:
+        raise SchemaError(f"field expression too deeply nested to parse: {exc!r}") from exc
+    _check_depth(tree)
     names: set = set()
     fn = _compile(tree, names)
     if names == {"t"}:

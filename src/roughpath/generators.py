@@ -16,11 +16,17 @@ from .errors import BadExponents, NonFinite, ResolutionTooCoarse
 def gen_brownian(K: int, seed: int) -> DyadicPath:
     """Standard Brownian motion sampled on the level-K dyadic grid.
 
-    Midpoint (bridge) construction: level j fills the midpoints between the
-    level-(j-1) points, each from an independent counter-based stream keyed by
-    (seed, j).  Grid values carry the exact Brownian finite-dimensional laws,
-    g(0) = 0, and refining K leaves the coarser values unchanged for a fixed
-    seed.
+    Midpoint (bridge) construction: level j fills the 2**(j-1) midpoints
+    between the level-(j-1) points, each from an independent counter-based
+    stream keyed by (seed, j).  Grid values carry the exact Brownian
+    finite-dimensional laws, g(0) = 0, and refining K leaves the coarser
+    values unchanged for a fixed seed.
+
+    Each level is filled in place through strided views of the sample array
+    (midpoints, left and right neighbours), with no index arrays.  The
+    arithmetic is 0.5 * (left + right) + 2**(-(j+1)/2) * z in that order, so
+    the samples for a given (K, seed) are those of the index-array form of
+    the same recursion, bit for bit.
     """
     if K < 1:
         raise ResolutionTooCoarse("K must be >= 1")
@@ -31,9 +37,12 @@ def gen_brownian(K: int, seed: int) -> DyadicPath:
     w[n] = _level_normals(seed, 0, 1)[0]
     for j in range(1, K + 1):
         step = 1 << (K - j)
-        mids = np.arange(step, n, 2 * step)
-        z = _level_normals(seed, j, mids.size)
-        w[mids] = 0.5 * (w[mids - step] + w[mids + step]) + 2.0 ** (-(j + 1) / 2) * z
+        mid = w[step:n:2 * step]
+        np.add(w[0 : n - step : 2 * step], w[2 * step :: 2 * step], out=mid)
+        mid *= 0.5
+        z = _level_normals(seed, j, mid.size)
+        z *= 2.0 ** (-(j + 1) / 2)
+        mid += z
     return DyadicPath(w, K)
 
 

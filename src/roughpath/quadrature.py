@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureFailure
+from .errors import NonFinite, QuadratureFailure
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,9 @@ def refine_batch(eval_xs, lo, hi, cfg: QuadratureConfig | None = None):
     refined by bisection until, on every leaf, the one-panel value and the
     two-half value agree to ``cfg.tol``.  The budget does not halve with each
     split: every leaf keeps ``cfg.tol``, so an interval's accumulated error
-    estimate is at most its leaf count times tol.
+    estimate is at most its leaf count times tol.  A non-finite panel sum
+    raises ``NonFinite`` at once: splitting cannot cure it, and each split
+    would double the leaves that carry it.
 
     Intervals are refined in slices of at most ``_SLICE``, which keeps each
     (rows, nodes) temporary at 0.5 MiB for 8 nodes.  With glibc's default
@@ -71,15 +73,26 @@ def _refine_slice(eval_xs, lo, hi, first: int, cfg: QuadratureConfig):
         x = mid[:, None] + half[:, None] * xi[None, :]
         return half * (eval_xs(first + owner, x) @ w)
 
+    def check_finite(sums, owner):
+        bad = ~np.isfinite(sums)
+        if bad.any():
+            r = owner[bad][0]
+            raise NonFinite(
+                f"non-finite integrand on interval {first + r}: [{lo[r]:.17g}, {hi[r]:.17g}]"
+            )
+
     owner = np.arange(n)
     a, b = lo.copy(), hi.copy()
     coarse = panels(owner, a, b)
+    check_finite(coarse, owner)
     tol = np.full(n, cfg.tol)
     for _ in range(cfg.max_splits + 1):
         m = 0.5 * (a + b)
         left = panels(owner, a, m)
         right = panels(owner, m, b)
         fine = left + right
+        # a finite fine sum has finite halves, so later coarse sums are finite too
+        check_finite(fine, owner)
         done = np.abs(fine - coarse) <= tol
         np.add.at(total, owner[done], fine[done])
         if done.all():

@@ -1,9 +1,11 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import roughpath as rp
+from roughpath import fields
 from roughpath.cli import main
 from roughpath.fields import field_from_expression, resolve_field
 from roughpath.io import read_path_csv, write_path_csv
@@ -67,6 +69,24 @@ class TestFieldExpressions:
         with pytest.raises(rp.SchemaError):
             field_from_expression("__import__('os')")
 
+    @pytest.mark.parametrize("expr", ["0+" + "-" * 1000 + "x", "0+" + "-" * 50000 + "x",
+                                      "+".join(["x"] * 300), "x*1." + "0" * 2000])
+    def test_rejects_deep_or_long_expressions(self, expr):
+        with pytest.raises(rp.SchemaError):
+            field_from_expression(expr)
+
+    @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+    def test_parser_exhaustion_is_a_schema_error(self, monkeypatch, exc):
+        def exhausted(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(fields, "ast", SimpleNamespace(parse=exhausted))
+        with pytest.raises(rp.SchemaError):
+            field_from_expression("x")
+
+    def test_accepts_moderate_nesting(self):
+        field = field_from_expression("-" * 60 + "x" + "+x" * 60)
+        assert field.evaluate(np.array([0.0]), np.array([2.0]))[0] == 122.0
+
 
 class TestCliCommands:
     def test_gen_path_row_count(self, tmp_path, capsys):
@@ -117,6 +137,20 @@ class TestCliCommands:
         code = main(["integrate", "--path", str(src), "--field", "sin(t)*x",
                      "--tol", "1e-14"])
         assert code == 3
+
+    @pytest.mark.parametrize("field", ["0+" + "-" * 1000 + "x", "0+" + "-" * 50000 + "x",
+                                       "sqrt(abs(x-0.3)-1e-4)*t"])
+    def test_bad_field_exit_code(self, tmp_path, capsys, field):
+        # too deep, too long, and NaN on a band the finiteness probe misses
+        src = tmp_path / "p.csv"
+        main(["gen-path", "--kind", "linear", "--K", "12", "--out", str(src)])
+        capsys.readouterr()
+        with np.errstate(invalid="ignore"):
+            code = main(["integrate", "--path", str(src), "--field", field])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["error"] == "validation"
+        assert "Traceback" not in err
 
     def test_validation_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -1,7 +1,35 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import roughpath as rp
+
+
+@st.composite
+def paths_and_times(draw):
+    """A Brownian path at K 1..12 or a path of given floats at K 1..6, and
+    query times mixing grid points, cell midpoints, 0, 1, out-of-range values
+    and NaN."""
+    if draw(st.booleans()):
+        K = draw(st.integers(1, 12))
+        path = rp.gen_brownian(K, draw(st.integers(0, 2**40)))
+    else:
+        K = draw(st.integers(1, 6))
+        # signed zeros and neighbours whose difference overflows test the
+        # exact values np.interp returns at grid points
+        value = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-0.0, 0.0, 1e308, -1e308]))
+        path = rp.DyadicPath(draw(st.lists(value, min_size=(1 << K) + 1,
+                                           max_size=(1 << K) + 1)), K)
+    n = 1 << K
+    t = st.one_of(
+        st.floats(-2.0, 3.0),
+        st.integers(0, n).map(lambda i: i / n),
+        st.integers(0, n - 1).map(lambda i: (i + 0.5) / n),
+        st.sampled_from([0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), -1e-300, 1e300,
+                         np.inf, -np.inf, np.nan]),
+    )
+    return path, draw(t), draw(st.lists(t, max_size=50))
 
 
 class TestBuildPath:
@@ -27,6 +55,19 @@ class TestBuildPath:
         path = rp.DyadicPath([0.0, 0.5, 1.0], 1)
         with pytest.raises(ValueError):
             path.samples[0] = 2.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(paths_and_times())
+    def test_eval_matches_interp(self, case):
+        # the O(1) cell lookup reproduces np.interp bit for bit, scalar in and
+        # scalar out, array in and array out
+        path, t, ts = case
+        got, ref = path.eval(t), np.interp(t, path.grid, path.samples)
+        assert type(got) is type(ref)
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+        ts = np.array(ts, dtype=float)
+        got, ref = path.eval(ts), np.interp(ts, path.grid, path.samples)
+        assert got.shape == ts.shape and got.tobytes() == ref.tobytes()
 
 
 class TestAveragePyramid:

@@ -1,7 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import roughpath as rp
+from roughpath.generators import _level_normals
+
+
+def index_array_bridge(K, seed):
+    """The midpoint bridge with one index array per level, as a reference."""
+    n = 1 << K
+    w = np.zeros(n + 1)
+    w[n] = _level_normals(seed, 0, 1)[0]
+    for j in range(1, K + 1):
+        step = 1 << (K - j)
+        mids = np.arange(step, n, 2 * step)
+        z = _level_normals(seed, j, mids.size)
+        w[mids] = 0.5 * (w[mids - step] + w[mids + step]) + 2.0 ** (-(j + 1) / 2) * z
+    return w
 
 
 class TestBrownian:
@@ -35,6 +51,17 @@ class TestBrownian:
             inc[s] = (p[1] - p[0], p[3] - p[2])
         rho = np.corrcoef(inc[:, 0], inc[:, 1])[0, 1]
         assert abs(rho) < 3.0 / np.sqrt(n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 16),
+        st.one_of(st.integers(0, 1000), st.integers(2**32, 2**64 - 1)),
+    )
+    def test_matches_index_array_bridge(self, K, seed):
+        # the strided in-place fill draws the same streams and does the same
+        # arithmetic in the same order as the index-array form
+        got = rp.gen_brownian(K, seed).samples
+        assert got.tobytes() == index_array_bridge(K, seed).tobytes()
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):

@@ -45,6 +45,21 @@ class TestRefinement:
         with pytest.raises(rp.QuadratureFailure):
             refine_batch(eval_xs, [0.0], [1.0], rp.QuadratureConfig(tol=1e-16, max_splits=2))
 
+    def test_non_finite_band_raises_early(self):
+        # NaN only on |x - 0.3| < 1e-4: no coarse panel node lands there, and
+        # each split used to double the leaves that carry the NaN up to
+        # max_splits (48 by default)
+        rows = []
+
+        def eval_xs(owner, x):
+            rows.append(x.shape[0])
+            assert sum(rows) < 1000, "refinement keeps splitting a non-finite leaf"
+            with np.errstate(invalid="ignore"):
+                return np.sqrt(np.abs(x - 0.3) - 1e-4)
+
+        with pytest.raises(rp.NonFinite, match=r"interval 1: \[0.25, 0.5\]"):
+            refine_batch(eval_xs, [0.0, 0.25, 0.5], [0.25, 0.5, 1.0])
+
     def test_batch_owners_accumulate(self):
         eval_xs = lambda owner, x: np.ones_like(x)
         got = refine_batch(eval_xs, [0.0, 1.0, -2.0], [2.0, 1.5, -1.0])
