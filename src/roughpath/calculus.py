@@ -16,7 +16,7 @@ import numpy as np
 from .dyadic import DyadicPath
 from .errors import BadInterval, MissingDerivative
 from .integrator import ScalarField, integrate_state_only
-from .quadrature import QuadratureConfig, gauss_nodes
+from .quadrature import _W, _XI
 
 _CHUNK = 1 << 14
 
@@ -42,12 +42,7 @@ def _outer_panels(path: DyadicPath, s: float):
     return edges
 
 
-def green_eval(
-    field: ScalarField,
-    path: DyadicPath,
-    s: float,
-    quad: QuadratureConfig | None = None,
-) -> GreenEvaluation:
+def green_eval(field: ScalarField, path: DyadicPath, s: float) -> GreenEvaluation:
     """Evaluate the integral over [0, s] through the Green identity.
 
     Requires the path to start at 0 (other starts are shifted internally) and
@@ -56,7 +51,6 @@ def green_eval(
     """
     if not 0.0 < s <= 1.0:
         raise BadInterval("s must lie in (0, 1]")
-    quad = quad or QuadratureConfig()
     g0 = float(path.samples[0])
     if g0 != 0.0:
         path = path.shifted(-g0)
@@ -66,29 +60,18 @@ def green_eval(
         raise MissingDerivative("green_eval needs dt_partial unless the field is state-only")
     gs = float(path.eval(s))
     slope = gs / s
-    xi, w = gauss_nodes(quad.nodes)
-    edges = _outer_panels(path, s)
-    area = 0.0
-    chord = 0.0
-    for lo in range(0, edges.size - 1, _CHUNK):
-        hi = min(lo + _CHUNK, edges.size - 1)
-        a = edges[lo:hi]
-        b = edges[lo + 1 : hi + 1]
-        half = 0.5 * (b - a)
-        t = 0.5 * (a + b)[:, None] + half[:, None] * xi[None, :]
+
+    def area(t):
         ell = slope * t
-        chord += float(np.einsum("ij,j,i->", field.evaluate(t, ell), w, half))
-        if needs_area:
-            gt = np.interp(t, path.grid, path.samples)
-            xhalf = 0.5 * (gt - ell)
-            xmid = 0.5 * (gt + ell)
-            # inner Gauss panel per outer node, oriented from chord to path
-            xs = xmid[..., None] + xhalf[..., None] * xi[None, None, :]
-            vals = field.dt_partial(t[..., None], xs)
-            inner = (vals @ w) * xhalf
-            area += float(np.einsum("ij,j,i->", inner, w, half))
-    chord_term = slope * chord
-    area_term = area if needs_area else 0.0
+        gt = np.interp(t, path.grid, path.samples)
+        xhalf = 0.5 * (gt - ell)
+        xmid = 0.5 * (gt + ell)
+        # inner Gauss panel per outer node, oriented from chord to path
+        xs = xmid[..., None] + xhalf[..., None] * _XI[None, None, :]
+        return (field.dt_partial(t[..., None], xs) @ _W) * xhalf
+
+    chord_term = slope * _time_integral(lambda t: field.evaluate(t, slope * t), path, s)
+    area_term = _time_integral(area, path, s) if needs_area else 0.0
     return GreenEvaluation(
         chord_slope=slope,
         area_term=area_term,
@@ -97,8 +80,7 @@ def green_eval(
     )
 
 
-def integration_by_parts(field: ScalarField, path: DyadicPath, s: float,
-                         quad: QuadratureConfig | None = None) -> float:
+def integration_by_parts(field: ScalarField, path: DyadicPath, s: float) -> float:
     """Integral of a smooth time-only field against dg via parts:
     f(s)g(s) - f(0)g(0) - integral of g f' dt over [0, s]."""
     if field.depends_on != "t_only":
@@ -107,20 +89,22 @@ def integration_by_parts(field: ScalarField, path: DyadicPath, s: float,
         raise MissingDerivative("integration_by_parts needs the field derivative")
     if not 0.0 < s <= 1.0:
         raise BadInterval("s must lie in (0, 1]")
-    quad = quad or QuadratureConfig()
     fs, f0 = field.value_at_times(np.array([s, 0.0]))
     gs, g0 = float(path.eval(s)), float(path.samples[0])
     correction = _time_integral(
         lambda t: np.interp(t, path.grid, path.samples)
         * np.asarray(field.dt_partial(t, np.zeros_like(t)), dtype=float),
-        path, s, quad,
+        path, s,
     )
     return float(fs * gs - f0 * g0 - correction)
 
 
-def _time_integral(fn, path: DyadicPath, s: float, quad: QuadratureConfig) -> float:
-    """Integral of fn(t) dt over [0, s] on path-aligned panels (Gauss per panel)."""
-    xi, w = gauss_nodes(quad.nodes)
+def _time_integral(fn, path: DyadicPath, s: float) -> float:
+    """Integral of fn(t) dt over [0, s] on path-aligned panels (Gauss per panel).
+
+    ``fn`` maps an (n_panels, nodes) array of times to values of that shape;
+    panels are summed in chunks of ``_CHUNK``.
+    """
     edges = _outer_panels(path, s)
     total = 0.0
     for lo in range(0, edges.size - 1, _CHUNK):
@@ -128,18 +112,16 @@ def _time_integral(fn, path: DyadicPath, s: float, quad: QuadratureConfig) -> fl
         a = edges[lo:hi]
         b = edges[lo + 1 : hi + 1]
         half = 0.5 * (b - a)
-        t = 0.5 * (a + b)[:, None] + half[:, None] * xi[None, :]
-        total += float(np.einsum("ij,j,i->", np.asarray(fn(t), dtype=float), w, half))
+        t = 0.5 * (a + b)[:, None] + half[:, None] * _XI[None, :]
+        total += float(np.einsum("ij,j,i->", np.asarray(fn(t), dtype=float), _W, half))
     return total
 
 
-def time_integral_of_state(f, path: DyadicPath, s: float,
-                           quad: QuadratureConfig | None = None) -> float:
+def time_integral_of_state(f, path: DyadicPath, s: float) -> float:
     """Integral of f(g(tau)) d tau over [0, s] (plain time quadrature)."""
-    quad = quad or QuadratureConfig()
     return _time_integral(
         lambda t: np.asarray(f(np.interp(t, path.grid, path.samples)), dtype=float),
-        path, s, quad,
+        path, s,
     )
 
 

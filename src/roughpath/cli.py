@@ -187,6 +187,9 @@ def _solve_ode(args):
     if args.json_out:
         write_json(sidecar, args.json_out)
     print(json.dumps(sidecar, indent=2))
+    if not solution.converged:
+        print("fixed-point residual above the solver tolerance", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -15,14 +15,22 @@ from .errors import BadExponents, LengthMismatch, LevelOutOfRange, NonFinite
 
 
 class DyadicPath:
-    """Piecewise-linear path on [0, 1] sampled at step ``2**-resolution_level``."""
+    """Piecewise-linear path on [0, 1] sampled at step ``2**-resolution_level``.
+
+    ``samples`` is read-only.  A writeable input array is copied, so the
+    caller can keep writing to it; a read-only one is shared as is.  The
+    library's own generators hand over the arrays they build read-only.
+    """
 
     __slots__ = ("resolution_level", "samples", "_grid", "_pyramid")
 
     def __init__(self, samples, resolution_level: int):
         if resolution_level < 1:
             raise LengthMismatch("resolution level must be >= 1")
+        source = samples
         samples = np.ascontiguousarray(samples, dtype=float)
+        if samples.flags.writeable and np.may_share_memory(samples, source):
+            samples = samples.copy()
         expected = (1 << resolution_level) + 1
         if samples.ndim != 1 or samples.size != expected:
             raise LengthMismatch(
@@ -76,7 +84,9 @@ class DyadicPath:
         return float(self.samples.min()), float(self.samples.max())
 
     def shifted(self, c: float) -> "DyadicPath":
-        return DyadicPath(self.samples + c, self.resolution_level)
+        samples = self.samples + c
+        samples.flags.writeable = False
+        return DyadicPath(samples, self.resolution_level)
 
     def __repr__(self):
         return f"DyadicPath(K={self.resolution_level}, n={self.samples.size})"

@@ -43,6 +43,7 @@ def gen_brownian(K: int, seed: int) -> DyadicPath:
         z = _level_normals(seed, j, mid.size)
         z *= 2.0 ** (-(j + 1) / 2)
         mid += z
+    w.flags.writeable = False   # handed over without a copy
     return DyadicPath(w, K)
 
 
@@ -85,6 +86,7 @@ def gen_oscillatory(alpha: float, beta: float, A: float, m_max: int, K: int) -> 
         period = 1 << (K - kappa)
         phase = ((idx - start) % period) / period
         w[idx] += height * (1.0 - np.abs(2.0 * phase - 1.0))
+    w.flags.writeable = False
     return DyadicPath(w, K)
 
 
@@ -126,6 +128,7 @@ def gen_counterexample(alpha: float, beta: float, K: int) -> DyadicPath:
             ramp = np.arange(quarter + 1) / quarter
             w[base : base + quarter + 1] = height * ramp
             w[base + quarter : base + half + 1] = height * ramp[::-1]
+    w.flags.writeable = False
     return DyadicPath(w, K)
 
 

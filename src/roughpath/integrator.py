@@ -316,6 +316,7 @@ def adversarial_integrand(
         phase = (idx % period) / period
         cell = np.minimum(idx >> (K - k), amp.size - 1)
         f += amp[cell] * (1.0 - np.abs(2.0 * phase - 1.0))
+    f.flags.writeable = False
     return DyadicPath(f, K), float(predicted)
 
 

@@ -23,8 +23,7 @@ from .errors import (
     NonFiniteIterate,
     WindowUnderflow,
 )
-from .integrator import ConvergenceConfig, ScalarField, cumulative_increments
-from .quadrature import QuadratureConfig
+from .integrator import ScalarField, cumulative_increments
 
 
 @dataclass(frozen=True)
@@ -95,15 +94,18 @@ class OdeProblem:
             raise BadInterval("horizon must lie in (0, 1]")
 
 
+# Fixed window policy of ``solve``: the smallest window before
+# ``WindowUnderflow``, the sweep cap per window, and how many trailing
+# sup-norm change ratios the contraction estimate averages.
+_MIN_WINDOW = 2.0 ** -8
+_MAX_PICARD = 100
+_CONTRACTION_WINDOW = 3
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    tol: float = 1e-8
+    tol: float = 1e-8                 # Picard stopping and residual tolerance
     grid_level: int | None = None     # default: driver resolution - 4
-    min_window: float = 2.0 ** -8
-    max_picard: int = 100
-    contraction_window: int = 3
-    gamma: float | None = None        # default: theta * beta / 2
-    quad: QuadratureConfig = QuadratureConfig()
     check_drivers: bool = True
 
 
@@ -113,14 +115,10 @@ class OdeSolution:
     y: np.ndarray                      # shape (m, len(t))
     windows: list[dict]
     residual: float
-    converged: bool
+    converged: bool                    # residual <= tol
 
     def component(self, i: int = 0) -> np.ndarray:
         return self.y[i]
-
-
-def _interp_rows(t_src: np.ndarray, rows: np.ndarray, t_dst: np.ndarray) -> np.ndarray:
-    return np.vstack([np.interp(t_dst, t_src, row) for row in rows])
 
 
 def picard_operator(
@@ -130,7 +128,6 @@ def picard_operator(
     b: float,
     grid_level: int,
     y_start: np.ndarray | None = None,
-    cfg: SolverConfig | None = None,
 ) -> np.ndarray:
     """One application of the fixed-point map on the window [a, b].
 
@@ -138,58 +135,49 @@ def picard_operator(
     (m, n_grid)); the return value is y_start + the cumulative component
     integrals on the same grid.
     """
-    cfg = cfg or SolverConfig()
     y_start = problem.y0 if y_start is None else np.asarray(y_start, dtype=float)
     n_grid = round((b - a) * (1 << grid_level)) + 1
     t_grid = a + np.arange(n_grid) * 2.0 ** -grid_level
     if y_current.shape != (problem.F.m, n_grid):
         raise BadInterval("iterate shape does not match the window grid")
-    int_cfg = ConvergenceConfig(quad=cfg.quad)
     out = np.repeat(y_start[:, None], n_grid, axis=1)
     for j, driver in enumerate(problem.drivers):
-        K = driver.resolution_level
-        fine = min(K - 1, max(K - 2, grid_level + 1))
-        t_fine = a + np.arange(round((b - a) * (1 << fine)) + 1) * 2.0 ** -fine
-        y_fine = _interp_rows(t_grid, y_current, t_fine)
-        x_fine = np.vstack([d.eval(t_fine) for d in problem.drivers])
         for i in range(problem.F.m):
-            comp = problem.F.components[i][j]
-            sf = _composed_field(comp, j, t_fine, y_fine, x_fine)
-            inc = cumulative_increments(sf, driver, a, b, grid_level, int_cfg)
-            out[i, 1:] += np.cumsum(inc)
+            sf = _composed_field(problem.F.components[i][j], j, t_grid, y_current,
+                                 problem.drivers)
+            out[i, 1:] += np.cumsum(cumulative_increments(sf, driver, a, b, grid_level))
     if not np.isfinite(out).all():
         raise NonFiniteIterate("Picard sweep produced non-finite values")
     return out
 
 
-def _composed_field(comp: FieldComponent, j: int, t_fine, y_fine, x_fine) -> ScalarField:
-    """Freeze every argument of F_ij except x_j along the current iterate."""
-    t0 = t_fine[0]
-    step_inv = (t_fine.size - 1) / (t_fine[-1] - t_fine[0])
+def _composed_field(comp: FieldComponent, j: int, t_grid, y_grid, drivers) -> ScalarField:
+    """Freeze every argument of F_ij except x_j along the current iterate.
 
-    def phi_index(t):
-        return np.clip(np.rint((np.asarray(t) - t0) * step_inv).astype(int), 0, t_fine.size - 1)
+    F_ij is evaluated at the times the staircase kernel asks for: y is the
+    iterate interpolated linearly on the window grid, every other driver is
+    read at t.
+    """
+
+    def y_at(t):
+        return [np.interp(t, t_grid, row) for row in y_grid]
 
     if not comp.depends_on_driver:
-        vals = np.asarray(comp.evaluate(t_fine, y_fine, x_fine), dtype=float)
 
         def f_t(t):
-            return vals[phi_index(t)]
+            return comp.evaluate(t, np.stack(y_at(t)), np.stack([d.eval(t) for d in drivers]))
 
         return ScalarField.t_only(f_t)
 
     def f_tx(t, x):
         x = np.asarray(x, dtype=float)
-        idx = phi_index(t)
-        tt = np.broadcast_to(t_fine[idx], x.shape)
-        yy = np.stack([np.broadcast_to(row[idx], x.shape) for row in y_fine])
-        xx = np.stack(
-            [
-                x if q == j else np.broadcast_to(x_fine[q][idx], x.shape)
-                for q in range(x_fine.shape[0])
-            ]
-        )
-        return comp.evaluate(tt, yy, xx)
+
+        def spread(v):
+            return np.broadcast_to(v, x.shape)
+
+        yy = np.stack([spread(v) for v in y_at(t)])
+        xx = np.stack([x if q == j else spread(d.eval(t)) for q, d in enumerate(drivers)])
+        return comp.evaluate(spread(t), yy, xx)
 
     return ScalarField(evaluate=f_tx, depends_on="both")
 
@@ -199,8 +187,9 @@ def solve(problem: OdeProblem, cfg: SolverConfig | None = None) -> OdeSolution:
 
     A window is accepted when the sup-norm change drops below tol with an
     estimated contraction ratio below one; otherwise the window is halved
-    (dyadically) down to ``cfg.min_window``.  Accepted windows feed their
-    endpoint to the next one.
+    (dyadically) down to 2**-8.  Accepted windows feed their endpoint to the
+    next one.  The solution is ``converged`` when the post-hoc fixed-point
+    residual over the whole horizon is at most ``cfg.tol``.
     """
     cfg = cfg or SolverConfig()
     K = min(d.resolution_level for d in problem.drivers)
@@ -227,15 +216,14 @@ def solve(problem: OdeProblem, cfg: SolverConfig | None = None) -> OdeSolution:
     t0 = 0.0
     y_start = problem.y0.copy()
     window = T
-    converged_all = True
     while t0 < T - 1e-15:
         t1 = min(t0 + window, T)
-        ok, y_win, iters, ratio = _picard_window(problem, y_start, t0, t1, L, cfg)
+        ok, y_win, iters, ratio = _picard_window(problem, y_start, t0, t1, L, cfg.tol)
         if not ok:
             window *= 0.5
-            if window < max(cfg.min_window, 2.0 ** -L):
+            if window < max(_MIN_WINDOW, 2.0 ** -L):
                 raise WindowUnderflow(
-                    f"window shrank below {cfg.min_window} at t = {t0} without contraction"
+                    f"window shrank below {_MIN_WINDOW} at t = {t0} without contraction"
                 )
             continue
         i0 = round(t0 * (1 << L))
@@ -246,33 +234,33 @@ def solve(problem: OdeProblem, cfg: SolverConfig | None = None) -> OdeSolution:
         )
         y_start = y_win[:, -1].copy()
         t0 = t1
-    residual = _fixed_point_residual(problem, t_all, y_all, L, cfg)
+    residual = _fixed_point_residual(problem, t_all, y_all, L)
     return OdeSolution(t=t_all, y=y_all, windows=windows, residual=residual,
-                       converged=converged_all)
+                       converged=residual <= cfg.tol)
 
 
-def _picard_window(problem, y_start, a, b, L, cfg):
+def _picard_window(problem, y_start, a, b, L, tol):
     n_grid = round((b - a) * (1 << L)) + 1
     y = np.repeat(np.asarray(y_start, dtype=float)[:, None], n_grid, axis=1)
     changes: list[float] = []
-    for it in range(1, cfg.max_picard + 1):
-        y_new = picard_operator(problem, y, a, b, L, y_start=y_start, cfg=cfg)
+    for it in range(1, _MAX_PICARD + 1):
+        y_new = picard_operator(problem, y, a, b, L, y_start=y_start)
         change = float(np.abs(y_new - y).max())
         changes.append(change)
         y = y_new
-        if change < cfg.tol:
-            ratio = _contraction_ratio(changes, cfg.contraction_window)
+        if change < tol:
+            ratio = _contraction_ratio(changes)
             if ratio < 1.0:
                 return True, y, it, ratio
         if not np.isfinite(change):
             raise NonFiniteIterate("sup-norm change is not finite")
-    return False, y, cfg.max_picard, _contraction_ratio(changes, cfg.contraction_window)
+    return False, y, _MAX_PICARD, _contraction_ratio(changes)
 
 
-def _contraction_ratio(changes, window):
+def _contraction_ratio(changes):
     pairs = [
         changes[i + 1] / changes[i]
-        for i in range(max(0, len(changes) - 1 - window), len(changes) - 1)
+        for i in range(max(0, len(changes) - 1 - _CONTRACTION_WINDOW), len(changes) - 1)
         if changes[i] > 0
     ]
     if not pairs:
@@ -280,10 +268,10 @@ def _contraction_ratio(changes, window):
     return float(np.mean(pairs))
 
 
-def _fixed_point_residual(problem, t_all, y_all, L, cfg):
+def _fixed_point_residual(problem, t_all, y_all, L):
     """Post-hoc defect max_t |y(t) - y0 - integral of F dx over [0, t]|."""
     check = picard_operator(problem, y_all, float(t_all[0]), float(t_all[-1]), L,
-                            y_start=problem.y0, cfg=cfg)
+                            y_start=problem.y0)
     return float(np.abs(check - y_all).max())
 
 

@@ -18,17 +18,10 @@ from .errors import NonFinite, QuadratureFailure
 class QuadratureConfig:
     tol: float = 1e-10      # absolute refinement target per requested interval
     max_splits: int = 48    # bisection depth cap
-    nodes: int = 8          # Gauss-Legendre panel order
 
 
-_NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_XI, _W = np.polynomial.legendre.leggauss(8)   # the one Gauss-Legendre panel rule
 _SLICE = 1 << 13        # intervals refined together (see refine_batch)
-
-
-def gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _NODE_CACHE:
-        _NODE_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _NODE_CACHE[n]
 
 
 def refine_batch(eval_xs, lo, hi, cfg: QuadratureConfig | None = None):
@@ -63,15 +56,14 @@ def refine_batch(eval_xs, lo, hi, cfg: QuadratureConfig | None = None):
 
 def _refine_slice(eval_xs, lo, hi, first: int, cfg: QuadratureConfig):
     """refine_batch for the intervals first .. first + lo.size - 1."""
-    xi, w = gauss_nodes(cfg.nodes)
     n = lo.size
     total = np.zeros(n)
 
     def panels(owner, a, b):
         half = 0.5 * (b - a)
         mid = 0.5 * (b + a)
-        x = mid[:, None] + half[:, None] * xi[None, :]
-        return half * (eval_xs(first + owner, x) @ w)
+        x = mid[:, None] + half[:, None] * _XI[None, :]
+        return half * (eval_xs(first + owner, x) @ _W)
 
     def check_finite(sums, owner):
         bad = ~np.isfinite(sums)

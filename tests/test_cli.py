@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import roughpath as rp
-from roughpath import fields
+from roughpath import fields, ode
 from roughpath.cli import main
 from roughpath.fields import field_from_expression, resolve_field
 from roughpath.io import read_path_csv, write_path_csv
@@ -193,6 +193,20 @@ class TestCliCommands:
         assert code == 0
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         assert abs(rows[-1, 1] - np.e) < 1e-5
+
+    def test_solve_ode_not_converged_exit_code(self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "x.csv"
+        main(["gen-path", "--kind", "linear", "--K", "12", "--out", str(src)])
+        capsys.readouterr()
+        monkeypatch.setattr(ode, "_fixed_point_residual", lambda *args: 2e-8)
+        code = main(["solve-ode", "--drivers", str(src), "--beta", "0.9", "--tol", "1e-8",
+                     "--grid-level", "8", "--out", str(tmp_path / "y.csv"),
+                     "--json-out", str(tmp_path / "s.json")])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert json.loads(out) == json.loads((tmp_path / "s.json").read_text())
+        assert json.loads(out)["converged"] is False
+        assert "Traceback" not in err and "residual" in err
 
     def test_config_file_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roughpath as rp
+from roughpath import generators
 
 
 @st.composite
@@ -55,6 +56,32 @@ class TestBuildPath:
         path = rp.DyadicPath([0.0, 0.5, 1.0], 1)
         with pytest.raises(ValueError):
             path.samples[0] = 2.0
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_caller_array_stays_writeable(self, stride):
+        w = np.zeros(16 * stride + 1)[::stride]
+        path = rp.DyadicPath(w, 4)
+        w[0] = 1.0
+        assert path.samples[0] == 0.0
+        assert not np.shares_memory(path.samples, w)
+
+    def test_read_only_input_is_shared(self):
+        w = np.linspace(0.0, 1.0, 17)
+        w.flags.writeable = False
+        path = rp.DyadicPath(w, 4)
+        assert path.samples is w
+
+    def test_brownian_samples_not_copied(self, monkeypatch):
+        handed = []
+
+        def spy(samples, K):
+            handed.append(samples)
+            return rp.DyadicPath(samples, K)
+
+        monkeypatch.setattr(generators, "DyadicPath", spy)
+        path = rp.gen_brownian(8, 3)
+        assert path.samples is handed[0]
+        assert not path.samples.flags.writeable
 
     @settings(max_examples=200, deadline=None)
     @given(paths_and_times())

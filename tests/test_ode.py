@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import roughpath as rp
+from roughpath import ode
 
 
 def linear_problem(K=14, beta=0.9, driver=None):
@@ -156,6 +157,68 @@ class TestSolve:
         sol = rp.solve(prob, rp.SolverConfig(tol=1e-9, grid_level=10))
         exact = 1.0 + 0.5 * driver.eval(sol.t) ** 2
         assert np.abs(sol.component() - exact).max() < 1e-6
+
+
+    def test_converged_is_residual_within_tol(self):
+        cfg = rp.SolverConfig(tol=1e-9, grid_level=8)
+        sol = rp.solve(linear_problem(K=12), cfg)
+        assert sol.converged is True
+        assert sol.residual <= cfg.tol
+
+    def test_residual_above_tol_is_not_converged(self, monkeypatch):
+        cfg = rp.SolverConfig(tol=1e-9, grid_level=8)
+        monkeypatch.setattr(ode, "_fixed_point_residual", lambda *args: 2.0 * cfg.tol)
+        sol = rp.solve(linear_problem(K=12), cfg)
+        assert sol.converged is False
+        assert sol.residual == 2.0 * cfg.tol
+
+
+def analytic_drivers(K1, K2):
+    """x1 = t at resolution K1 and x2 = sin t at resolution K2."""
+    return [rp.gen_analytic("linear", K1), rp.gen_analytic("sine", K2)]
+
+
+def component(evaluate, depends_on_driver=False):
+    return rp.FieldComponent(evaluate=evaluate, depends_on_driver=depends_on_driver,
+                             holder={"t": 0.0, "y": 1.0, "x": 1.0})
+
+
+@pytest.mark.parametrize("K1, K2", [(14, 14), (12, 14)])
+class TestMultiDriver:
+    def test_exponential_of_driver_sum(self, K1, K2):
+        # dy = y dx1 + y dx2 integrates to y0 exp(x1 + x2 - x1(0) - x2(0))
+        drivers = analytic_drivers(K1, K2)
+        prob = rp.OdeProblem(
+            F=rp.MatrixField([[component(lambda t, y, x: y[0])] * 2]),
+            drivers=drivers,
+            y0=np.array([1.0]),
+            beta=0.9,
+        )
+        sol = rp.solve(prob, rp.SolverConfig(tol=1e-9, grid_level=10))
+        x_sum = sum(d.eval(sol.t) - d.eval(0.0) for d in drivers)
+        exact = np.exp(x_sum)
+        # relative: the gap is the level-10 interpolation of the iterate
+        assert np.abs(sol.component() / exact - 1.0).max() < 1e-6
+        assert sol.converged
+
+    def test_components_read_the_other_driver(self, K1, K2):
+        # dy1 = x2 dx1 gives 1 - cos t; dy2 = x1 x2 dx2, whose integrand reads
+        # its own driver too, gives sin(2t) / 8 - t cos(2t) / 4
+        zero = component(lambda t, y, x: np.zeros_like(t))
+        prob = rp.OdeProblem(
+            F=rp.MatrixField([
+                [component(lambda t, y, x: x[1]), zero],
+                [zero, component(lambda t, y, x: x[0] * x[1], depends_on_driver=True)],
+            ]),
+            drivers=analytic_drivers(K1, K2),
+            y0=np.zeros(2),
+            beta=0.9,
+        )
+        sol = rp.solve(prob, rp.SolverConfig(tol=1e-9, grid_level=10))
+        t = sol.t
+        assert np.abs(sol.component(0) - (1.0 - np.cos(t))).max() < 1e-6
+        assert np.abs(sol.component(1) - (np.sin(2 * t) / 8 - t * np.cos(2 * t) / 4)).max() < 1e-6
+        assert sol.converged
 
 
 class TestIntegrandBounds:
