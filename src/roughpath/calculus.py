@@ -174,6 +174,8 @@ def ito_compare(
     ``fprime`` may be analytic; otherwise a central finite difference with
     the documented step is used.
     """
+    if not paths:
+        raise ValueError("ito_compare needs at least one path")
     if fprime is None:
         fprime = lambda x: (f(x + fd_step) - f(x - fd_step)) / (2.0 * fd_step)
     residuals = []

@@ -4,6 +4,8 @@ Subcommands: gen-path, averages, diagnose, integrate, green-check,
 ito-compare, wiener-mc, solve-ode, reproduce.  Exit codes: 0 success,
 2 validation error, 3 numerical failure (with a JSON error payload on
 stdout).  Every subcommand is deterministic given its flags and seed.
+--config supplies flag values as defaults: an explicit flag wins, and each
+value is checked like the flag it stands for.
 """
 
 import argparse
@@ -17,21 +19,15 @@ from . import experiments
 from .calculus import green_eval, ito_compare
 from .diagnostics import existence_report, wiener_ensemble
 from .dyadic import average_pyramid
-from .errors import QuadratureFailure, RoughPathError
-from .fields import BUILTIN_FIELDS, resolve_field
+from .errors import NonFiniteIterate, QuadratureFailure, RoughPathError, WindowUnderflow
+from .fields import resolve_field
 from .generators import gen_analytic, gen_brownian, gen_counterexample, gen_oscillatory
 from .integrator import ConvergenceConfig, integrate
-from .io import (
-    read_flat_config,
-    read_path_csv,
-    validate_schema,
-    write_json,
-    write_path_csv,
-    write_pyramid_csv,
-    DIAGNOSE_SCHEMA,
-)
+from .io import read_flat_config, read_path_csv, write_json, write_path_csv, write_pyramid_csv
 from .ode import MatrixField, OdeProblem, SolverConfig, solve
 from .quadrature import QuadratureConfig
+
+_NUMERICAL = (QuadratureFailure, WindowUnderflow, NonFiniteIterate)   # exit 3; the rest exit 2
 
 
 def _threads(args) -> int:
@@ -41,21 +37,32 @@ def _threads(args) -> int:
     return max(1, int(env)) if env else 1
 
 
-def _apply_config(args, parser):
-    """Overlay a flat key=value config file under explicit flags."""
-    if not getattr(args, "config", None):
-        return
-    actions = list(parser._actions)
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            actions.extend(action.choices[args.command]._actions)
-    known = {a.dest for a in actions}
+def _parse_with_config(parser, commands, argv, args):
+    """Parse ``argv`` again with the --config values as argparse defaults.
+
+    argparse converts a string default with its flag's own ``type`` when the
+    flag is absent, so config values are checked like flags and an explicit
+    flag still wins.
+    """
+    known = set(vars(args)) - {"command", "config", "fn"}
     for key, value in read_flat_config(args.config).items():
         dest = key.replace("-", "_")
         if dest not in known:
             parser.error(f"unknown config key {key!r}")
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, value)
+        if isinstance(getattr(args, dest), bool):   # a store_true flag
+            if value not in ("true", "false"):
+                parser.error(f"config key {key!r} takes true or false")
+            value = value == "true"
+        target = parser if dest == "threads" else commands[args.command]
+        target.set_defaults(**{dest: value})
+    return parser.parse_args(argv)
+
+
+def _emit(payload, json_out, shown=None) -> None:
+    """Write ``payload`` to ``json_out`` when given, then print ``shown`` (default: payload)."""
+    if json_out:
+        write_json(payload, json_out)
+    print(json.dumps(payload if shown is None else shown, indent=2))
 
 
 def _gen_path(args):
@@ -83,10 +90,7 @@ def _averages(args):
 def _diagnose(args):
     path = read_path_csv(args.path)
     report = existence_report(path.pyramid(), args.beta).to_json()
-    validate_schema(report, DIAGNOSE_SCHEMA)
-    if args.json_out:
-        write_json(report, args.json_out)
-    print(json.dumps(report if args.json else {"verdict": report["verdict"]}, indent=2))
+    _emit(report, args.json_out, None if args.json else {"verdict": report["verdict"]})
     return 0
 
 
@@ -103,9 +107,7 @@ def _integrate(args):
         "levels": list(result.levels),
         "level_values": [float(v) for v in result.level_values],
     }
-    if args.json_out:
-        write_json(payload, args.json_out)
-    print(json.dumps(payload, indent=2))
+    _emit(payload, args.json_out)
     if not result.converged:
         print("integration did not converge within the resolved levels", file=sys.stderr)
         return 3
@@ -114,30 +116,22 @@ def _integrate(args):
 
 def _green_check(args):
     path = read_path_csv(args.path)
-    field = BUILTIN_FIELDS.get(args.field)
-    if field is None or (field.depends_on != "x_only" and field.dt_partial is None):
-        raise RoughPathError(
-            f"green-check needs a builtin field with a known time partial; "
-            f"choices: {sorted(BUILTIN_FIELDS)}"
-        )
+    field = resolve_field(args.field)
+    green = green_eval(field, path, args.s)   # MissingDerivative before the staircase runs
     direct = integrate(field, path, 0.0, args.s, ConvergenceConfig(tol=args.tol))
-    green = green_eval(field, path, args.s)
-    payload = {
+    _emit({
         "value_direct": direct.value,
         "value_green": green.total,
         "difference": direct.value - green.total,
-    }
-    if args.json_out:
-        write_json(payload, args.json_out)
-    print(json.dumps(payload, indent=2))
+    }, args.json_out)
     return 0
 
 
 def _ito_compare(args):
-    paths = [gen_brownian(args.K, args.seed + i) for i in range(args.n_paths)]
-    field = BUILTIN_FIELDS[args.field]
+    field = resolve_field(args.field)
     if field.depends_on != "x_only":
-        raise RoughPathError("ito-compare needs a state-only builtin field")
+        raise RoughPathError("ito-compare needs a state-only field")
+    paths = [gen_brownian(args.K, args.seed + i) for i in range(args.n_paths)]
     f = lambda x: field.evaluate(np.zeros_like(np.asarray(x, dtype=float)), x)
     report = ito_compare(f, paths, s=args.s)
     if args.out:
@@ -145,21 +139,15 @@ def _ito_compare(args):
             fh.write("seed,residual\n")
             for i, r in enumerate(report["residuals"]):
                 fh.write(f"{args.seed + i},{r:.17g}\n")
-    print(
-        json.dumps(
-            {k: report[k] for k in ("s", "n_paths", "mean_abs_residual", "max_abs_residual")},
-            indent=2,
-        )
-    )
+    summary = {k: report[k] for k in ("s", "n_paths", "mean_abs_residual", "max_abs_residual")}
+    _emit(summary, None)
     return 0
 
 
 def _wiener_mc(args):
     k_list = [int(k) for k in args.k.split(",")]
-    report = wiener_ensemble(k_list, args.n_paths, args.K, args.seed, threads=_threads(args))
-    if args.json_out:
-        write_json(report, args.json_out)
-    print(json.dumps(report, indent=2))
+    _emit(wiener_ensemble(k_list, args.n_paths, args.K, args.seed, threads=_threads(args)),
+          args.json_out)
     return 0
 
 
@@ -179,14 +167,11 @@ def _solve_ode(args):
         fh.write("t," + ",".join(f"y{i + 1}" for i in range(solution.y.shape[0])) + "\n")
         for row in np.column_stack([solution.t, solution.y.T]):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    sidecar = {
+    _emit({
         "residual": solution.residual,
         "windows": solution.windows,
         "converged": bool(solution.converged),
-    }
-    if args.json_out:
-        write_json(sidecar, args.json_out)
-    print(json.dumps(sidecar, indent=2))
+    }, args.json_out)
     if not solution.converged:
         print("fixed-point residual above the solver tolerance", file=sys.stderr)
         return 3
@@ -203,7 +188,8 @@ def _reproduce(args):
     return 0 if failures == 0 else 3
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(prog="roughpath", description=__doc__)
     parser.add_argument("--config", help="flat key = value defaults file")
     parser.add_argument("--threads", type=int, help="worker cap (ROUGHPATH_THREADS fallback)")
@@ -284,27 +270,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", help="'all' or one of: " + ", ".join(experiments.CRITERIA_ORDER))
     p.set_defaults(fn=_reproduce)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args, parser)
+        if args.config:
+            args = _parse_with_config(parser, commands, argv, args)
         for dest, value in vars(args).items():
-            if dest.endswith("tol") and value is not None and value <= 0:
+            if dest.endswith("tol") and value is not None and not value > 0:   # NaN too
                 parser.error(f"{dest} must be positive")
         return args.fn(args)
-    except QuadratureFailure as exc:
-        print(json.dumps({"error": "numerical", "detail": str(exc)}))
-        return 3
-    except RoughPathError as exc:
-        print(json.dumps({"error": "validation", "detail": str(exc)}))
-        return 2
-    except (ValueError, OSError) as exc:
-        print(json.dumps({"error": "validation", "detail": str(exc)}))
-        return 2
+    except (RoughPathError, ValueError, OSError) as exc:
+        numerical = isinstance(exc, _NUMERICAL)
+        print(json.dumps({"error": "numerical" if numerical else "validation",
+                          "detail": str(exc)}))
+        return 3 if numerical else 2
 
 
 if __name__ == "__main__":

@@ -247,6 +247,8 @@ def wiener_ensemble(
     Paths use seeds seed, seed+1, ..., and the reduction order is fixed, so
     the report is deterministic for any thread count.
     """
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     k_list = [int(k) for k in k_list]
     for k in k_list:
         if k > K - 6:

@@ -333,7 +333,3 @@ def run_criterion(name: str) -> CriterionResult:
     return CriterionResult(
         name=name, passed=passed, runtime_s=elapsed, budget_s=budget, details=details
     )
-
-
-def run_all() -> list[CriterionResult]:
-    return [run_criterion(name) for name in CRITERIA_ORDER]

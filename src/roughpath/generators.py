@@ -70,8 +70,8 @@ def gen_oscillatory(alpha: float, beta: float, A: float, m_max: int, K: int) -> 
         raise BadExponents("need alpha, beta > 0 and alpha + beta < 1")
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    if A < 0:
-        raise ValueError("A must be >= 0")
+    if not 0.0 <= A < math.inf:
+        raise ValueError("A must be finite and >= 0")
     n_m = oscillation_levels(alpha, A, m_max)
     needed = n_m[-1] + m_max + 2
     if K < needed:
@@ -149,4 +149,6 @@ def gen_analytic(kind, K: int) -> DyadicPath:
     vals = np.asarray(fn(t), dtype=float)
     if not np.isfinite(vals).all():
         raise NonFinite("analytic path produced non-finite samples")
+    if isinstance(kind, str):
+        vals.flags.writeable = False   # a builtin kind's fresh array, handed over without a copy
     return DyadicPath(vals, K)

@@ -29,10 +29,11 @@ class ScalarField:
     """Two-argument integrand f(t, x) with optional metadata.
 
     ``evaluate`` must be vectorized over numpy arrays and broadcast (t, x).
-    ``depends_on`` unlocks exact fast paths: 't_only' integrands need no
-    quadrature at all and 'x_only' integrands reduce to a single definite
-    integral between path values.  Hölder metadata (exponent, constant, sup
-    bound) feeds the a-posteriori error estimate when present.
+    ``depends_on`` marks the dependence class: 't_only' integrands need no
+    quadrature at all.  ``integrate`` takes no 'x_only' shortcut; the exact
+    reduction of an integrand f(x) to one definite integral between path
+    values is ``integrate_state_only``.  Hölder metadata (exponent, constant,
+    sup bound) feeds the a-posteriori error estimate when present.
     """
 
     evaluate: callable
@@ -94,10 +95,6 @@ class IntegralResult:
     converged: bool
     error_estimate: float | None = None
 
-    @property
-    def levels_used(self) -> range:
-        return range(self.levels[0], self.levels[1] + 1)
-
 
 def index_range(a: float, b: float, k: int) -> tuple[int, int] | None:
     """Level-k cell indices whose parent cell lies inside [a, b].
@@ -136,7 +133,9 @@ def _closed_sums(field: ScalarField, h: np.ndarray, k: int, first: int, span: in
     the block's averages and ends at g[i + 1]: span + 1 verticals at times
     (first + i*span + j) * 2**-k for j = 0 .. span.  All verticals go into one
     quadrature batch, or one elementwise product for t_only fields, and each
-    block's terms are summed in one fixed order.
+    block's terms are summed in one fixed order.  A t_only field is evaluated
+    once at each of the n_blocks*span + 1 distinct times, so the end time
+    that two adjacent blocks share is evaluated once.
     """
     n_blocks = g.size - 1
     heights = np.empty((n_blocks, span + 2))
@@ -145,12 +144,12 @@ def _closed_sums(field: ScalarField, h: np.ndarray, k: int, first: int, span: in
     heights[:, -1] = g[1:]
     lo = heights[:, :-1].ravel()
     hi = heights[:, 1:].ravel()
-    n = first + span * np.arange(n_blocks)[:, None] + np.arange(span + 1)
-    t_abs = n.ravel() * 2.0 ** -k
+    offset = (span * np.arange(n_blocks)[:, None] + np.arange(span + 1)).ravel()
     if field.depends_on == "t_only":
-        terms = field.value_at_times(t_abs) * (hi - lo)
+        f_at = field.value_at_times((first + np.arange(n_blocks * span + 1)) * 2.0 ** -k)
+        terms = f_at[offset] * (hi - lo)
     else:
-        terms = _vertical_batch(field, t_abs, lo, hi, quad)
+        terms = _vertical_batch(field, (first + offset) * 2.0 ** -k, lo, hi, quad)
     return terms.reshape(n_blocks, span + 1).sum(axis=1)
 
 

@@ -14,55 +14,6 @@ from .errors import NonDyadicGrid, SchemaError
 
 GRID_TOLERANCE = 2.0 ** -40
 
-DIAGNOSE_SCHEMA = {
-    "type": "object",
-    "required": ["beta", "levels", "verdict"],
-    "properties": {
-        "beta": {"type": "number"},
-        "verdict": {"type": "string"},
-        "levels": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["k", "B", "term", "partial_sum"],
-                "properties": {
-                    "k": {"type": "number"},
-                    "B": {"type": "number"},
-                    "term": {"type": "number"},
-                    "partial_sum": {"type": "number"},
-                },
-            },
-        },
-    },
-}
-
-
-def validate_schema(obj, schema, where="$") -> None:
-    """Minimal structural validation (types and required keys)."""
-    kind = schema.get("type")
-    if kind == "object":
-        if not isinstance(obj, dict):
-            raise SchemaError(f"{where}: expected object")
-        for key in schema.get("required", []):
-            if key not in obj:
-                raise SchemaError(f"{where}: missing key {key!r}")
-        for key, sub in schema.get("properties", {}).items():
-            if key in obj:
-                validate_schema(obj[key], sub, f"{where}.{key}")
-    elif kind == "array":
-        if not isinstance(obj, list):
-            raise SchemaError(f"{where}: expected array")
-        sub = schema.get("items")
-        if sub:
-            for i, item in enumerate(obj):
-                validate_schema(item, sub, f"{where}[{i}]")
-    elif kind == "number":
-        if not isinstance(obj, (int, float)):
-            raise SchemaError(f"{where}: expected number")
-    elif kind == "string":
-        if not isinstance(obj, str):
-            raise SchemaError(f"{where}: expected string")
-
 
 def write_path_csv(path: DyadicPath, filename) -> None:
     with open(filename, "w") as fh:
@@ -111,7 +62,11 @@ def write_json(obj, filename) -> None:
 
 
 def read_flat_config(filename) -> dict:
-    """Flat key = value file; '#' starts a comment; values parse as JSON scalars."""
+    """Flat key = value file; '#' starts a comment.
+
+    Values stay text, for the CLI to convert like the flags they stand for;
+    a double-quoted value reads as the JSON string it spells.
+    """
     out = {}
     with open(filename) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -121,8 +76,5 @@ def read_flat_config(filename) -> dict:
             if "=" not in line:
                 raise SchemaError(f"line {lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            try:
-                out[key] = json.loads(value)
-            except json.JSONDecodeError:
-                out[key] = value
+            out[key] = json.loads(value) if value.startswith('"') else value
     return out

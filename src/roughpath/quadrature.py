@@ -22,6 +22,7 @@ class QuadratureConfig:
 
 _XI, _W = np.polynomial.legendre.leggauss(8)   # the one Gauss-Legendre panel rule
 _SLICE = 1 << 13        # intervals refined together (see refine_batch)
+_MAX_LEAVES = 1 << 17   # live leaves per slice before refinement gives up
 
 
 def refine_batch(eval_xs, lo, hi, cfg: QuadratureConfig | None = None):
@@ -33,10 +34,16 @@ def refine_batch(eval_xs, lo, hi, cfg: QuadratureConfig | None = None):
     frozen abscissa of a vertical segment) ride along.  Each interval is
     refined by bisection until, on every leaf, the one-panel value and the
     two-half value agree to ``cfg.tol``.  The budget does not halve with each
-    split: every leaf keeps ``cfg.tol``, so an interval's accumulated error
-    estimate is at most its leaf count times tol.  A non-finite panel sum
+    split: every leaf keeps ``cfg.tol``, since halving it would starve
+    endpoint singularities of depth.  An interval's accumulated error
+    estimate is then at most its leaf count times tol; integrands here
+    produce only short refinement chains.  A non-finite panel sum
     raises ``NonFinite`` at once: splitting cannot cure it, and each split
-    would double the leaves that carry it.
+    would double the leaves that carry it.  Refinement that would carry more
+    than ``_MAX_LEAVES`` leaves of one slice into the next split raises
+    ``QuadratureFailure``, so a finite integrand that never meets ``cfg.tol``
+    (such as exp(1000 x), whose panel errors dwarf any absolute tolerance)
+    stops within bounded memory instead of doubling its leaves each split.
 
     Intervals are refined in slices of at most ``_SLICE``, which keeps each
     (rows, nodes) temporary at 0.5 MiB for 8 nodes.  With glibc's default
@@ -77,26 +84,25 @@ def _refine_slice(eval_xs, lo, hi, first: int, cfg: QuadratureConfig):
     a, b = lo.copy(), hi.copy()
     coarse = panels(owner, a, b)
     check_finite(coarse, owner)
-    tol = np.full(n, cfg.tol)
-    for _ in range(cfg.max_splits + 1):
+    for split in range(cfg.max_splits + 1):
         m = 0.5 * (a + b)
         left = panels(owner, a, m)
         right = panels(owner, m, b)
         fine = left + right
         # a finite fine sum has finite halves, so later coarse sums are finite too
         check_finite(fine, owner)
-        done = np.abs(fine - coarse) <= tol
+        done = np.abs(fine - coarse) <= cfg.tol
         np.add.at(total, owner[done], fine[done])
         if done.all():
             return total
         keep = ~done
         owner = np.concatenate([owner[keep], owner[keep]])
+        if owner.size > _MAX_LEAVES:
+            raise QuadratureFailure(
+                f"{owner.size} subintervals still above tolerance after {split + 1} splits"
+            )
         a, b = np.concatenate([a[keep], m[keep]]), np.concatenate([m[keep], b[keep]])
         coarse = np.concatenate([left[keep], right[keep]])
-        # The per-leaf budget stays at cfg.tol: halving it would starve endpoint
-        # singularities of depth; accumulated error is then <= leaves * tol,
-        # and integrands here produce only short refinement chains.
-        tol = np.concatenate([tol[keep], tol[keep]])
     raise QuadratureFailure(
         f"{owner.size} subintervals still above tolerance after {cfg.max_splits} splits"
     )

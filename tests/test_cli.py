@@ -1,11 +1,14 @@
+import contextlib
+import io
 import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import roughpath as rp
-from roughpath import fields, ode
+from roughpath import cli, fields, ode
 from roughpath.cli import main
 from roughpath.fields import field_from_expression, resolve_field
 from roughpath.io import read_path_csv, write_path_csv
@@ -177,12 +180,34 @@ class TestCliCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_paths"] == 5
 
+    @pytest.mark.parametrize("field, code", [("x**3", 0), ("x2", 0), ("foo", 2), ("t*x", 2)])
+    def test_ito_compare_field_lookup(self, capsys, field, code):
+        assert main(["ito-compare", "--field", field, "--K", "8", "--n-paths", "2"]) == code
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert payload["n_paths"] == 2 if code == 0 else payload["error"] == "validation"
+        assert "Traceback" not in err
+
+    def test_green_check_field_lookup(self, tmp_path, capsys):
+        src = tmp_path / "p.csv"
+        main(["gen-path", "--kind", "sine", "--K", "10", "--out", str(src)])
+        capsys.readouterr()
+        assert main(["green-check", "--path", str(src), "--field", "x*x"]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["difference"]) < 1e-6
+        assert main(["green-check", "--path", str(src), "--field", "t*x"]) == 2
+        assert "dt_partial" in json.loads(capsys.readouterr().out)["detail"]
+
     def test_wiener_mc(self, tmp_path, capsys):
         code = main(["wiener-mc", "--k", "6,7", "--n-paths", "4", "--K", "13",
                      "--seed", "9", "--json-out", str(tmp_path / "w.json")])
         assert code == 0
         report = json.loads((tmp_path / "w.json").read_text())
         assert [l["k"] for l in report["levels"]] == [6, 7]
+
+    @pytest.mark.parametrize("argv", [["wiener-mc", "--k", "2", "--K", "8"], ["ito-compare"]])
+    def test_empty_ensemble_exit_code(self, capsys, argv):
+        assert main([*argv, "--n-paths", "0"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "validation"
 
     def test_solve_ode(self, tmp_path, capsys):
         src = tmp_path / "x.csv"
@@ -208,6 +233,31 @@ class TestCliCommands:
         assert json.loads(out)["converged"] is False
         assert "Traceback" not in err and "residual" in err
 
+    def test_solve_ode_window_underflow_is_numerical(self, tmp_path, capsys):
+        src = tmp_path / "x.csv"
+        write_path_csv(rp.DyadicPath(1000.0 * np.linspace(0.0, 1.0, 1025), 10), src)
+        code = main(["solve-ode", "--drivers", str(src), "--F", "linear",
+                     "--out", str(tmp_path / "y.csv")])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert json.loads(out)["error"] == "numerical"
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("exc", [rp.QuadratureFailure, rp.WindowUnderflow,
+                                     rp.NonFiniteIterate])
+    def test_numerical_failures_exit_3(self, tmp_path, capsys, monkeypatch, exc):
+        src = tmp_path / "x.csv"
+        main(["gen-path", "--kind", "linear", "--K", "10", "--out", str(src)])
+        capsys.readouterr()
+
+        def failing(*args, **kwargs):
+            raise exc("patched failure")
+        monkeypatch.setattr(cli, "solve", failing)
+        code = main(["solve-ode", "--drivers", str(src), "--out", str(tmp_path / "y.csv")])
+        assert code == 3
+        assert json.loads(capsys.readouterr().out) == {"error": "numerical",
+                                                       "detail": "patched failure"}
+
     def test_config_file_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = 11\n# comment\nK = 6\n")
@@ -215,6 +265,54 @@ class TestCliCommands:
         code = main(["--config", str(cfg), "gen-path", "--kind", "brownian",
                      "--K", "6", "--out", str(out)])
         assert code == 0
+
+    def test_config_values_apply_under_explicit_flags(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 11\n")
+        config = ["--config", str(cfg)]
+
+        def gen(prefix, flags):
+            out = tmp_path / f"{len(list(tmp_path.iterdir()))}.csv"
+            assert main([*prefix, "gen-path", "--kind", "brownian", "--K", "4", *flags,
+                         "--out", str(out)]) == 0
+            return out.read_text()
+
+        assert gen(config, []) == gen([], ["--seed", "11"])
+        assert gen(config, ["--seed", "3"]) == gen([], ["--seed", "3"]) != gen(config, [])
+
+    def test_config_quoted_and_boolean_values(self, tmp_path, capsys):
+        src = tmp_path / "p.csv"
+        main(["gen-path", "--kind", "brownian", "--K", "8", "--seed", "1", "--out", str(src)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f'json-out = "{tmp_path / "r.json"}"\njson = true\n')
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "diagnose", "--path", str(src), "--beta", "0.6"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert "levels" in report
+        assert json.loads((tmp_path / "r.json").read_text()) == report
+
+    @pytest.mark.parametrize("line, argv", [
+        ("grid_level = eight", ["solve-ode", "--drivers", "{src}", "--out", "{out}"]),
+        ("tol = small", ["solve-ode", "--drivers", "{src}", "--out", "{out}"]),
+        ("json = maybe", ["diagnose", "--path", "{src}", "--beta", "0.6"]),
+    ])
+    def test_config_bad_value_is_a_usage_error(self, tmp_path, capsys, line, argv):
+        src = tmp_path / "x.csv"
+        main(["gen-path", "--kind", "linear", "--K", "10", "--out", str(src)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        argv = [a.format(src=src, out=tmp_path / "y.csv") for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), *argv])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_tolerance_must_be_positive(self, tmp_path, tol):
+        src = tmp_path / "x.csv"
+        main(["gen-path", "--kind", "linear", "--K", "10", "--out", str(src)])
+        with pytest.raises(SystemExit) as exc:
+            main(["integrate", "--path", str(src), "--field", "x", "--quad-tol", tol])
+        assert exc.value.code == 2
 
     def test_config_rejects_unknown_keys(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -237,3 +335,92 @@ class TestCliCommands:
         code = main(["reproduce", "pyramid-exactness"])
         assert code == 0
         assert "PASS pyramid-exactness" in capsys.readouterr().out
+
+
+_INTS = st.sampled_from(["-1", "0", "1", "2", "3", "5", "8", "x"])         # K <= 8
+_FLOATS = st.sampled_from(["-1", "0", "1e-12", "0.25", "0.5", "1", "2", "nan", "inf", "x"])
+_FIELDS = st.sampled_from(["x", "x2", "tx", "sin_t_x", "t_plus_x2", "one", "x**3", "t*t",
+                           "sqrt(x)", "log(x)", "1/x", "exp(1000*x)", "foo", "x+"])
+_CONFIGS = {"seed.cfg": "seed = 3\n", "tol.cfg": "tol = 1e-6\n", "json.cfg": "json = true\n",
+            "bad.cfg": "grid_level = eight\n", "unknown.cfg": "frobnicate = 1\n"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    write_path_csv(rp.gen_brownian(8, 1), d / "bm.csv")
+    write_path_csv(rp.gen_analytic("linear", 6), d / "lin.csv")
+    write_path_csv(rp.DyadicPath(1000.0 * np.linspace(0.0, 1.0, 257), 8), d / "steep.csv")
+    (d / "bad.csv").write_text("t,value\n0,0\n0.6,1\n1,2\n")
+    for name, text in _CONFIGS.items():
+        (d / name).write_text(text)
+    return d
+
+
+def _fuzz_flags(d):
+    paths = st.sampled_from([str(d / f) for f in ("bm.csv", "lin.csv", "steep.csv", "bad.csv",
+                                                  "missing.csv")])
+    outs = st.sampled_from([str(d / "out.txt"), str(d / "no-dir" / "out.txt")])
+    return {
+        "gen-path": {"--kind": st.sampled_from(["brownian", "oscillatory", "counterexample",
+                                                "linear", "square", "sine", "cubic"]),
+                     "--K": _INTS, "--seed": _INTS, "--alpha": _FLOATS, "--beta": _FLOATS,
+                     "--A": _FLOATS, "--m-max": _INTS, "--out": outs},
+        "averages": {"--path": paths, "--out": outs},
+        "diagnose": {"--path": paths, "--beta": _FLOATS, "--json": st.just(None),
+                     "--json-out": outs},
+        "integrate": {"--path": paths, "--field": _FIELDS, "--a": _FLOATS, "--b": _FLOATS,
+                      "--tol": _FLOATS, "--min-level": _INTS, "--quad-tol": _FLOATS,
+                      "--json-out": outs},
+        "green-check": {"--path": paths, "--field": _FIELDS, "--s": _FLOATS, "--tol": _FLOATS,
+                        "--json-out": outs},
+        "ito-compare": {"--field": _FIELDS, "--K": _INTS, "--n-paths": _INTS, "--seed": _INTS,
+                        "--s": _FLOATS, "--out": outs},
+        "wiener-mc": {"--k": st.sampled_from(["2", "3,4", "", "x", "-1", "9"]),
+                      "--n-paths": _INTS, "--K": _INTS, "--seed": _INTS, "--json-out": outs},
+        "solve-ode": {"--drivers": st.one_of(paths, st.just(f"{d / 'bm.csv'},{d / 'lin.csv'}")),
+                      "--F": st.sampled_from(["linear", "constant", "cubic"]),
+                      "--y0": st.sampled_from(["1.0", "1,2", "x", "nan"]), "--beta": _FLOATS,
+                      "--tol": _FLOATS, "--grid-level": _INTS, "--out": outs,
+                      "--json-out": outs},
+    }
+
+
+_REQUIRED = {"gen-path": {"--kind", "--K", "--out"}, "averages": {"--path", "--out"},
+             "diagnose": {"--path", "--beta"}, "integrate": {"--path", "--field"},
+             "green-check": {"--path", "--field"}, "wiener-mc": {"--k", "--n-paths", "--K"},
+             "solve-ode": {"--drivers", "--out"}}
+
+
+class TestCliFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_run_ends_in_an_exit_code(self, fuzz_dir, data):
+        table = _fuzz_flags(fuzz_dir)
+        command = data.draw(st.sampled_from(sorted(table)))
+        argv = []
+        if data.draw(st.booleans()):
+            argv += ["--config", str(fuzz_dir / data.draw(st.sampled_from(sorted(_CONFIGS))))]
+        if data.draw(st.booleans()):
+            argv += ["--threads", data.draw(st.sampled_from(["-1", "0", "1", "2", "x"]))]
+        argv.append(command)
+        for flag, values in table[command].items():
+            if flag in _REQUIRED.get(command, ()) or data.draw(st.booleans()):
+                value = data.draw(values)
+                argv += [flag] if value is None else [flag, value]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                np.errstate(all="ignore"):
+            try:
+                code = main(argv)
+            except SystemExit as exc:   # argparse's usage error
+                assert exc.code == 2, argv
+                return
+        assert code in (0, 2, 3), argv
+        assert "Traceback" not in err.getvalue()
+        if code == 0 and command in ("gen-path", "averages"):
+            assert out.getvalue().startswith("wrote "), argv
+            return
+        payload = json.loads(out.getvalue())
+        if code == 2:
+            assert payload["error"] == "validation", argv

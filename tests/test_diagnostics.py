@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import roughpath as rp
-from roughpath.io import DIAGNOSE_SCHEMA, validate_schema
 
 
 def constant_pyramid(value=1.5, K=10):
@@ -69,8 +68,13 @@ class TestExistenceReport:
         assert np.all(lo.terms >= hi.terms)
 
     def test_json_schema(self):
-        report = rp.existence_report(rp.gen_analytic("sine", 8).pyramid(), 0.6)
-        validate_schema(report.to_json(), DIAGNOSE_SCHEMA)
+        report = rp.existence_report(rp.gen_analytic("sine", 8).pyramid(), 0.6).to_json()
+        assert isinstance(report["beta"], (int, float))
+        assert isinstance(report["verdict"], str)
+        assert isinstance(report["levels"], list) and report["levels"]
+        for level in report["levels"]:
+            assert all(isinstance(level[key], (int, float))
+                       for key in ("k", "B", "term", "partial_sum"))
 
     def test_bad_beta(self):
         with pytest.raises(rp.BadExponents):

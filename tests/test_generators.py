@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roughpath as rp
+from roughpath import generators
 from roughpath.generators import _level_normals
 
 
@@ -92,6 +93,11 @@ class TestOscillatory:
         with pytest.raises(rp.BadExponents):
             rp.gen_oscillatory(0.6, 0.6, 0.0, 1, 12)
 
+    @pytest.mark.parametrize("A", [-1.0, float("inf"), float("nan")])
+    def test_bad_offset(self, A):
+        with pytest.raises(ValueError):
+            rp.gen_oscillatory(0.3, 0.3, A, 2, 16)
+
     def test_resolution_guard(self):
         n1 = rp.oscillation_levels(0.45, 4.0, 1)[0]
         with pytest.raises(rp.ResolutionTooCoarse):
@@ -148,6 +154,27 @@ class TestAnalytic:
     def test_custom_callable(self):
         path = rp.gen_analytic(lambda t: 2.0 * t, 4)
         assert path.eval(0.5) == 1.0
+
+    @pytest.mark.parametrize("kind", ["linear", "square", "sine"])
+    def test_builtin_samples_not_copied(self, monkeypatch, kind):
+        handed = []
+
+        def spy(samples, K):
+            handed.append(samples)
+            return rp.DyadicPath(samples, K)
+
+        monkeypatch.setattr(generators, "DyadicPath", spy)
+        path = rp.gen_analytic(kind, 6)
+        assert path.samples is handed[0]
+        assert not path.samples.flags.writeable
+
+    def test_callable_array_stays_writeable(self):
+        held = np.linspace(0.0, 2.0, 17)
+        path = rp.gen_analytic(lambda t: held, 4)
+        assert held.flags.writeable
+        assert np.array_equal(held, np.linspace(0.0, 2.0, 17))
+        held[0] = 5.0
+        assert path.samples[0] == 0.0
 
     def test_rejects_non_finite(self):
         with np.errstate(divide="ignore"), pytest.raises(rp.NonFinite):

@@ -255,6 +255,17 @@ class TestIndefiniteIntegral:
         with pytest.raises(rp.LevelOutOfRange):
             rp.indefinite_integral(rp.BUILTIN_FIELDS["x"], rp.gen_analytic("linear", 6), 5)
 
+    def test_t_only_field_evaluated_once_per_time(self):
+        # level 8 on a K=10 path: 16 increments of 16 cells share their end times
+        sizes = []
+
+        def f(t):
+            sizes.append(np.size(t))
+            return np.cos(t)
+
+        rp.indefinite_integral(rp.ScalarField.t_only(f), rp.gen_brownian(10, 2), 4)
+        assert sizes == [2**8 + 1]
+
 
 KERNEL_FIELDS = {
     "t_only": rp.ScalarField.t_only(lambda t: np.cos(3.0 * t) + t),

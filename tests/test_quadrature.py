@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import roughpath as rp
+from roughpath import quadrature
 from roughpath.quadrature import refine_batch
 
 
@@ -59,6 +60,17 @@ class TestRefinement:
 
         with pytest.raises(rp.NonFinite, match=r"interval 1: \[0.25, 0.5\]"):
             refine_batch(eval_xs, [0.0, 0.25, 0.5], [0.25, 0.5, 1.0])
+
+    def test_leaf_budget_stops_runaway_refinement(self):
+        # exp(1000 x) is finite on [0, 0.7] but its panel errors never fall
+        # under an absolute 1e-10; without a budget every split doubles the
+        # leaves until max_splits (48 by default)
+        def eval_xs(owner, x):
+            assert x.shape[0] <= quadrature._MAX_LEAVES, "refinement outgrew the leaf budget"
+            return np.exp(1000.0 * x)
+
+        with pytest.raises(rp.QuadratureFailure):
+            refine_batch(eval_xs, [0.0], [0.7])
 
     def test_batch_owners_accumulate(self):
         eval_xs = lambda owner, x: np.ones_like(x)
