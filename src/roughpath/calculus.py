@@ -7,18 +7,26 @@ the double integral vanishes and the chord term collapses to a definite
 integral; for time-only integrands the identity is integration by parts.
 The Itô helpers discretize the classical stochastic integrals on the sample
 grid for side-by-side comparison with the staircase values.
+
+Every time integral and Itô sum walks the same cells: the level cells that
+fit in [0, s], plus one partial cell closed at (s, g(s)) when s is off the
+level grid.  Time integrals put 8 Gauss nodes on each path cell; the path is
+linear there, so its node values come from the cell's end samples.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import _cells_within
 from .dyadic import DyadicPath
 from .errors import BadInterval, MissingDerivative
 from .integrator import ScalarField, integrate_state_only
 from .quadrature import _W, _XI
 
 _CHUNK = 1 << 14
+_U = 0.5 * (1.0 + _XI)   # Gauss nodes on [0, 1]
+_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -31,15 +39,26 @@ class GreenEvaluation:
     total: float
 
 
-def _outer_panels(path: DyadicPath, s: float):
-    """Dyadic panels of [0, s] aligned with the path grid (kinks at samples)."""
+def _cells(path: DyadicPath, s: float, level: int):
+    """The level cells covering [0, s] as chunks of (t_left, width, g_left, g_right).
+
+    Whole cells come in chunks of ``_CHUNK``; when s is off the level grid, a
+    last partial cell ends at (s, g(s)).
+    """
     K = path.resolution_level
-    step = 2.0 ** -K
-    n_full = int(np.floor(s / step + 1e-12))
-    edges = np.arange(n_full + 1) * step
-    if edges[-1] < s - 1e-15:
-        edges = np.append(edges, s)
-    return edges
+    if not 0 <= level <= K:
+        raise BadInterval("discretization level must lie in 0 .. path resolution")
+    if not 0.0 < s <= 1.0:
+        raise BadInterval("s must lie in (0, 1]")
+    g = path.samples[:: 1 << (K - level)]
+    step = 2.0 ** -level
+    n_full = _cells_within(0.0, s, level)[1] + 1
+    for lo in range(0, n_full, _CHUNK):
+        hi = min(lo + _CHUNK, n_full)
+        yield np.arange(lo, hi) * step, np.full(hi - lo, step), g[lo:hi], g[lo + 1 : hi + 1]
+    t_end = n_full * step
+    if t_end < s:
+        yield np.array([t_end]), np.array([s - t_end]), g[n_full : n_full + 1], path.eval([s])
 
 
 def green_eval(field: ScalarField, path: DyadicPath, s: float) -> GreenEvaluation:
@@ -61,16 +80,15 @@ def green_eval(field: ScalarField, path: DyadicPath, s: float) -> GreenEvaluatio
     gs = float(path.eval(s))
     slope = gs / s
 
-    def area(t):
+    def area(t, g):
         ell = slope * t
-        gt = np.interp(t, path.grid, path.samples)
-        xhalf = 0.5 * (gt - ell)
-        xmid = 0.5 * (gt + ell)
+        xhalf = 0.5 * (g - ell)
+        xmid = 0.5 * (g + ell)
         # inner Gauss panel per outer node, oriented from chord to path
         xs = xmid[..., None] + xhalf[..., None] * _XI[None, None, :]
         return (field.dt_partial(t[..., None], xs) @ _W) * xhalf
 
-    chord_term = slope * _time_integral(lambda t: field.evaluate(t, slope * t), path, s)
+    chord_term = slope * _time_integral(lambda t, g: field.evaluate(t, slope * t), path, s)
     area_term = _time_integral(area, path, s) if needs_area else 0.0
     return GreenEvaluation(
         chord_slope=slope,
@@ -92,37 +110,30 @@ def integration_by_parts(field: ScalarField, path: DyadicPath, s: float) -> floa
     fs, f0 = field.value_at_times(np.array([s, 0.0]))
     gs, g0 = float(path.eval(s)), float(path.samples[0])
     correction = _time_integral(
-        lambda t: np.interp(t, path.grid, path.samples)
-        * np.asarray(field.dt_partial(t, np.zeros_like(t)), dtype=float),
+        lambda t, g: g * np.asarray(field.dt_partial(t, np.zeros_like(t)), dtype=float),
         path, s,
     )
     return float(fs * gs - f0 * g0 - correction)
 
 
 def _time_integral(fn, path: DyadicPath, s: float) -> float:
-    """Integral of fn(t) dt over [0, s] on path-aligned panels (Gauss per panel).
+    """Integral of fn(t, g(t)) dt over [0, s] with 8 Gauss nodes per path cell.
 
-    ``fn`` maps an (n_panels, nodes) array of times to values of that shape;
-    panels are summed in chunks of ``_CHUNK``.
+    ``fn`` maps (n_cells, nodes) arrays of times and path values to values of
+    that shape.
     """
-    edges = _outer_panels(path, s)
     total = 0.0
-    for lo in range(0, edges.size - 1, _CHUNK):
-        hi = min(lo + _CHUNK, edges.size - 1)
-        a = edges[lo:hi]
-        b = edges[lo + 1 : hi + 1]
-        half = 0.5 * (b - a)
-        t = 0.5 * (a + b)[:, None] + half[:, None] * _XI[None, :]
-        total += float(np.einsum("ij,j,i->", np.asarray(fn(t), dtype=float), _W, half))
+    for t_left, width, g_left, g_right in _cells(path, s, path.resolution_level):
+        t = t_left[:, None] + width[:, None] * _U
+        g = g_left[:, None] + (g_right - g_left)[:, None] * _U
+        total += float(np.einsum("ij,j,i->", np.asarray(fn(t, g), dtype=float), _W,
+                                 0.5 * width))
     return total
 
 
 def time_integral_of_state(f, path: DyadicPath, s: float) -> float:
     """Integral of f(g(tau)) d tau over [0, s] (plain time quadrature)."""
-    return _time_integral(
-        lambda t: np.asarray(f(np.interp(t, path.grid, path.samples)), dtype=float),
-        path, s,
-    )
+    return _time_integral(lambda t, g: f(g), path, s)
 
 
 def ito_reference(f, path: DyadicPath, s: float, level: int | None = None,
@@ -131,57 +142,33 @@ def ito_reference(f, path: DyadicPath, s: float, level: int | None = None,
 
     'ito' sums f at the left sample of each step; 'stratonovich' uses the
     state midpoint.  A trailing partial step (when s is off the level grid)
-    is closed with the interpolated endpoint value.
+    is closed with the path value at s.
     """
-    K = path.resolution_level
-    level = K if level is None else level
-    if level > K:
-        raise BadInterval("discretization level cannot exceed the path resolution")
-    if not 0.0 < s <= 1.0:
-        raise BadInterval("s must lie in (0, 1]")
-    stride = 1 << (K - level)
-    g = path.samples[::stride]
-    step = 2.0 ** -level
-    n_full = int(np.floor(s / step + 1e-12))
-    left = g[:n_full]
-    right = g[1 : n_full + 1]
-    if variant == "ito":
-        nodes = left
-    elif variant == "stratonovich":
-        nodes = 0.5 * (left + right)
-    else:
+    if variant not in ("ito", "stratonovich"):
         raise ValueError(f"unknown variant {variant!r}")
-    total = float(np.asarray(f(nodes), dtype=float) @ (right - left)) if n_full else 0.0
-    t_last = n_full * step
-    if t_last < s - 1e-15:
-        gl, gr = float(path.eval(t_last)), float(path.eval(s))
-        node = gl if variant == "ito" else 0.5 * (gl + gr)
-        total += float(f(node)) * (gr - gl)
+    level = path.resolution_level if level is None else level
+    total = 0.0
+    for _, _, left, right in _cells(path, s, level):
+        nodes = left if variant == "ito" else 0.5 * (left + right)
+        total += float(np.asarray(f(nodes), dtype=float) @ (right - left))
     return total
 
 
-def ito_compare(
-    f,
-    paths: list[DyadicPath],
-    s: float = 1.0,
-    fprime=None,
-    level: int | None = None,
-    fd_step: float = 1e-6,
-) -> dict:
+def ito_compare(f, paths: list[DyadicPath], s: float = 1.0, fprime=None) -> dict:
     """Per-path residual of the correction identity
     [state-only integral] - [left-point sum] - 0.5 * integral of f'(g) dt.
 
     ``fprime`` may be analytic; otherwise a central finite difference with
-    the documented step is used.
+    step ``_FD_STEP`` is used.
     """
     if not paths:
         raise ValueError("ito_compare needs at least one path")
     if fprime is None:
-        fprime = lambda x: (f(x + fd_step) - f(x - fd_step)) / (2.0 * fd_step)
+        fprime = lambda x: (f(x + _FD_STEP) - f(x - _FD_STEP)) / (2.0 * _FD_STEP)
     residuals = []
     for path in paths:
         new = integrate_state_only(f, path, 0.0, s)
-        ito = ito_reference(f, path, s, level=level, variant="ito")
+        ito = ito_reference(f, path, s)
         corr = 0.5 * time_integral_of_state(fprime, path, s)
         residuals.append(new - ito - corr)
     residuals = np.array(residuals)

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -162,7 +163,11 @@ def _solve_ode(args):
     y0 = np.array([float(v) for v in args.y0.split(",")])
     problem = OdeProblem(F=F, drivers=drivers, y0=y0, beta=args.beta)
     cfg = SolverConfig(tol=args.tol, grid_level=args.grid_level)
-    solution = solve(problem, cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solution = solve(problem, cfg)
+    for note in caught:   # one stderr line each, without the source location
+        print(note.message, file=sys.stderr)
     with open(args.out, "w") as fh:
         fh.write("t," + ",".join(f"y{i + 1}" for i in range(solution.y.shape[0])) + "\n")
         for row in np.column_stack([solution.t, solution.y.T]):

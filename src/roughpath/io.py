@@ -6,6 +6,7 @@ n * 2**-K printed with 17 significant digits so round-trips are bit-exact.
 
 import json
 import math
+import re
 
 import numpy as np
 
@@ -13,6 +14,8 @@ from .dyadic import AveragePyramid, DyadicPath
 from .errors import NonDyadicGrid, SchemaError
 
 GRID_TOLERANCE = 2.0 ** -40
+# a double-quoted JSON string (kept) or a comment running to the end of the line
+_QUOTED_OR_COMMENT = re.compile(r'("(?:[^"\\]|\\.)*")|#.*')
 
 
 def write_path_csv(path: DyadicPath, filename) -> None:
@@ -62,7 +65,7 @@ def write_json(obj, filename) -> None:
 
 
 def read_flat_config(filename) -> dict:
-    """Flat key = value file; '#' starts a comment.
+    """Flat key = value file; '#' outside a double-quoted value starts a comment.
 
     Values stay text, for the CLI to convert like the flags they stand for;
     a double-quoted value reads as the JSON string it spells.
@@ -70,7 +73,7 @@ def read_flat_config(filename) -> dict:
     out = {}
     with open(filename) as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
+            line = _QUOTED_OR_COMMENT.sub(lambda m: m.group(1) or "", raw).strip()
             if not line:
                 continue
             if "=" not in line:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import roughpath as rp
 from roughpath.experiments import simpson_oracle
@@ -61,6 +63,16 @@ class TestGreenEval:
     def test_bad_s(self):
         with pytest.raises(rp.BadInterval):
             rp.green_eval(rp.BUILTIN_FIELDS["x"], rp.gen_analytic("linear", 8), 0.0)
+
+    @pytest.mark.parametrize("s", [1.0, 0.5, 0.3, 0.123456789])
+    @pytest.mark.parametrize("path", [rp.gen_brownian(12, 7), rp.gen_analytic("square", 10)],
+                             ids=["brownian", "square"])
+    def test_time_only_matches_parts_on_and_off_grid(self, path, s):
+        for field in (rp.ScalarField.t_only(np.sin, dt_partial=np.cos),
+                      rp.ScalarField.t_only(np.exp, dt_partial=np.exp)):
+            green = rp.green_eval(field, path, s).total
+            parts = rp.integration_by_parts(field, path, s)
+            assert abs(green - parts) <= 1e-13 * (1.0 + np.abs(path.samples).max())
 
 
 class TestIntegrationByParts:
@@ -166,3 +178,51 @@ class TestItoCompare:
                 assert mean < prev
             prev = mean
         assert prev < 1e-4
+
+
+@st.composite
+def cell_walks(draw):
+    """A Brownian path, a level <= K and an s on or off the level grid."""
+    K = draw(st.integers(1, 12))
+    level = draw(st.integers(1, K))
+    path = rp.gen_brownian(K, draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        s = draw(st.integers(1, 1 << level)) / 2.0**level
+    else:
+        m = draw(st.integers(0, (1 << level) - 1))
+        s = (m + draw(st.floats(0.001, 0.999))) / 2.0**level
+    return path, level, s
+
+
+def _bound(path):
+    return 1e-13 * (1.0 + np.abs(path.samples).max())
+
+
+class TestCellWalkProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(cell_walks())
+    def test_time_integral_is_the_area_under_the_path(self, case):
+        # whole-cell trapezoids plus the partial trapezoid closed at g(s)
+        path, _, s = case
+        g, n = path.samples, path.samples.size - 1
+        j = int(np.floor(s * n))
+        area = 0.5 / n * np.sum(g[:j] + g[1 : j + 1])
+        area += 0.5 * (s - j / n) * (g[j] + path.eval(s))
+        assert abs(rp.time_integral_of_state(lambda x: x, path, s) - area) <= _bound(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cell_walks())
+    def test_ito_sums_telescope(self, case):
+        path, level, s = case
+        g0, gs = path.samples[0], path.eval(s)
+        strat = rp.ito_reference(lambda x: x, path, s, level=level, variant="stratonovich")
+        assert abs(strat - 0.5 * (gs**2 - g0**2)) <= _bound(path)
+        for variant in ("ito", "stratonovich"):
+            ones = rp.ito_reference(np.ones_like, path, s, level=level, variant=variant)
+            assert abs(ones - (gs - g0)) <= _bound(path)
+        # the left-point sum of x falls short by half the squared level increments
+        coarse = path.samples[:: 1 << (path.resolution_level - level)]
+        j = int(np.floor(s * 2**level))
+        steps = np.append(np.diff(coarse[: j + 1]), gs - coarse[j])
+        ito = rp.ito_reference(lambda x: x, path, s, level=level)
+        assert abs(ito - (strat - 0.5 * np.sum(steps**2))) <= _bound(path)

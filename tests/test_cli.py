@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,7 @@ import roughpath as rp
 from roughpath import cli, fields, ode
 from roughpath.cli import main
 from roughpath.fields import field_from_expression, resolve_field
-from roughpath.io import read_path_csv, write_path_csv
+from roughpath.io import read_flat_config, read_path_csv, write_path_csv
 
 
 class TestPathCsv:
@@ -233,6 +234,20 @@ class TestCliCommands:
         assert json.loads(out)["converged"] is False
         assert "Traceback" not in err and "residual" in err
 
+    def test_solve_ode_driver_warning_is_one_stderr_note(self, tmp_path, capsys):
+        src = tmp_path / "b.csv"
+        main(["gen-path", "--kind", "brownian", "--K", "10", "--seed", "1", "--out", str(src)])
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
+            code = main(["solve-ode", "--drivers", str(src), "--out", str(tmp_path / "y.csv")])
+        assert code == 0 and escaped == []
+        out, err = capsys.readouterr()
+        assert json.loads(out)["converged"] is True
+        assert err == ("driver 0: existence diagnostic at exponent 0.500 is inconclusive; "
+                       "solving best-effort\n")
+        assert "UserWarning" not in err and "cli.py" not in err
+
     def test_solve_ode_window_underflow_is_numerical(self, tmp_path, capsys):
         src = tmp_path / "x.csv"
         write_path_csv(rp.DyadicPath(1000.0 * np.linspace(0.0, 1.0, 1025), 10), src)
@@ -305,6 +320,25 @@ class TestCliCommands:
         with pytest.raises(SystemExit) as exc:
             main(["--config", str(cfg), *argv])
         assert exc.value.code == 2
+
+    def test_config_comments_stop_at_quoted_values(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text('# seed = 3\nseed = 11 # note\njson-out = "a#b.json"\n'
+                       'out = "r.json"  # note\n')
+        assert read_flat_config(cfg) == {"seed": "11", "json-out": "a#b.json", "out": "r.json"}
+
+    @pytest.mark.parametrize("line, written", [
+        ('json-out = "{d}/a#b.json"', "a#b.json"),
+        ('json-out = "{d}/r.json"  # note', "r.json"),
+        ('# json-out = "{d}/c.json"\njson-out = "{d}/d.json" # c.json', "d.json"),
+    ])
+    def test_config_hash_in_quoted_json_out(self, tmp_path, capsys, line, written):
+        src = tmp_path / "x.csv"
+        main(["gen-path", "--kind", "brownian", "--K", "8", "--seed", "1", "--out", str(src)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line.format(d=tmp_path) + "\n")
+        assert main(["--config", str(cfg), "diagnose", "--path", str(src), "--beta", "0.6"]) == 0
+        assert [p.name for p in tmp_path.glob("*.json")] == [written]
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
     def test_tolerance_must_be_positive(self, tmp_path, tol):
