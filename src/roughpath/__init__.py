@@ -85,6 +85,5 @@ from .ode import (
     picard_operator,
     solve,
 )
-from .quadrature import QuadratureConfig
 
 __version__ = "0.1.0"

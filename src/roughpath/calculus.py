@@ -126,8 +126,7 @@ def _time_integral(fn, path: DyadicPath, s: float) -> float:
     for t_left, width, g_left, g_right in _cells(path, s, path.resolution_level):
         t = t_left[:, None] + width[:, None] * _U
         g = g_left[:, None] + (g_right - g_left)[:, None] * _U
-        total += float(np.einsum("ij,j,i->", np.asarray(fn(t, g), dtype=float), _W,
-                                 0.5 * width))
+        total += float(np.asarray(fn(t, g), dtype=float) @ _W @ (0.5 * width))
     return total
 
 

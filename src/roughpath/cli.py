@@ -26,7 +26,6 @@ from .generators import gen_analytic, gen_brownian, gen_counterexample, gen_osci
 from .integrator import ConvergenceConfig, integrate
 from .io import read_flat_config, read_path_csv, write_json, write_path_csv, write_pyramid_csv
 from .ode import MatrixField, OdeProblem, SolverConfig, solve
-from .quadrature import QuadratureConfig
 
 _NUMERICAL = (QuadratureFailure, WindowUnderflow, NonFiniteIterate)   # exit 3; the rest exit 2
 
@@ -98,9 +97,7 @@ def _diagnose(args):
 def _integrate(args):
     path = read_path_csv(args.path)
     field = resolve_field(args.field)
-    cfg = ConvergenceConfig(
-        tol=args.tol, min_level=args.min_level, quad=QuadratureConfig(tol=args.quad_tol)
-    )
+    cfg = ConvergenceConfig(tol=args.tol, min_level=args.min_level, quad_tol=args.quad_tol)
     result = integrate(field, path, args.a, args.b, cfg)
     payload = {
         "value": result.value,

@@ -120,21 +120,19 @@ def gap_functional(
     b: float,
     beta: float,
     k_min: int | None = None,
-    k_max: int | None = None,
 ) -> float:
     """Tail-weighted sum of sibling average gaps over [a, b].
 
     sum_{k > k0} 2**(-(k+1)beta + 1) * sum_{cells in [a,b]} |h[k+1][2c] - h[k+1][2c+1]|,
-    truncated at level K-2 (pass k_min/k_max to move the window).
+    truncated at level K-2 (pass k_min to start elsewhere than k0 + 1).
     """
     if not (0.0 <= a < b <= 1.0):
         raise BadInterval(f"bad interval [{a}, {b}]")
     if not 0.0 < beta < 1.0:
         raise BadExponents("beta must lie in (0, 1)")
     lo = base_level(a, b) + 1 if k_min is None else k_min
-    hi = pyramid.K - 2 if k_max is None else min(k_max, pyramid.K - 2)
     total = 0.0
-    for k in range(max(lo, 0), hi + 1):
+    for k in range(max(lo, 0), pyramid.K - 1):
         c_lo, c_hi = _cells_within(a, b, k)
         if c_hi < c_lo:
             continue

@@ -18,37 +18,34 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import _cells_within, gap_functional, gap_truncation_level
-from .dyadic import AveragePyramid, DyadicPath, HolderEstimate
+from .diagnostics import _cells_within
+from .dyadic import AveragePyramid, DyadicPath
 from .errors import BadExponents, BadInterval, LevelOutOfRange, NonFinite
-from .quadrature import QuadratureConfig, refine_batch
+from .quadrature import refine_batch
 
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Two-argument integrand f(t, x) with optional metadata.
+    """Two-argument integrand f(t, x), with its time partial when known.
 
     ``evaluate`` must be vectorized over numpy arrays and broadcast (t, x).
     ``depends_on`` marks the dependence class: 't_only' integrands need no
     quadrature at all.  ``integrate`` takes no 'x_only' shortcut; the exact
     reduction of an integrand f(x) to one definite integral between path
-    values is ``integrate_state_only``.  Hölder metadata (exponent, constant,
-    sup bound) feeds the a-posteriori error estimate when present.
+    values is ``integrate_state_only``.  ``dt_partial`` feeds the Green route
+    of ``calculus``.
     """
 
     evaluate: callable
     depends_on: str = "both"
     dt_partial: callable | None = None
-    holder_beta_in_t: float | None = None
-    holder_const_in_t: float | None = None
-    sup_bound: float | None = None
 
     @staticmethod
-    def x_only(f, **meta) -> "ScalarField":
-        return ScalarField(evaluate=lambda t, x: f(x), depends_on="x_only", **meta)
+    def x_only(f) -> "ScalarField":
+        return ScalarField(evaluate=lambda t, x: f(x), depends_on="x_only")
 
     @staticmethod
-    def t_only(f, dt_partial=None, **meta) -> "ScalarField":
+    def t_only(f, dt_partial=None) -> "ScalarField":
         def lift(fn):
             return lambda t, x: fn(t) * np.ones_like(np.asarray(x, dtype=float))
 
@@ -56,13 +53,12 @@ class ScalarField:
             evaluate=lift(f),
             depends_on="t_only",
             dt_partial=None if dt_partial is None else lift(dt_partial),
-            **meta,
         )
 
     @staticmethod
-    def from_path(path: DyadicPath, **meta) -> "ScalarField":
+    def from_path(path: DyadicPath) -> "ScalarField":
         """Time-only field that interpolates a sampled path."""
-        return ScalarField.t_only(path.eval, **meta)
+        return ScalarField.t_only(path.eval)
 
     def value_at_times(self, t: np.ndarray) -> np.ndarray:
         return np.asarray(self.evaluate(t, np.zeros_like(t)), dtype=float)
@@ -83,8 +79,7 @@ class ScalarField:
 class ConvergenceConfig:
     tol: float = 1e-8           # absolute level-to-level stopping tolerance
     min_level: int = 2
-    max_level: int | None = None  # default: K - 2
-    quad: QuadratureConfig = QuadratureConfig()
+    quad_tol: float = 1e-10     # absolute quadrature tolerance per vertical
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +88,6 @@ class IntegralResult:
     level_values: np.ndarray
     levels: tuple[int, int]
     converged: bool
-    error_estimate: float | None = None
 
 
 def index_range(a: float, b: float, k: int) -> tuple[int, int] | None:
@@ -114,17 +108,17 @@ def index_range(a: float, b: float, k: int) -> tuple[int, int] | None:
 
 
 def _vertical_batch(field: ScalarField, t_abs: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                    quad: QuadratureConfig) -> np.ndarray:
+                    tol: float) -> np.ndarray:
     """Signed integrals of f(t_abs[i], x) for x from lo[i] to hi[i]."""
 
     def eval_xs(owner, x):
         return np.asarray(field.evaluate(t_abs[owner][:, None], x), dtype=float)
 
-    return refine_batch(eval_xs, lo, hi, quad)
+    return refine_batch(eval_xs, lo, hi, tol)
 
 
 def _closed_sums(field: ScalarField, h: np.ndarray, k: int, first: int, span: int,
-                 g: np.ndarray, quad: QuadratureConfig) -> np.ndarray:
+                 g: np.ndarray, tol: float) -> np.ndarray:
     """Closed level-k staircase sums over consecutive blocks of ``span`` cells.
 
     Block i covers cells first + i*span .. first + (i+1)*span - 1 of the
@@ -149,7 +143,7 @@ def _closed_sums(field: ScalarField, h: np.ndarray, k: int, first: int, span: in
         f_at = field.value_at_times((first + np.arange(n_blocks * span + 1)) * 2.0 ** -k)
         terms = f_at[offset] * (hi - lo)
     else:
-        terms = _vertical_batch(field, (first + offset) * 2.0 ** -k, lo, hi, quad)
+        terms = _vertical_batch(field, (first + offset) * 2.0 ** -k, lo, hi, tol)
     return terms.reshape(n_blocks, span + 1).sum(axis=1)
 
 
@@ -159,7 +153,7 @@ def staircase_integral(
     a: float,
     b: float,
     k: int,
-    quad: QuadratureConfig | None = None,
+    tol: float = 1e-10,
     endpoint_values: tuple[float, float] | None = None,
 ) -> float:
     """Level-k staircase line integral of f(t, x) dx over [a, b].
@@ -168,8 +162,8 @@ def staircase_integral(
     interior vertical segments.  Given the endpoint values
     (g(a), g(b)), the closing verticals join the staircase to them, which
     removes the first-order endpoint truncation; ``integrate`` uses that form.
+    ``tol`` is the absolute quadrature tolerance per vertical segment.
     """
-    quad = quad or QuadratureConfig()
     if k > pyramid.K - 1:
         raise LevelOutOfRange(f"level {k} needs path resolution > {k}")
     rng = index_range(a, b, k)
@@ -182,19 +176,14 @@ def staircase_integral(
         # evaluated only on the defining sum's own verticals.
         n_lo, n_hi, endpoint_values = n_lo + 1, n_hi - 1, (h[n_lo], h[n_hi])
     return float(_closed_sums(field, h, k, n_lo, n_hi - n_lo + 1,
-                              np.array(endpoint_values, dtype=float), quad)[0])
+                              np.array(endpoint_values, dtype=float), tol)[0])
 
 
 def _check_field_finite(field: ScalarField, path: DyadicPath) -> None:
-    if field.depends_on == "t_only":
-        probe_t = np.linspace(0.0, 1.0, 33)
-        vals = field.value_at_times(probe_t)
-    else:
-        c, d = path.range()
-        pad = 0.01 * (d - c) if d > c else 0.01 * max(1.0, abs(c))
-        tt, xx = np.meshgrid(np.linspace(0.0, 1.0, 33), np.linspace(c - pad, d + pad, 33))
-        vals = np.asarray(field.evaluate(tt, xx), dtype=float)
-    if not np.isfinite(vals).all():
+    c, d = path.range()
+    pad = 0.01 * (d - c) if d > c else 0.01 * max(1.0, abs(c))
+    tt, xx = np.meshgrid(np.linspace(0.0, 1.0, 33), np.linspace(c - pad, d + pad, 33))
+    if not np.isfinite(np.asarray(field.evaluate(tt, xx), dtype=float)).all():
         raise NonFinite("field is not finite on the strip enclosing the path range")
 
 
@@ -204,15 +193,11 @@ def integrate(
     a: float,
     b: float,
     cfg: ConvergenceConfig | None = None,
-    holder: HolderEstimate | None = None,
 ) -> IntegralResult:
     """Run the staircase limit over levels min_level .. K-2.
 
     Converged means two consecutive level differences below ``cfg.tol``.  The
-    result always carries the per-level history; when the field declares its
-    time-Hölder data and a path Hölder estimate is supplied, an a-posteriori
-    error estimate (gap-functional tail plus endpoint term with the heuristic
-    constant 8) is attached.
+    result carries the per-level history.
     """
     cfg = cfg or ConvergenceConfig()
     if not (0.0 <= a < b <= 1.0):
@@ -222,16 +207,15 @@ def integrate(
         raise LevelOutOfRange(f"path resolution {K} below min_level + 2")
     _check_field_finite(field, path)
     pyramid = path.pyramid()
-    k_hi = min(cfg.max_level if cfg.max_level is not None else K - 2, K - 2)
     endpoints = (float(path.eval(a)), float(path.eval(b)))
     values = []
     levels = []
     hits = 0
     converged = False
-    for k in range(max(cfg.min_level, 1), k_hi + 1):
+    for k in range(max(cfg.min_level, 1), K - 1):
         if index_range(a, b, k) is None:
             continue
-        v = staircase_integral(field, pyramid, a, b, k, quad=cfg.quad,
+        v = staircase_integral(field, pyramid, a, b, k, tol=cfg.quad_tol,
                                endpoint_values=endpoints)
         values.append(v)
         levels.append(k)
@@ -241,40 +225,22 @@ def integrate(
                 converged = True
                 break
     if not values:
-        raise BadInterval(f"no staircase level up to {k_hi} fits inside [{a}, {b}]")
-    err = None
-    if (
-        holder is not None
-        and field.holder_beta_in_t is not None
-        and field.holder_const_in_t is not None
-        and field.sup_bound is not None
-    ):
-        k_last = levels[-1]
-        mu_tail = gap_functional(
-            pyramid, a, b, field.holder_beta_in_t, k_min=k_last + 1,
-            k_max=gap_truncation_level(pyramid),
-        )
-        endpoint_scale = min(b - a, 2.0 ** -k_last) ** holder.exponent
-        err = (
-            field.holder_const_in_t * mu_tail
-            + 8.0 * field.sup_bound * holder.seminorm_lower_bound * endpoint_scale
-        )
+        raise BadInterval(f"no staircase level up to {K - 2} fits inside [{a}, {b}]")
     return IntegralResult(
         value=values[-1],
         level_values=np.array(values),
         levels=(levels[0], levels[-1]),
         converged=converged,
-        error_estimate=err,
     )
 
 
 def integrate_state_only(f, path: DyadicPath, a: float, b: float,
-                         quad: QuadratureConfig | None = None) -> float:
+                         tol: float = 1e-13) -> float:
     """Exact reduction for integrands f(x): the definite integral of f between
-    g(a) and g(b), evaluated by adaptive quadrature (no staircase limit)."""
+    g(a) and g(b), evaluated by adaptive quadrature to the absolute ``tol``
+    (no staircase limit)."""
     if not (0.0 <= a < b <= 1.0):
         raise BadInterval(f"bad interval [{a}, {b}]")
-    quad = quad or QuadratureConfig(tol=1e-13)
     ga, gb = float(path.eval(a)), float(path.eval(b))
     if ga == gb:
         return 0.0
@@ -282,7 +248,7 @@ def integrate_state_only(f, path: DyadicPath, a: float, b: float,
     def eval_xs(_owner, x):
         return np.asarray(f(x), dtype=float)
 
-    return float(refine_batch(eval_xs, [ga], [gb], quad)[0])
+    return float(refine_batch(eval_xs, [ga], [gb], tol)[0])
 
 
 def adversarial_integrand(
@@ -351,24 +317,21 @@ def cumulative_increments(
 ) -> np.ndarray:
     """Closed staircase integrals over every level-``grid_level`` cell of [a, b].
 
-    [a, b] must be aligned to the grid.  Every increment is a closed
-    staircase sum at the one level k = K - 2 (or ``cfg.max_level``, kept
-    between grid_level + 1 and K - 1), and all increments share that level's
-    vertical-segment work in one pass.
+    [a, b] must lie exactly on the grid.  Every increment is a closed
+    staircase sum at the one level k = max(K - 2, grid_level + 1), and all
+    increments share that level's vertical-segment work in one pass; only
+    ``cfg.quad_tol`` is read from ``cfg``.
     """
     cfg = cfg or ConvergenceConfig()
     K = path.resolution_level
     G = grid_level
     scale = float(1 << G)
-    ia, ib = round(a * scale), round(b * scale)
-    if not (
-        abs(a * scale - ia) < 1e-9 and abs(b * scale - ib) < 1e-9 and 0 <= ia < ib <= scale
-    ):
+    if not (0.0 <= a < b <= 1.0 and (a * scale).is_integer() and (b * scale).is_integer()):
         raise BadInterval(f"[{a}, {b}] must be aligned to the level-{G} grid")
+    ia, ib = round(a * scale), round(b * scale)
     if G + 1 > K - 1:
         raise LevelOutOfRange("grid_level must leave at least one staircase level")
     g_at = path.eval((ia + np.arange(ib - ia + 1)) / scale)
-    k = min(cfg.max_level if cfg.max_level is not None else K - 2, K - 1)
-    k = max(k, G + 1)
+    k = max(K - 2, G + 1)
     span = 1 << (k - G)                   # cells per increment
-    return _closed_sums(field, path.pyramid().level(k), k, ia * span, span, g_at, cfg.quad)
+    return _closed_sums(field, path.pyramid().level(k), k, ia * span, span, g_at, cfg.quad_tol)

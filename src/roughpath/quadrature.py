@@ -7,25 +7,17 @@ reliable.  All routines accept signed bounds: swapping lo and hi negates the
 result, which is what oriented line integrals need.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonFinite, QuadratureFailure
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    tol: float = 1e-10      # absolute refinement target per requested interval
-    max_splits: int = 48    # bisection depth cap
-
-
 _XI, _W = np.polynomial.legendre.leggauss(8)   # the one Gauss-Legendre panel rule
 _SLICE = 1 << 13        # intervals refined together (see refine_batch)
 _MAX_LEAVES = 1 << 17   # live leaves per slice before refinement gives up
+_MAX_SPLITS = 48        # bisection depth cap
 
 
-def refine_batch(eval_xs, lo, hi, cfg: QuadratureConfig | None = None):
+def refine_batch(eval_xs, lo, hi, tol: float = 1e-10):
     """Adaptive signed integrals over a batch of intervals.
 
     ``eval_xs(owner, x2d) -> values`` evaluates the integrand on an
@@ -33,15 +25,15 @@ def refine_batch(eval_xs, lo, hi, cfg: QuadratureConfig | None = None):
     interval that row r belongs to, so per-interval parameters (e.g. the
     frozen abscissa of a vertical segment) ride along.  Each interval is
     refined by bisection until, on every leaf, the one-panel value and the
-    two-half value agree to ``cfg.tol``.  The budget does not halve with each
-    split: every leaf keeps ``cfg.tol``, since halving it would starve
+    two-half value agree to the absolute ``tol``.  The budget does not halve
+    with each split: every leaf keeps ``tol``, since halving it would starve
     endpoint singularities of depth.  An interval's accumulated error
     estimate is then at most its leaf count times tol; integrands here
     produce only short refinement chains.  A non-finite panel sum
     raises ``NonFinite`` at once: splitting cannot cure it, and each split
     would double the leaves that carry it.  Refinement that would carry more
     than ``_MAX_LEAVES`` leaves of one slice into the next split raises
-    ``QuadratureFailure``, so a finite integrand that never meets ``cfg.tol``
+    ``QuadratureFailure``, so a finite integrand that never meets ``tol``
     (such as exp(1000 x), whose panel errors dwarf any absolute tolerance)
     stops within bounded memory instead of doubling its leaves each split.
 
@@ -51,17 +43,16 @@ def refine_batch(eval_xs, lo, hi, cfg: QuadratureConfig | None = None):
     so a whole-batch temporary of that size pays fresh page faults at every
     panel.
     """
-    cfg = cfg or QuadratureConfig()
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     total = np.zeros(lo.size)
     for first in range(0, lo.size, _SLICE):
         rows = slice(first, first + _SLICE)
-        total[rows] = _refine_slice(eval_xs, lo[rows], hi[rows], first, cfg)
+        total[rows] = _refine_slice(eval_xs, lo[rows], hi[rows], first, tol)
     return total
 
 
-def _refine_slice(eval_xs, lo, hi, first: int, cfg: QuadratureConfig):
+def _refine_slice(eval_xs, lo, hi, first: int, tol: float):
     """refine_batch for the intervals first .. first + lo.size - 1."""
     n = lo.size
     total = np.zeros(n)
@@ -84,14 +75,14 @@ def _refine_slice(eval_xs, lo, hi, first: int, cfg: QuadratureConfig):
     a, b = lo.copy(), hi.copy()
     coarse = panels(owner, a, b)
     check_finite(coarse, owner)
-    for split in range(cfg.max_splits + 1):
+    for split in range(_MAX_SPLITS + 1):
         m = 0.5 * (a + b)
         left = panels(owner, a, m)
         right = panels(owner, m, b)
         fine = left + right
         # a finite fine sum has finite halves, so later coarse sums are finite too
         check_finite(fine, owner)
-        done = np.abs(fine - coarse) <= cfg.tol
+        done = np.abs(fine - coarse) <= tol
         np.add.at(total, owner[done], fine[done])
         if done.all():
             return total
@@ -104,6 +95,6 @@ def _refine_slice(eval_xs, lo, hi, first: int, cfg: QuadratureConfig):
         a, b = np.concatenate([a[keep], m[keep]]), np.concatenate([m[keep], b[keep]])
         coarse = np.concatenate([left[keep], right[keep]])
     raise QuadratureFailure(
-        f"{owner.size} subintervals still above tolerance after {cfg.max_splits} splits"
+        f"{owner.size} subintervals still above tolerance after {_MAX_SPLITS} splits"
     )
 

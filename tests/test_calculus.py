@@ -32,6 +32,11 @@ class TestGreenEval:
         assert res.total == pytest.approx(1.0 / 3.0, abs=1e-10)
         assert res.chord_slope == pytest.approx(1.0)
 
+    def test_constant_field_on_linear_path_is_exact(self):
+        # 4096 cells of width 2**-12: the per-cell sums must not drift off 1
+        res = rp.green_eval(rp.BUILTIN_FIELDS["one"], rp.gen_analytic("linear", 12), 1.0)
+        assert res.total == 1.0
+
     def test_matches_direct_integral(self):
         path = rp.gen_analytic("square", 14)
         field = rp.BUILTIN_FIELDS["sin_t_x"]

@@ -29,27 +29,25 @@ class TestPanels:
 
 class TestRefinement:
     def test_smooth_function(self):
-        got = refine_batch(lambda owner, x: np.sin(x), [0.0], [np.pi],
-                           rp.QuadratureConfig(tol=1e-12))[0]
+        got = refine_batch(lambda owner, x: np.sin(x), [0.0], [np.pi], tol=1e-12)[0]
         assert got == pytest.approx(2.0, abs=1e-11)
 
     def test_endpoint_singularity(self):
-        got = refine_batch(
-            lambda owner, x: np.abs(x) ** 0.3, [0.0], [1.0], rp.QuadratureConfig(tol=1e-14)
-        )[0]
+        got = refine_batch(lambda owner, x: np.abs(x) ** 0.3, [0.0], [1.0], tol=1e-14)[0]
         assert got == pytest.approx(1.0 / 1.3, rel=1e-10)
 
-    def test_split_budget_exhaustion(self):
+    def test_split_budget_exhaustion(self, monkeypatch):
         # a fast oscillation cannot settle below an impossible tolerance
         # within two splits
+        monkeypatch.setattr(quadrature, "_MAX_SPLITS", 2)
         eval_xs = lambda owner, x: np.sin(50.0 * x)
         with pytest.raises(rp.QuadratureFailure):
-            refine_batch(eval_xs, [0.0], [1.0], rp.QuadratureConfig(tol=1e-16, max_splits=2))
+            refine_batch(eval_xs, [0.0], [1.0], tol=1e-16)
 
     def test_non_finite_band_raises_early(self):
         # NaN only on |x - 0.3| < 1e-4: no coarse panel node lands there, and
         # each split used to double the leaves that carry the NaN up to
-        # max_splits (48 by default)
+        # _MAX_SPLITS (48)
         rows = []
 
         def eval_xs(owner, x):
@@ -64,7 +62,7 @@ class TestRefinement:
     def test_leaf_budget_stops_runaway_refinement(self):
         # exp(1000 x) is finite on [0, 0.7] but its panel errors never fall
         # under an absolute 1e-10; without a budget every split doubles the
-        # leaves until max_splits (48 by default)
+        # leaves until _MAX_SPLITS (48)
         def eval_xs(owner, x):
             assert x.shape[0] <= quadrature._MAX_LEAVES, "refinement outgrew the leaf budget"
             return np.exp(1000.0 * x)
