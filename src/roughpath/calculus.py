@@ -22,8 +22,10 @@ from .diagnostics import _cells_within
 from .dyadic import DyadicPath
 from .errors import BadInterval, MissingDerivative
 from .integrator import ScalarField, integrate_state_only
-from .quadrature import _W, _XI
 
+# A fixed rule per path cell with no error estimate; changing it would move the
+# ito-residual and wiener-constant numbers.
+_XI, _W = np.polynomial.legendre.leggauss(8)
 _CHUNK = 1 << 14
 _U = 0.5 * (1.0 + _XI)   # Gauss nodes on [0, 1]
 _FD_STEP = 1e-6

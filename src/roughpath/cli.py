@@ -284,7 +284,14 @@ def main(argv=None) -> int:
         for dest, value in vars(args).items():
             if dest.endswith("tol") and value is not None and not value > 0:   # NaN too
                 parser.error(f"{dest} must be positive")
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()   # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: nothing more can be shown, and the fd now points
+        # at devnull so the interpreter's final flush of stdout stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (RoughPathError, ValueError, OSError) as exc:
         numerical = isinstance(exc, _NUMERICAL)
         print(json.dumps({"error": "numerical" if numerical else "validation",

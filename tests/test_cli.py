@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from types import SimpleNamespace
 
@@ -155,6 +158,24 @@ class TestCliCommands:
         out, err = capsys.readouterr()
         assert json.loads(out)["error"] == "validation"
         assert "Traceback" not in err
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # `roughpath integrate ... | head` with the reader already gone
+        src = tmp_path / "p.csv"
+        main(["gen-path", "--kind", "brownian", "--K", "10", "--seed", "1", "--out", str(src)])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rp.__file__)))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "roughpath.cli", "integrate", "--path", str(src),
+                 "--field", "tx", "--tol", "1e-5"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
 
     def test_validation_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
