@@ -34,13 +34,6 @@ sol2 = rp.solve(rough, rp.SolverConfig(tol=1e-10, grid_level=12, check_drivers=F
 err = np.abs(sol2.component() - np.exp(driver.eval(sol2.t))).max()
 print("\ndy = y dx, oscillatory driver:  sup |y - e^x| =", err)
 
-# Window-length suggestion from declared Hölder constants.  The bound is
-# deliberately conservative (worst-case constants); the solver only uses it
-# as a seed and relies on measured contraction plus dyadic halving.
-rep = rp.integrand_bounds(prob, y_seminorm=1.0, alpha=1.0)
-print("\ndeclared-constant bound:", rep["component_bounds"][0, 0],
-      "conservative first-window suggestion:", rep["suggested_window"])
-
 # Continuity of the inputs-to-solution map: perturb the driver, watch the
 # solution move linearly.
 for eps in (1e-1, 1e-2, 1e-3):

@@ -43,7 +43,6 @@ from .errors import (
     BadInterval,
     LengthMismatch,
     LevelOutOfRange,
-    MissingConstants,
     MissingDerivative,
     NonDyadicGrid,
     NonFinite,
@@ -81,7 +80,6 @@ from .ode import (
     OdeSolution,
     SolverConfig,
     continuity_experiment,
-    integrand_bounds,
     picard_operator,
     solve,
 )

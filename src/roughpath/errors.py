@@ -37,10 +37,6 @@ class MissingDerivative(RoughPathError):
     """An operation requires the time partial of the field and none was given."""
 
 
-class MissingConstants(RoughPathError):
-    """Declared Hölder constants are required but absent."""
-
-
 class WindowUnderflow(RoughPathError):
     """Window halving reached the minimum length without contraction."""
 

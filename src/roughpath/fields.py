@@ -88,16 +88,13 @@ def field_from_expression(expr: str) -> ScalarField:
     _check_depth(tree)
     names: set = set()
     fn = _compile(tree, names)
-    if names == {"t"}:
-        depends = "t_only"
-    elif names <= {"x"}:
-        depends = "x_only"
-    else:
-        depends = "both"
+    if names == {"t", "x"}:
+        # every node is elementwise, so the value already has the broadcast shape
+        return ScalarField(evaluate=lambda t, x: np.asarray(fn(t, x), dtype=float))
     ones = lambda t, x: np.ones(np.broadcast(np.asarray(t), np.asarray(x)).shape)
     return ScalarField(
         evaluate=lambda t, x: np.asarray(fn(t, x), dtype=float) * ones(t, x),
-        depends_on=depends,
+        depends_on="t_only" if names == {"t"} else "x_only",
     )
 
 

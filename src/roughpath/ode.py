@@ -15,14 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import existence_report, scaling_norm
+from .diagnostics import existence_report
 from .dyadic import DyadicPath, holder_seminorm
-from .errors import (
-    BadInterval,
-    MissingConstants,
-    NonFiniteIterate,
-    WindowUnderflow,
-)
+from .errors import BadInterval, NonFiniteIterate, WindowUnderflow
 from .integrator import ScalarField, cumulative_increments
 
 
@@ -30,17 +25,18 @@ from .integrator import ScalarField, cumulative_increments
 class FieldComponent:
     """One entry F_ij of the system field.
 
-    ``evaluate(t, y, x)`` is vectorized: t has shape (N,), y (m, N), x (d, N);
-    the result has shape (N,).  ``depends_on_driver`` says whether F_ij reads
-    its own integration variable x_j; when False the composed integrand is a
-    pure function of time and needs no inner quadrature.  ``holder`` may carry
-    declared constants {'t': ..., 'y': ..., 'x': ...} for the window bound
-    report; 'y' should already be summed over solution components.
+    ``evaluate(t, y, x)`` is elementwise over arguments that broadcast
+    against each other: y[i] and x[q] broadcast with t, and the result
+    broadcasts to their common shape.  ``depends_on_driver`` says whether
+    F_ij reads its own integration variable x_j.  When False the composed
+    integrand is a pure function of time and needs no inner quadrature; t
+    has shape (N,) and y, x stack N values per row.  When True, x[j] is the
+    (rows, nodes) quadrature grid while t and every y[i] have shape
+    (rows, 1); other drivers are spread to the grid's shape.
     """
 
     evaluate: callable
     depends_on_driver: bool = False
-    holder: dict | None = None
 
 
 class MatrixField:
@@ -55,22 +51,17 @@ class MatrixField:
         self.components = components
 
     @staticmethod
-    def scalar(evaluate, depends_on_driver=False, holder=None) -> "MatrixField":
-        return MatrixField([[FieldComponent(evaluate, depends_on_driver, holder)]])
+    def scalar(evaluate, depends_on_driver=False) -> "MatrixField":
+        return MatrixField([[FieldComponent(evaluate, depends_on_driver)]])
 
     @staticmethod
     def linear_in_y() -> "MatrixField":
-        """F(t, y, x) = y for m = d = 1 (theta = 1, unit y-constant)."""
-        return MatrixField.scalar(
-            lambda t, y, x: y[0], holder={"t": 0.0, "y": 1.0, "x": 0.0}
-        )
+        """F(t, y, x) = y for m = d = 1."""
+        return MatrixField.scalar(lambda t, y, x: y[0])
 
     @staticmethod
     def constant(c: float) -> "MatrixField":
-        return MatrixField.scalar(
-            lambda t, y, x: np.full_like(np.asarray(t, dtype=float), c),
-            holder={"t": 0.0, "y": 0.0, "x": 0.0},
-        )
+        return MatrixField.scalar(lambda t, y, x: np.full_like(np.asarray(t, dtype=float), c))
 
 
 @dataclass(frozen=True)
@@ -81,7 +72,6 @@ class OdeProblem:
     drivers: list[DyadicPath]
     y0: np.ndarray
     beta: float
-    theta: float = 1.0
     horizon: float = 1.0
 
     def __post_init__(self):
@@ -156,28 +146,28 @@ def _composed_field(comp: FieldComponent, j: int, t_grid, y_grid, drivers) -> Sc
 
     F_ij is evaluated at the times the staircase kernel asks for: y is the
     iterate interpolated linearly on the window grid, every other driver is
-    read at t.
+    read at t.  On the quadrature grid t and y keep the kernel's (rows, 1)
+    time column; only other drivers and the result are spread to the grid.
     """
 
     def y_at(t):
-        return [np.interp(t, t_grid, row) for row in y_grid]
+        return np.stack([np.interp(t, t_grid, row) for row in y_grid])
 
     if not comp.depends_on_driver:
 
         def f_t(t):
-            return comp.evaluate(t, np.stack(y_at(t)), np.stack([d.eval(t) for d in drivers]))
+            return comp.evaluate(t, y_at(t), np.stack([d.eval(t) for d in drivers]))
 
         return ScalarField.t_only(f_t)
 
     def f_tx(t, x):
         x = np.asarray(x, dtype=float)
-
-        def spread(v):
-            return np.broadcast_to(v, x.shape)
-
-        yy = np.stack([spread(v) for v in y_at(t)])
-        xx = np.stack([x if q == j else spread(d.eval(t)) for q, d in enumerate(drivers)])
-        return comp.evaluate(spread(t), yy, xx)
+        if len(drivers) == 1:
+            xx = x[None]
+        else:
+            xx = np.stack([x if q == j else np.broadcast_to(d.eval(t), x.shape)
+                           for q, d in enumerate(drivers)])
+        return np.broadcast_to(comp.evaluate(t, y_at(t), xx), x.shape)
 
     return ScalarField(evaluate=f_tx, depends_on="both")
 
@@ -200,12 +190,11 @@ def solve(problem: OdeProblem, cfg: SolverConfig | None = None) -> OdeSolution:
     if round(T * (1 << L)) != T * (1 << L):
         raise BadInterval("horizon must sit on the solver grid")
     if cfg.check_drivers:
-        probe = problem.theta * problem.beta
         for j, d in enumerate(problem.drivers):
-            verdict = existence_report(d.pyramid(), probe).verdict
+            verdict = existence_report(d.pyramid(), problem.beta).verdict
             if verdict != "converging":
                 warnings.warn(
-                    f"driver {j}: existence diagnostic at exponent {probe:.3f} is "
+                    f"driver {j}: existence diagnostic at exponent {problem.beta:.3f} is "
                     f"{verdict}; solving best-effort",
                     stacklevel=2,
                 )
@@ -273,63 +262,6 @@ def _fixed_point_residual(problem, t_all, y_all, L):
     check = picard_operator(problem, y_all, float(t_all[0]), float(t_all[-1]), L,
                             y_start=problem.y0)
     return float(np.abs(check - y_all).max())
-
-
-def integrand_bounds(
-    problem: OdeProblem,
-    y_seminorm: float,
-    T: float | None = None,
-    alpha: float | None = None,
-) -> dict:
-    """Per-component Hölder bounds for the composed integrands plus a window seed.
-
-    Each component bound is |F,H(t)| T^(theta(1-beta)) + |F,H(y)| |y| +
-    |F,H(x)| |x| T^(theta(alpha-beta)) from the declared constants.  The
-    suggested first window halves T until the heuristic contraction factor
-    built from the y-constants, driver scaling norms, and driver Hölder
-    estimates drops below one half.
-    """
-    T = problem.horizon if T is None else T
-    theta, beta = problem.theta, problem.beta
-    alpha = beta if alpha is None else alpha
-    gamma = theta * beta / 2.0
-    x_holder = [holder_seminorm(d, alpha).seminorm_lower_bound for d in problem.drivers]
-    x_gnorm = [
-        scaling_norm(d.pyramid(), theta * beta, gamma, scan_depth=4).value
-        for d in problem.drivers
-    ]
-    bounds = np.zeros((problem.F.m, problem.F.d))
-    c_y_total = 0.0
-    for i in range(problem.F.m):
-        for j in range(problem.F.d):
-            h = problem.F.components[i][j].holder
-            if h is None or any(key not in h for key in ("t", "y", "x")):
-                raise MissingConstants(f"component ({i}, {j}) lacks declared constants")
-            bounds[i, j] = (
-                h["t"] * T ** (theta * (1.0 - beta))
-                + h["y"] * y_seminorm
-                + h["x"] * x_holder[j] * T ** (theta * (alpha - beta))
-            )
-            c_y_total += h["y"]
-
-    def contraction(t1: float) -> float:
-        holder_term = 8.0 * max(x_holder, default=0.0)
-        if alpha > beta:
-            holder_term *= t1 ** (alpha - beta)
-        norm_term = max(x_gnorm, default=0.0) * t1 ** (gamma + theta * beta - beta)
-        return c_y_total * (norm_term + holder_term)
-
-    t1 = T
-    if c_y_total > 0:
-        while contraction(t1) > 0.5 and t1 > 2.0 ** -30:
-            t1 *= 0.5
-    return {
-        "component_bounds": bounds,
-        "suggested_window": t1,
-        "driver_holder": x_holder,
-        "driver_scaling_norm": x_gnorm,
-        "gamma": gamma,
-    }
 
 
 def continuity_experiment(

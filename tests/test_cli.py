@@ -65,6 +65,21 @@ class TestFieldExpressions:
         x = np.array([2.0, 3.0])
         assert np.allclose(f.evaluate(t, x), [4.0, 10.0])
 
+    @pytest.mark.parametrize("expr, want", [
+        ("2", lambda t, x: 2.0),
+        ("t+1", lambda t, x: t + 1),
+        ("x**2", lambda t, x: x**2),
+        ("sin(t)*x", lambda t, x: np.sin(t) * x),
+    ], ids=["2", "t+1", "x**2", "sin(t)*x"])
+    def test_value_has_the_broadcast_shape(self, expr, want):
+        # a (rows, 1) time column against a (rows, nodes) panel, as the
+        # staircase kernel calls every field
+        t = np.linspace(0.0, 1.0, 4)[:, None]
+        x = np.linspace(-2.0, 2.0, 60).reshape(4, 15)
+        got = field_from_expression(expr).evaluate(t, x)
+        assert got.shape == (4, 15)
+        assert np.array_equal(got, np.broadcast_to(want(t, x), (4, 15)))
+
     def test_builtin_resolution(self):
         assert resolve_field("x") is rp.BUILTIN_FIELDS["x"]
 

@@ -363,3 +363,19 @@ class TestLevelKernelProperties:
         whole = closed_sum(field, path, a, b, k)
         scale = max(1.0, np.abs(path.samples).max() ** 2)
         assert abs(parts - whole) <= 3 * rp.ConvergenceConfig().quad_tol + 1e-13 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(level_cases(), st.sampled_from(sorted(rp.BUILTIN_FIELDS)))
+    def test_reflecting_the_path_negates_the_sum(self, case, name):
+        # the staircase of -g mirrors the staircase of g: every vertical runs
+        # the other way through negated nodes, so f over -g is exactly minus
+        # f(t, -x) over g
+        path, k, a, b = case
+        f = rp.BUILTIN_FIELDS[name]
+        f_mirror = rp.ScalarField(evaluate=lambda t, x: f.evaluate(t, -x),
+                                  depends_on=f.depends_on)
+        mirror = rp.DyadicPath(-path.samples, path.resolution_level)
+        ga, gb = path.eval(a), path.eval(b)
+        got = rp.staircase_integral(f, mirror.pyramid(), a, b, k, endpoint_values=(-ga, -gb))
+        want = rp.staircase_integral(f_mirror, path.pyramid(), a, b, k, endpoint_values=(ga, gb))
+        assert got == -want

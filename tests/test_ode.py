@@ -124,7 +124,6 @@ class TestSolve:
         comp = rp.FieldComponent(
             evaluate=lambda t, y, x: x[0],
             depends_on_driver=True,
-            holder={"t": 0.0, "y": 0.0, "x": 1.0},
         )
         prob = rp.OdeProblem(
             F=rp.MatrixField([[comp]]),
@@ -146,7 +145,6 @@ class TestSolve:
         comp = rp.FieldComponent(
             evaluate=lambda t, y, x: x[0],
             depends_on_driver=True,
-            holder={"t": 0.0, "y": 0.0, "x": 1.0},
         )
         prob = rp.OdeProblem(
             F=rp.MatrixField([[comp]]),
@@ -158,6 +156,22 @@ class TestSolve:
         exact = 1.0 + 0.5 * driver.eval(sol.t) ** 2
         assert np.abs(sol.component() - exact).max() < 1e-6
 
+    def test_driver_field_value_spreads_to_the_quadrature_grid(self):
+        # y[0] keeps the (rows, 1) shape of the frozen iterate on the inner
+        # quadrature grid; declared as reading the driver, the value must be
+        # spread to the grid and give the time-only route's solution
+        driver = rp.gen_brownian(12, 9)
+        cfg = rp.SolverConfig(tol=1e-10, grid_level=8, check_drivers=False)
+        y = [
+            rp.solve(rp.OdeProblem(
+                F=rp.MatrixField.scalar(lambda t, y, x: y[0], depends_on_driver=flag),
+                drivers=[driver],
+                y0=np.array([1.0]),
+                beta=0.5,
+            ), cfg).y
+            for flag in (False, True)
+        ]
+        assert np.abs(y[0] - y[1]).max() <= 1e-12
 
     def test_converged_is_residual_within_tol(self):
         cfg = rp.SolverConfig(tol=1e-9, grid_level=8)
@@ -179,8 +193,7 @@ def analytic_drivers(K1, K2):
 
 
 def component(evaluate, depends_on_driver=False):
-    return rp.FieldComponent(evaluate=evaluate, depends_on_driver=depends_on_driver,
-                             holder={"t": 0.0, "y": 1.0, "x": 1.0})
+    return rp.FieldComponent(evaluate=evaluate, depends_on_driver=depends_on_driver)
 
 
 @pytest.mark.parametrize("K1, K2", [(14, 14), (12, 14)])
@@ -219,36 +232,6 @@ class TestMultiDriver:
         assert np.abs(sol.component(0) - (1.0 - np.cos(t))).max() < 1e-6
         assert np.abs(sol.component(1) - (np.sin(2 * t) / 8 - t * np.cos(2 * t) / 4)).max() < 1e-6
         assert sol.converged
-
-
-class TestIntegrandBounds:
-    def test_constant_field(self):
-        prob = rp.OdeProblem(
-            F=rp.MatrixField.constant(2.0),
-            drivers=[rp.gen_analytic("linear", 10)],
-            y0=np.array([0.0]),
-            beta=0.5,
-        )
-        rep = rp.integrand_bounds(prob, y_seminorm=1.0)
-        assert rep["component_bounds"][0, 0] == 0.0
-        assert rep["suggested_window"] == prob.horizon
-
-    def test_linear_field_unit_bound(self):
-        prob = linear_problem(K=10, beta=0.5)
-        rep = rp.integrand_bounds(prob, y_seminorm=1.0, alpha=1.0)
-        assert rep["component_bounds"][0, 0] == pytest.approx(1.0)
-        assert 0.0 < rep["suggested_window"] <= 1.0
-
-    def test_missing_constants(self):
-        comp = rp.FieldComponent(evaluate=lambda t, y, x: y[0])
-        prob = rp.OdeProblem(
-            F=rp.MatrixField([[comp]]),
-            drivers=[rp.gen_analytic("linear", 10)],
-            y0=np.array([1.0]),
-            beta=0.5,
-        )
-        with pytest.raises(rp.MissingConstants):
-            rp.integrand_bounds(prob, y_seminorm=1.0)
 
 
 class TestContinuity:
