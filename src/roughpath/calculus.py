@@ -133,8 +133,16 @@ def _time_integral(fn, path: DyadicPath, s: float) -> float:
 
 
 def time_integral_of_state(f, path: DyadicPath, s: float) -> float:
-    """Integral of f(g(tau)) d tau over [0, s] (plain time quadrature)."""
-    return _time_integral(lambda t, g: f(g), path, s)
+    """Integral of f(g(tau)) d tau over [0, s] (plain time quadrature).
+
+    The same rule as ``_time_integral``; f never reads t, so no node times
+    are built.
+    """
+    total = 0.0
+    for _, width, g_left, g_right in _cells(path, s, path.resolution_level):
+        g = g_left[:, None] + (g_right - g_left)[:, None] * _U
+        total += float(np.asarray(f(g), dtype=float) @ _W @ (0.5 * width))
+    return total
 
 
 def ito_reference(f, path: DyadicPath, s: float, level: int | None = None,

@@ -9,6 +9,7 @@ value is checked like the flag it stands for.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -24,7 +25,15 @@ from .errors import NonFiniteIterate, QuadratureFailure, RoughPathError, WindowU
 from .fields import resolve_field
 from .generators import gen_analytic, gen_brownian, gen_counterexample, gen_oscillatory
 from .integrator import ConvergenceConfig, integrate
-from .io import read_flat_config, read_path_csv, write_json, write_path_csv, write_pyramid_csv
+from .io import (
+    read_flat_config,
+    read_path_csv,
+    write_json,
+    write_path_csv,
+    write_pyramid_csv,
+    write_residuals_csv,
+    write_solution_csv,
+)
 from .ode import MatrixField, OdeProblem, SolverConfig, solve
 
 _NUMERICAL = (QuadratureFailure, WindowUnderflow, NonFiniteIterate)   # exit 3; the rest exit 2
@@ -37,13 +46,15 @@ def _threads(args) -> int:
     return max(1, int(env)) if env else 1
 
 
-def _parse_with_config(parser, commands, argv, args):
+def _parse_with_config(argv, args):
     """Parse ``argv`` again with the --config values as argparse defaults.
 
     argparse converts a string default with its flag's own ``type`` when the
     flag is absent, so config values are checked like flags and an explicit
-    flag still wins.
+    flag still wins.  The defaults go on a parser built for this call alone,
+    so they never reach a later ``main`` call.
     """
+    parser, commands = build_parser()
     known = set(vars(args)) - {"command", "config", "fn"}
     for key, value in read_flat_config(args.config).items():
         dest = key.replace("-", "_")
@@ -133,10 +144,7 @@ def _ito_compare(args):
     f = lambda x: field.evaluate(np.zeros_like(np.asarray(x, dtype=float)), x)
     report = ito_compare(f, paths, s=args.s)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("seed,residual\n")
-            for i, r in enumerate(report["residuals"]):
-                fh.write(f"{args.seed + i},{r:.17g}\n")
+        write_residuals_csv(range(args.seed, args.seed + len(paths)), report["residuals"], args.out)
     summary = {k: report[k] for k in ("s", "n_paths", "mean_abs_residual", "max_abs_residual")}
     _emit(summary, None)
     return 0
@@ -165,10 +173,7 @@ def _solve_ode(args):
         solution = solve(problem, cfg)
     for note in caught:   # one stderr line each, without the source location
         print(note.message, file=sys.stderr)
-    with open(args.out, "w") as fh:
-        fh.write("t," + ",".join(f"y{i + 1}" for i in range(solution.y.shape[0])) + "\n")
-        for row in np.column_stack([solution.t, solution.y.T]):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    write_solution_csv(solution, args.out)
     _emit({
         "residual": solution.residual,
         "windows": solution.windows,
@@ -275,12 +280,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call reads; nothing may change it after this."""
+    return build_parser()[0]
+
+
 def main(argv=None) -> int:
-    parser, commands = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
-            args = _parse_with_config(parser, commands, argv, args)
+            args = _parse_with_config(argv, args)
         for dest, value in vars(args).items():
             if dest.endswith("tol") and value is not None and not value > 0:   # NaN too
                 parser.error(f"{dest} must be positive")

@@ -15,7 +15,13 @@ import roughpath as rp
 from roughpath import cli, fields, ode
 from roughpath.cli import main
 from roughpath.fields import field_from_expression, resolve_field
-from roughpath.io import read_flat_config, read_path_csv, write_path_csv
+from roughpath.io import (
+    read_flat_config,
+    read_path_csv,
+    write_path_csv,
+    write_pyramid_csv,
+    write_solution_csv,
+)
 
 
 class TestPathCsv:
@@ -51,6 +57,102 @@ class TestPathCsv:
         fname.write_text("time,val\n0,0\n0.5,1\n1,2\n")
         with pytest.raises(rp.SchemaError):
             read_path_csv(fname)
+
+    def test_nan_time_rejected(self, tmp_path):
+        fname = tmp_path / "bad.csv"
+        fname.write_text("t,value\n0,0\nnan,1\n1,2\n")
+        with pytest.raises(rp.SchemaError):
+            read_path_csv(fname)
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n  \n", "# no data\n"])
+    def test_header_only_rejected_without_a_warning(self, tmp_path, body):
+        fname = tmp_path / "empty.csv"
+        fname.write_text("t,value\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rp.SchemaError):
+                read_path_csv(fname)
+
+    def test_header_only_diagnose_exits_2_quietly(self, tmp_path, capsys):
+        fname = tmp_path / "empty.csv"
+        fname.write_text("t,value\n")
+        with warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
+            assert main(["diagnose", "--path", str(fname), "--beta", "0.6"]) == 2
+        assert escaped == []
+        out, err = capsys.readouterr()
+        assert json.loads(out)["error"] == "validation"
+        assert err == ""
+
+
+# Every CSV the library writes is compared with the per-row f-string format
+# it has always had, so the bytes on disk never change.
+_SPECIALS = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1 / 3]
+
+
+def _special_path(K):
+    """A Brownian path with the extreme doubles at its start and end."""
+    samples = rp.gen_brownian(K, K).samples.copy()
+    n = min(samples.size, len(_SPECIALS))
+    samples[:n] = _SPECIALS[:n]
+    samples[-n:] = _SPECIALS[-n:]
+    return rp.DyadicPath(samples, K)
+
+
+def _rows(columns):
+    return "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in zip(*columns))
+
+
+class TestCsvWriters:
+    @pytest.mark.parametrize("K", [1, 11, 12, 13])   # 3, 2049, 4097 and 8193 rows
+    def test_path_csv_bytes(self, tmp_path, K):
+        path = _special_path(K)
+        write_path_csv(path, tmp_path / "p.csv")
+        want = "t,value\n" + "".join(f"{t:.17g},{v:.17g}\n"
+                                     for t, v in zip(path.grid, path.samples))
+        assert (tmp_path / "p.csv").read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("K", [1, 13])
+    def test_pyramid_csv_bytes(self, tmp_path, K):
+        with np.errstate(over="ignore"):
+            pyramid = rp.average_pyramid(_special_path(K))
+        write_pyramid_csv(pyramid, tmp_path / "h.csv")
+        want = "k,n,h\n" + "".join(f"{k},{n},{h:.17g}\n" for k in range(pyramid.K)
+                                   for n, h in enumerate(pyramid.level(k)))
+        assert (tmp_path / "h.csv").read_bytes() == want.encode()
+
+    def test_solution_csv_bytes(self, tmp_path):
+        # two components, so the row template spans three columns
+        path = _special_path(13)
+        solution = SimpleNamespace(t=path.grid, y=np.stack([path.samples, -path.samples[::-1]]))
+        write_solution_csv(solution, tmp_path / "y.csv")
+        want = "t,y1,y2\n" + _rows([solution.t, *solution.y])
+        assert (tmp_path / "y.csv").read_bytes() == want.encode()
+
+    def test_solve_ode_csv_bytes(self, tmp_path, capsys):
+        src = tmp_path / "x.csv"
+        main(["gen-path", "--kind", "linear", "--K", "14", "--out", str(src)])
+        out = tmp_path / "y.csv"
+        assert main(["solve-ode", "--drivers", str(src), "--beta", "0.9", "--grid-level", "12",
+                     "--out", str(out)]) == 0
+        problem = rp.OdeProblem(F=rp.MatrixField.linear_in_y(), drivers=[read_path_csv(src)],
+                                y0=np.array([1.0]), beta=0.9)
+        solution = rp.solve(problem, rp.SolverConfig(tol=1e-8, grid_level=12))
+        assert solution.t.size > 4096
+        want = "t,y1\n" + _rows([solution.t, *solution.y])
+        assert out.read_bytes() == want.encode()
+
+    def test_ito_compare_csv_bytes(self, tmp_path, capsys):
+        seed = 18446744073709551614   # the two seeds end at 2**64 - 1: past int64
+        out = tmp_path / "r.csv"
+        assert main(["ito-compare", "--K", "6", "--n-paths", "2", "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        field = resolve_field("x2")
+        f = lambda x: field.evaluate(np.zeros_like(np.asarray(x, dtype=float)), x)
+        report = rp.ito_compare(f, [rp.gen_brownian(6, seed + i) for i in range(2)])
+        want = "seed,residual\n" + "".join(f"{seed + i},{r:.17g}\n"
+                                            for i, r in enumerate(report["residuals"]))
+        assert out.read_bytes() == want.encode()
 
 
 class TestFieldExpressions:
@@ -383,6 +485,23 @@ class TestCliCommands:
         with pytest.raises(SystemExit) as exc:
             main(["integrate", "--path", str(src), "--field", "x", "--quad-tol", tol])
         assert exc.value.code == 2
+
+    def test_config_defaults_do_not_reach_later_calls(self, tmp_path, capsys):
+        # main parses with one shared parser; a --config run must leave it as built
+        src = tmp_path / "p.csv"
+        main(["gen-path", "--kind", "brownian", "--K", "12", "--seed", "1", "--out", str(src)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol = 1e-3\n")
+        argv = ["integrate", "--path", str(src), "--field", "tx"]
+        capsys.readouterr()
+        results = []
+        for prefix, flags in (([], ["--tol", "1e-3"]), (["--config", str(cfg)], []),
+                              ([], []), ([], ["--tol", "1e-8"])):
+            code = main([*prefix, *argv, *flags])
+            results.append((code, json.loads(capsys.readouterr().out)))
+        loose, configured, default, explicit = results
+        assert configured == loose != default == explicit
+        assert loose[0] == 0 and default[0] == 3   # tx on this path needs more than 1e-8 allows
 
     def test_config_rejects_unknown_keys(self, tmp_path):
         cfg = tmp_path / "run.cfg"
