@@ -26,7 +26,6 @@ from .diagnostics import (
     levy_area,
     operator_tail_constant,
     quadratic_gap_sum,
-    quadratic_gap_sweep,
     scaling_norm,
     wiener_ensemble,
     wiener_statistic,

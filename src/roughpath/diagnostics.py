@@ -141,11 +141,6 @@ def gap_functional(
     return total
 
 
-def gap_truncation_level(pyramid: AveragePyramid) -> int:
-    """Finest level the gap functional can use (reported with every estimate)."""
-    return pyramid.K - 2
-
-
 @dataclass(frozen=True, eq=False)
 class ScalingNormEstimate:
     """Sup over scanned dyadic intervals of gap_functional / (b-a)**(beta+gamma)."""
@@ -155,7 +150,6 @@ class ScalingNormEstimate:
     value: float
     argmax_interval: tuple[float, float]
     scan_depth: int
-    truncation_level: int
 
 
 def scaling_norm(
@@ -183,7 +177,6 @@ def scaling_norm(
         value=best,
         argmax_interval=arg,
         scan_depth=scan_depth,
-        truncation_level=gap_truncation_level(pyramid),
     )
 
 
@@ -215,11 +208,6 @@ def quadratic_gap_sum(pyramid: AveragePyramid, a: float, b: float, k: int) -> fl
         return 0.0
     g = pyramid.child_gap(k)
     return float(np.square(g[c_lo : c_hi + 1]).sum())
-
-
-def quadratic_gap_sweep(pyramid: AveragePyramid, a: float, b: float) -> np.ndarray:
-    """quadratic_gap_sum for every resolvable level, as an array over k."""
-    return np.array([quadratic_gap_sum(pyramid, a, b, k) for k in range(pyramid.K - 1)])
 
 
 def wiener_statistic(pyramid: AveragePyramid, k: int) -> float:

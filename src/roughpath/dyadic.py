@@ -101,30 +101,26 @@ class AveragePyramid:
     the last bit by construction.
     """
 
-    __slots__ = ("source_resolution", "_levels", "_gaps", "_prefix")
+    __slots__ = ("K", "_levels", "_gaps", "_prefix")
 
-    def __init__(self, levels: list[np.ndarray], source_resolution: int):
-        self.source_resolution = source_resolution
+    def __init__(self, levels: list[np.ndarray], K: int):
+        self.K = K
         for arr in levels:
             arr.flags.writeable = False
         self._levels = levels
         self._gaps: dict[int, np.ndarray] = {}
         self._prefix: dict[int, np.ndarray] = {}
 
-    @property
-    def K(self) -> int:
-        return self.source_resolution
-
     def level(self, k: int) -> np.ndarray:
         """h[k], an array of 2**k cell averages; 0 <= k <= K-1."""
-        if not 0 <= k < self.source_resolution:
-            raise LevelOutOfRange(f"level {k} not in [0, {self.source_resolution - 1}]")
+        if not 0 <= k < self.K:
+            raise LevelOutOfRange(f"level {k} not in [0, {self.K - 1}]")
         return self._levels[k]
 
     def child_gap(self, k: int) -> np.ndarray:
         """Signed sibling gaps h[k+1][2n] - h[k+1][2n+1], one per level-k cell."""
-        if not 0 <= k <= self.source_resolution - 2:
-            raise LevelOutOfRange(f"child gaps need k <= {self.source_resolution - 2}")
+        if not 0 <= k <= self.K - 2:
+            raise LevelOutOfRange(f"child gaps need k <= {self.K - 2}")
         if k not in self._gaps:
             child = self.level(k + 1)
             g = child[0::2] - child[1::2]
@@ -143,14 +139,26 @@ class AveragePyramid:
 
 def average_pyramid(path: DyadicPath) -> AveragePyramid:
     """Exact average pyramid of the path's piecewise-linear interpolant."""
-    s = path.samples
     K = path.resolution_level
-    cur = 0.5 * (s[:-1] + s[1:])  # level-K cell averages of the interpolant
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels = _mean_levels(path.samples, K, lambda a, b: 0.5 * (a + b))
+    if not np.isfinite(levels[0][0]):
+        # a pair sum passed DBL_MAX, which takes samples above DBL_MAX/2 in
+        # size; an overflow anywhere reaches level 0 as inf or nan.  Halving
+        # first cannot overflow.  Below that bound no sum overflows and the
+        # halving is exact, so every other pyramid keeps the one-rounding form.
+        levels = _mean_levels(path.samples, K, lambda a, b: 0.5 * a + 0.5 * b)
+    return AveragePyramid(levels, K)
+
+
+def _mean_levels(s: np.ndarray, K: int, mean) -> list[np.ndarray]:
+    """Levels 0 .. K-1 of pairwise means ``mean(a, b)`` over the samples."""
+    cur = mean(s[:-1], s[1:])  # level-K cell averages of the interpolant
     levels: list[np.ndarray] = [np.empty(0)] * K
     for k in range(K - 1, -1, -1):
-        cur = 0.5 * (cur[0::2] + cur[1::2])
+        cur = mean(cur[0::2], cur[1::2])
         levels[k] = cur
-    return AveragePyramid(levels, K)
+    return levels
 
 
 @dataclass(frozen=True)

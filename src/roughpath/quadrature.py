@@ -2,8 +2,8 @@
 
 Integrands are smooth on each requested interval (the library only ever asks
 for integrals of continuous fields over short vertical segments), so one
-embedded 7/15-point Gauss-Kronrod panel per leaf gives both the value and an
-error estimate from 15 evaluations; only leaves whose estimate misses the
+embedded 3/7-point Gauss-Kronrod panel per leaf gives both the value and an
+error estimate from 7 evaluations; only leaves whose estimate misses the
 tolerance are bisected.  All routines accept signed bounds: swapping lo and
 hi negates the result, which is what oriented line integrals need.
 """
@@ -12,34 +12,24 @@ import numpy as np
 
 from .errors import NonFinite, QuadratureFailure
 
-# The Gauss-Kronrod 7/15 rule on [-1, 1] (Laurie, Math. Comp. 66, 1997): its
-# nodes at and right of 0, outermost first.  Every second node, starting with
-# the second, is a 7-point Gauss node.
+# The Gauss-Kronrod 3/7 rule on [-1, 1] (Kronrod 1965; Laurie, Math. Comp. 66,
+# 1997): its nodes at and right of 0, outermost first.  Every second node,
+# starting with the second, is a 3-point Gauss node.
 _XK_HALF = (
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
+    0.960491268708020283423507092629080,
+    0.774596669241483377035853079956480,
+    0.434243749346802558002071502844628,
     0.0,
 )
-_WK_HALF = (   # 15-point Kronrod weights, same order
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
+_WK_HALF = (   # 7-point Kronrod weights, same order
+    0.104656226026467265193823857192073,
+    0.268488089868333440728569280666710,
+    0.401397414775962222905051818618432,
+    0.450916538658474142345110087045571,
 )
-_WG_HALF = (   # 7-point Gauss weights at the Gauss nodes above
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
+_WG_HALF = (   # 3-point Gauss weights at the Gauss nodes above
+    0.555555555555555555555555555555556,
+    0.888888888888888888888888888888889,
 )
 
 
@@ -51,9 +41,9 @@ def _mirror(half, left_sign=1.0):
 
 _XK = _mirror(_XK_HALF, -1.0)
 _WK = _mirror(_WK_HALF)
-_WG = np.zeros(15)
+_WG = np.zeros(7)
 _WG[1::2] = _mirror(_WG_HALF)
-_RULE = np.stack([_WK, _WG])   # one product gives the K15 and G7 sums
+_RULE = np.stack([_WK, _WG])   # one product gives the K7 and G3 sums
 
 _SLICE = 1 << 12        # intervals refined together (see refine_batch)
 _MAX_LEAVES = 1 << 17   # live leaves per slice before refinement gives up
@@ -67,8 +57,8 @@ def refine_batch(eval_xs, lo, hi, tol: float = 1e-10):
     (n_panels, nodes) grid; ``owner[r]`` is the index of the requested
     interval that row r belongs to, so per-interval parameters (e.g. the
     frozen abscissa of a vertical segment) ride along.  Each leaf gets one
-    15-node Gauss-Kronrod panel.  A leaf is accepted, with its Kronrod value,
-    when that value and the embedded 7-node Gauss value agree to the
+    7-node Gauss-Kronrod panel.  A leaf is accepted, with its Kronrod value,
+    when that value and the embedded 3-node Gauss value agree to the
     absolute ``tol``; the others are bisected, and each child gets a fresh
     panel.  The budget does not halve with each split: every leaf keeps
     ``tol``, since halving it would starve endpoint singularities of depth.
@@ -83,7 +73,7 @@ def refine_batch(eval_xs, lo, hi, tol: float = 1e-10):
     its leaves each split.
 
     Intervals are refined in slices of at most ``_SLICE``, which keeps each
-    (rows, nodes) temporary under 0.5 MiB for 15 nodes.  With glibc's default
+    (rows, nodes) temporary under 0.25 MiB for 7 nodes.  With glibc's default
     malloc settings, freed arrays of 2 MiB and more go back to the system,
     so a whole-batch temporary of that size pays fresh page faults at every
     panel.
@@ -106,7 +96,7 @@ def _refine_slice(eval_xs, lo, hi, first: int, tol: float):
         half = 0.5 * (b - a)
         mid = 0.5 * (b + a)
         # built node-major in one buffer: numpy then broadcasts along the long
-        # axis, and the panel grid needs no second (rows, 15) temporary
+        # axis, and the panel grid needs no second (rows, 7) temporary
         x = np.multiply.outer(_XK, half)
         x += mid
         kronrod, gauss = (_RULE @ eval_xs(first + owner, x.T).T) * half

@@ -236,6 +236,18 @@ class TestCliCommands:
         assert lines[0] == "k,n,h"
         assert len(lines) == 1 + (2**4 - 1)  # sum of 2**k for k < 4
 
+    def test_averages_and_diagnose_near_dbl_max(self, tmp_path, capsys):
+        # three samples at DBL_MAX: every pair sum overflows
+        src = tmp_path / "max.csv"
+        src.write_text("t,value\n" + "".join(f"{t},1.7976931348623157e308\n" for t in (0, 0.5, 1)))
+        out = tmp_path / "pyr.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["averages", "--path", str(src), "--out", str(out)]) == 0
+            assert main(["diagnose", "--path", str(src), "--beta", "0.6"]) == 0
+        assert out.read_text().splitlines()[1:] == ["0,0,1.7976931348623157e+308"]
+        assert capsys.readouterr().err == ""
+
     def test_diagnose_schema(self, tmp_path, capsys):
         src = tmp_path / "p.csv"
         main(["gen-path", "--kind", "brownian", "--K", "10", "--seed", "1", "--out", str(src)])

@@ -138,6 +138,19 @@ class TestAveragePyramid:
         expect = (s[0:-2:2] + 2.0 * s[1:-1:2] + s[2::2]) / 4.0
         assert np.allclose(pyr.level(4), expect, atol=1e-15)
 
+    def test_near_dbl_max_stays_finite(self):
+        # pair sums of samples above DBL_MAX/2 overflow; the pyramid must
+        # still be the exact means, which scaling by 4 leaves bit for bit
+        big = np.finfo(float).max
+        assert rp.DyadicPath([big, big, big], 1).pyramid().level(0)[0] == big
+        assert rp.DyadicPath([big, -big, big], 1).pyramid().level(0)[0] == 0.0
+        s = big * np.random.default_rng(11).uniform(-1.0, 1.0, 2**6 + 1)
+        s[:3] = big
+        pyr = rp.DyadicPath(s, 6).pyramid()
+        quarter = rp.DyadicPath(s / 4.0, 6).pyramid()
+        for k in range(6):
+            np.testing.assert_array_equal(pyr.level(k), 4.0 * quarter.level(k))
+
     def test_level_out_of_range(self):
         pyr = rp.gen_analytic("linear", 4).pyramid()
         with pytest.raises(rp.LevelOutOfRange):
