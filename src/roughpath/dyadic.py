@@ -123,7 +123,15 @@ class AveragePyramid:
             raise LevelOutOfRange(f"child gaps need k <= {self.K - 2}")
         if k not in self._gaps:
             child = self.level(k + 1)
-            g = child[0::2] - child[1::2]
+            # the averages are finite, so overflow is the only way to a non-finite gap
+            try:
+                with np.errstate(over="raise"):
+                    g = child[0::2] - child[1::2]
+            except FloatingPointError:
+                raise NonFinite(
+                    f"a level-{k + 1} sibling gap h[{k + 1}][2n] - h[{k + 1}][2n+1] "
+                    "overflows the float range"
+                ) from None
             g.flags.writeable = False
             self._gaps[k] = g
         return self._gaps[k]

@@ -4,9 +4,13 @@ The level-k approximation replaces the path by a horizontal/vertical
 staircase through the points (t_{k,n}, h_{k,n}); the line integral of
 f(t, x) dx over that staircase is a sum of one-dimensional integrals over the
 vertical segments.  One kernel sums them at one level for a run of equal
-blocks of cells, each block closed by verticals to given end values.
-``staircase_integral`` is its one-block call and ``cumulative_increments``
-(behind ``indefinite_integral`` and the Picard operator) its many-block call.
+blocks of cells, each block closed by verticals to given end values.  It
+comes in two parts: a skeleton, which holds the verticals' times and end
+heights and depends only on the path, the level and the blocks, and a sum,
+which evaluates one field on a skeleton.  ``staircase_integral`` builds and
+sums a one-block skeleton and ``cumulative_increments`` (behind
+``indefinite_integral``) a many-block one; the Picard operator builds its
+window's skeletons once and sums them on every sweep.
 ``integrate`` runs the one-block sum, closed to (g(a), g(b)), over levels
 until two consecutive differences fall under tolerance, so endpoint
 truncation never pollutes the limit.
@@ -117,34 +121,63 @@ def _vertical_batch(field: ScalarField, t_abs: np.ndarray, lo: np.ndarray, hi: n
     return refine_batch(eval_xs, lo, hi, tol)
 
 
-def _closed_sums(field: ScalarField, h: np.ndarray, k: int, first: int, span: int,
-                 g: np.ndarray, tol: float) -> np.ndarray:
-    """Closed level-k staircase sums over consecutive blocks of ``span`` cells.
+@dataclass(frozen=True, eq=False)
+class _Skeleton:
+    """The field-free part of a closed level-k staircase sum over blocks.
 
     Block i covers cells first + i*span .. first + (i+1)*span - 1 of the
-    level-k averages ``h``; ``g`` holds the len(g) - 1 blocks' end values.
-    Block i's staircase rises from g[i] to h[first + i*span], runs through
-    the block's averages and ends at g[i + 1]: span + 1 verticals at times
-    (first + i*span + j) * 2**-k for j = 0 .. span.  All verticals go into one
-    quadrature batch, or one elementwise product for t_only fields, and each
-    block's terms are summed in one fixed order.  A t_only field is evaluated
-    once at each of the n_blocks*span + 1 distinct times, so the end time
-    that two adjacent blocks share is evaluated once.
+    level-k averages; its staircase rises from the block's start value to the
+    block's first average, runs through its averages and ends at the block's
+    end value: span + 1 verticals, from ``lo`` to ``hi``, at the times
+    (first + offset) * 2**-k, where offset runs over i*span + j for
+    j = 0 .. span.  None of it depends on the integrand, so it can be built
+    once and summed for any number of fields.
     """
+
+    k: int
+    first: int
+    span: int
+    lo: np.ndarray
+    hi: np.ndarray
+    offset: np.ndarray
+
+    @property
+    def n_blocks(self) -> int:
+        return self.offset.size // (self.span + 1)
+
+    def times(self) -> np.ndarray:
+        """The n_blocks*span + 1 distinct vertical times, in order."""
+        return (self.first + np.arange(self.n_blocks * self.span + 1)) * 2.0 ** -self.k
+
+    def block_sums(self, terms: np.ndarray) -> np.ndarray:
+        """Each block's span + 1 vertical terms summed in one fixed order."""
+        return terms.reshape(self.n_blocks, self.span + 1).sum(axis=1)
+
+
+def _skeleton(h: np.ndarray, k: int, first: int, span: int, g: np.ndarray) -> _Skeleton:
+    """Skeleton of the blocks of ``span`` level-k cells of the averages ``h``
+    from cell ``first`` on, closed to the len(g) - 1 blocks' end values ``g``."""
     n_blocks = g.size - 1
     heights = np.empty((n_blocks, span + 2))
     heights[:, 0] = g[:-1]
     heights[:, 1:-1] = h[first : first + n_blocks * span].reshape(n_blocks, span)
     heights[:, -1] = g[1:]
-    lo = heights[:, :-1].ravel()
-    hi = heights[:, 1:].ravel()
     offset = (span * np.arange(n_blocks)[:, None] + np.arange(span + 1)).ravel()
+    return _Skeleton(k, first, span, heights[:, :-1].ravel(), heights[:, 1:].ravel(), offset)
+
+
+def _skeleton_sum(sk: _Skeleton, field: ScalarField, tol: float) -> np.ndarray:
+    """The closed staircase sum of every block of ``sk`` for one field.
+
+    All verticals go into one quadrature batch, or one elementwise product
+    for t_only fields.  A t_only field is evaluated once at each distinct
+    time, so the end time that two adjacent blocks share is evaluated once.
+    """
     if field.depends_on == "t_only":
-        f_at = field.value_at_times((first + np.arange(n_blocks * span + 1)) * 2.0 ** -k)
-        terms = f_at[offset] * (hi - lo)
+        terms = field.value_at_times(sk.times())[sk.offset] * (sk.hi - sk.lo)
     else:
-        terms = _vertical_batch(field, (first + offset) * 2.0 ** -k, lo, hi, tol)
-    return terms.reshape(n_blocks, span + 1).sum(axis=1)
+        terms = _vertical_batch(field, (sk.first + sk.offset) * 2.0 ** -sk.k, sk.lo, sk.hi, tol)
+    return sk.block_sums(terms)
 
 
 def staircase_integral(
@@ -175,15 +208,17 @@ def staircase_integral(
         # The inner cells closed at the first and last averages: the field is
         # evaluated only on the defining sum's own verticals.
         n_lo, n_hi, endpoint_values = n_lo + 1, n_hi - 1, (h[n_lo], h[n_hi])
-    return float(_closed_sums(field, h, k, n_lo, n_hi - n_lo + 1,
-                              np.array(endpoint_values, dtype=float), tol)[0])
+    sk = _skeleton(h, k, n_lo, n_hi - n_lo + 1, np.array(endpoint_values, dtype=float))
+    return float(_skeleton_sum(sk, field, tol)[0])
 
 
 def _check_field_finite(field: ScalarField, path: DyadicPath) -> None:
     c, d = path.range()
     pad = 0.01 * (d - c) if d > c else 0.01 * max(1.0, abs(c))
     tt, xx = np.meshgrid(np.linspace(0.0, 1.0, 33), np.linspace(c - pad, d + pad, 33))
-    if not np.isfinite(np.asarray(field.evaluate(tt, xx), dtype=float)).all():
+    with np.errstate(all="ignore"):    # a non-finite value is the finding, not a warning
+        probe = np.asarray(field.evaluate(tt, xx), dtype=float)
+    if not np.isfinite(probe).all():
         raise NonFinite("field is not finite on the strip enclosing the path range")
 
 
@@ -323,6 +358,15 @@ def cumulative_increments(
     ``cfg.quad_tol`` is read from ``cfg``.
     """
     cfg = cfg or ConvergenceConfig()
+    return _skeleton_sum(_increment_skeleton(path, a, b, grid_level), field, cfg.quad_tol)
+
+
+def _increment_skeleton(path: DyadicPath, a: float, b: float, grid_level: int) -> _Skeleton:
+    """The skeleton of ``cumulative_increments``: one block per grid cell of [a, b].
+
+    The blocks close to the path's values at the grid points, read straight
+    from the samples: ``eval`` returns the sample itself at a grid point.
+    """
     K = path.resolution_level
     G = grid_level
     scale = float(1 << G)
@@ -331,7 +375,8 @@ def cumulative_increments(
     ia, ib = round(a * scale), round(b * scale)
     if G + 1 > K - 1:
         raise LevelOutOfRange("grid_level must leave at least one staircase level")
-    g_at = path.eval((ia + np.arange(ib - ia + 1)) / scale)
+    stride = 1 << (K - G)
+    g_at = path.samples[ia * stride : ib * stride + 1 : stride]
     k = max(K - 2, G + 1)
     span = 1 << (k - G)                   # cells per increment
-    return _closed_sums(field, path.pyramid().level(k), k, ia * span, span, g_at, cfg.quad_tol)
+    return _skeleton(path.pyramid().level(k), k, ia * span, span, g_at)

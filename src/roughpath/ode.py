@@ -6,19 +6,28 @@ with the staircase machinery, component by component: for the j-th driver the
 integrand is F_ij with every argument except x_j frozen along the current
 iterate.  Windows are accepted on sup-norm contraction and chained; failure
 halves the window dyadically.
+
+On a window the staircase verticals depend only on the drivers, the window
+and the grid level, never on the iterate.  So each window's verticals (their
+times and end heights) and every driver's values at those times are built
+once, kept on the problem, and shared by all sweeps on that window and by the
+residual check; a sweep only evaluates F.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .diagnostics import existence_report
 from .dyadic import DyadicPath, holder_seminorm
 from .errors import BadInterval, NonFiniteIterate, WindowUnderflow
-from .integrator import ScalarField, cumulative_increments
+from .integrator import (ConvergenceConfig, ScalarField, _increment_skeleton, _Skeleton,
+                         _skeleton_sum)
+# Sweeps no longer call it, but bench/selftest.py looks it up on this module.
+from .integrator import cumulative_increments  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -66,13 +75,18 @@ class MatrixField:
 
 @dataclass(frozen=True)
 class OdeProblem:
-    """The driven system dy = F(t, y, x) dx, y(0) = y0 on [0, horizon]."""
+    """The driven system dy = F(t, y, x) dx, y(0) = y0 on [0, horizon].
+
+    The window plans of ``picard_operator`` are cached on the problem, keyed
+    by (a, b, grid_level), the way a path caches its pyramid.
+    """
 
     F: MatrixField
     drivers: list[DyadicPath]
     y0: np.ndarray
     beta: float
     horizon: float = 1.0
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "y0", np.atleast_1d(np.asarray(self.y0, dtype=float)))
@@ -111,6 +125,10 @@ class OdeSolution:
         return self.y[i]
 
 
+# The per-vertical quadrature tolerance of ``cumulative_increments``'s default.
+_QUAD_TOL = ConvergenceConfig().quad_tol
+
+
 def picard_operator(
     problem: OdeProblem,
     y_current: np.ndarray,
@@ -123,42 +141,82 @@ def picard_operator(
 
     ``y_current`` holds the iterate on the level grid of [a, b] (shape
     (m, n_grid)); the return value is y_start + the cumulative component
-    integrals on the same grid.
+    integrals on the same grid.  Each component's increments are the closed
+    staircase sums of ``cumulative_increments``, summed on the window's
+    cached plan.
     """
     y_start = problem.y0 if y_start is None else np.asarray(y_start, dtype=float)
     n_grid = round((b - a) * (1 << grid_level)) + 1
     t_grid = a + np.arange(n_grid) * 2.0 ** -grid_level
     if y_current.shape != (problem.F.m, n_grid):
         raise BadInterval("iterate shape does not match the window grid")
+
+    def y_at(t):
+        return np.stack([np.interp(t, t_grid, row) for row in y_current])
+
     out = np.repeat(y_start[:, None], n_grid, axis=1)
-    for j, driver in enumerate(problem.drivers):
+    for j, col in enumerate(_window_plan(problem, a, b, grid_level)):
         for i in range(problem.F.m):
-            sf = _composed_field(problem.F.components[i][j], j, t_grid, y_current,
-                                 problem.drivers)
-            out[i, 1:] += np.cumsum(cumulative_increments(sf, driver, a, b, grid_level))
+            comp = problem.F.components[i][j]
+            if comp.depends_on_driver:
+                sf = _composed_field(comp, j, y_at, problem.drivers)
+                sums = _skeleton_sum(col.skeleton, sf, _QUAD_TOL)
+            else:
+                # a pure function of time: evaluated once per distinct time
+                f_t = np.asarray(comp.evaluate(col.times, y_at(col.times), col.x_at), dtype=float)
+                f_t = np.broadcast_to(f_t, col.times.shape)
+                sums = col.skeleton.block_sums(f_t[col.skeleton.offset] * col.rise)
+            out[i, 1:] += np.cumsum(sums)
     if not np.isfinite(out).all():
         raise NonFiniteIterate("Picard sweep produced non-finite values")
     return out
 
 
-def _composed_field(comp: FieldComponent, j: int, t_grid, y_grid, drivers) -> ScalarField:
+@dataclass(frozen=True, eq=False)
+class _DriverPlan:
+    """What every sweep on one window reads for driver j.
+
+    ``skeleton`` holds the verticals of driver j's increments.  ``times``
+    (the skeleton's distinct times), ``rise`` (hi - lo) and ``x_at`` (every
+    driver's values at those times, shape (d, len(times))) serve the
+    time-only components of column j, and are None when it has none.
+    """
+
+    skeleton: _Skeleton
+    times: np.ndarray | None
+    rise: np.ndarray | None
+    x_at: np.ndarray | None
+
+
+def _window_plan(problem: OdeProblem, a: float, b: float, grid_level: int) -> list[_DriverPlan]:
+    """One ``_DriverPlan`` per driver for the window [a, b], built on first use."""
+    key = (a, b, grid_level)
+    plan = problem._plans.get(key)
+    if plan is None:
+        plan = [_driver_plan(problem, j, a, b, grid_level) for j in range(problem.F.d)]
+        problem._plans[key] = plan
+    return plan
+
+
+def _driver_plan(problem: OdeProblem, j: int, a: float, b: float, grid_level: int) -> _DriverPlan:
+    sk = _increment_skeleton(problem.drivers[j], a, b, grid_level)
+    if all(row[j].depends_on_driver for row in problem.F.components):
+        return _DriverPlan(sk, None, None, None)
+    times = sk.times()
+    arrays = (times, sk.hi - sk.lo, np.stack([d.eval(times) for d in problem.drivers]))
+    for arr in arrays:
+        arr.flags.writeable = False    # shared by every sweep on the window
+    return _DriverPlan(sk, *arrays)
+
+
+def _composed_field(comp: FieldComponent, j: int, y_at, drivers) -> ScalarField:
     """Freeze every argument of F_ij except x_j along the current iterate.
 
     F_ij is evaluated at the times the staircase kernel asks for: y is the
-    iterate interpolated linearly on the window grid, every other driver is
-    read at t.  On the quadrature grid t and y keep the kernel's (rows, 1)
-    time column; only other drivers and the result are spread to the grid.
+    iterate ``y_at(t)``, every other driver is read at t.  On the quadrature
+    grid t and y keep the kernel's (rows, 1) time column; only other drivers
+    and the result are spread to the grid.
     """
-
-    def y_at(t):
-        return np.stack([np.interp(t, t_grid, row) for row in y_grid])
-
-    if not comp.depends_on_driver:
-
-        def f_t(t):
-            return comp.evaluate(t, y_at(t), np.stack([d.eval(t) for d in drivers]))
-
-        return ScalarField.t_only(f_t)
 
     def f_tx(t, x):
         x = np.asarray(x, dtype=float)

@@ -81,9 +81,12 @@ def refine_batch(eval_xs, lo, hi, tol: float = 1e-10):
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     total = np.zeros(lo.size)
-    for first in range(0, lo.size, _SLICE):
-        rows = slice(first, first + _SLICE)
-        total[rows] = _refine_slice(eval_xs, lo[rows], hi[rows], first, tol)
+    # a non-finite integrand or panel sum raises NonFinite below; numpy's
+    # overflow and invalid-value warnings would only print it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, lo.size, _SLICE):
+            rows = slice(first, first + _SLICE)
+            total[rows] = _refine_slice(eval_xs, lo[rows], hi[rows], first, tol)
     return total
 
 

@@ -248,6 +248,37 @@ class TestCliCommands:
         assert out.read_text().splitlines()[1:] == ["0,0,1.7976931348623157e+308"]
         assert capsys.readouterr().err == ""
 
+    def test_diagnose_sibling_gap_overflow(self, tmp_path, capsys):
+        # finite averages DBL_MAX and -DBL_MAX/2 whose sibling gap overflows
+        big = "1.7976931348623157e308"
+        src = tmp_path / "gap.csv"
+        src.write_text(f"t,value\n0,{big}\n0.25,{big}\n0.5,{big}\n0.75,-{big}\n1,-{big}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["diagnose", "--path", str(src), "--beta", "0.6", "--json"])
+            out, err = capsys.readouterr()
+            assert code == 2
+            assert json.loads(out) == {
+                "error": "validation",
+                "detail": "a level-1 sibling gap h[1][2n] - h[1][2n+1] overflows the float range",
+            }
+            assert err == ""
+            assert main(["averages", "--path", str(src), "--out", str(tmp_path / "a.csv")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_integrate_overflowing_field_prints_no_warning(self, tmp_path, capsys):
+        src = tmp_path / "lin.csv"
+        main(["gen-path", "--kind", "linear", "--K", "10", "--out", str(src)])
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["integrate", "--path", str(src), "--field", "exp(1000*x)"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert json.loads(out)["detail"] == (
+            "field is not finite on the strip enclosing the path range")
+        assert err == ""
+
     def test_diagnose_schema(self, tmp_path, capsys):
         src = tmp_path / "p.csv"
         main(["gen-path", "--kind", "brownian", "--K", "10", "--seed", "1", "--out", str(src)])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,17 @@ class TestAveragePyramid:
         quarter = rp.DyadicPath(s / 4.0, 6).pyramid()
         for k in range(6):
             np.testing.assert_array_equal(pyr.level(k), 4.0 * quarter.level(k))
+
+    def test_sibling_gap_overflow_is_non_finite(self):
+        # the averages DBL_MAX and -DBL_MAX/2 are finite, their gap is not
+        big = np.finfo(float).max
+        pyr = rp.DyadicPath([big, big, big, -big, -big], 2).pyramid()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rp.NonFinite, match="level-1 sibling gap"):
+                pyr.child_gap(0)
+            with pytest.raises(rp.NonFinite, match="sibling gap"):
+                rp.existence_report(pyr, 0.6)
 
     def test_level_out_of_range(self):
         pyr = rp.gen_analytic("linear", 4).pyramid()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,6 +156,14 @@ class TestIntegrate:
         bad = rp.ScalarField(evaluate=lambda t, x: 1.0 / (t - 0.5), depends_on="both")
         with np.errstate(divide="ignore"), pytest.raises(rp.NonFinite):
             rp.integrate(bad, path, 0.0, 1.0)
+
+    def test_overflowing_field_raises_without_warnings(self):
+        # the finiteness probe itself overflows in exp
+        path = rp.gen_analytic("linear", 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rp.NonFinite, match="not finite on the strip"):
+                rp.integrate(rp.field_from_expression("exp(1000*x)"), path, 0.0, 1.0)
 
 
 class TestStateOnly:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,6 +144,13 @@ class TestRefinement:
 
         with pytest.raises(rp.QuadratureFailure):
             refine_batch(eval_xs, [0.0], [0.7])
+
+    def test_overflowing_integrand_raises_without_warnings(self):
+        # exp(1000 x) overflows on [0, 1]; the panel sums turn inf into NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rp.NonFinite, match=r"interval 0: \[0, 1\]"):
+                refine_batch(lambda owner, x: np.exp(1000.0 * x), [0.0], [1.0])
 
     def test_batch_owners_accumulate(self):
         eval_xs = lambda owner, x: np.ones_like(x)
