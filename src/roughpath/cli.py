@@ -303,10 +303,10 @@ def main(argv=None) -> int:
         # at devnull so the interpreter's final flush of stdout stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except (RoughPathError, ValueError, OSError) as exc:
+    except (RoughPathError, ValueError, OSError, MemoryError) as exc:
         numerical = isinstance(exc, _NUMERICAL)
         print(json.dumps({"error": "numerical" if numerical else "validation",
-                          "detail": str(exc)}))
+                          "detail": str(exc) or type(exc).__name__}))
         return 3 if numerical else 2
 
 

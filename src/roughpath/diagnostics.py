@@ -12,6 +12,7 @@ arrays so callers can rescale.
 """
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -221,6 +222,13 @@ def wiener_statistic(pyramid: AveragePyramid, k: int) -> float:
     return float(2.0 ** (-k / 2.0) * np.abs(pyramid.child_gap(k)).sum())
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # not on every platform
+        return os.cpu_count() or 1
+
+
 def wiener_ensemble(
     k_list,
     n_paths: int,
@@ -231,7 +239,8 @@ def wiener_ensemble(
     """Monte-Carlo summary of the Wiener statistic over fresh Brownian paths.
 
     Paths use seeds seed, seed+1, ..., and the reduction order is fixed, so
-    the report is deterministic for any thread count.
+    the report is deterministic for any thread count.  At most one worker
+    thread runs per usable core.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -245,7 +254,8 @@ def wiener_ensemble(
         return [wiener_statistic(pyr, k) for k in k_list]
 
     seeds = range(seed, seed + n_paths)
-    if threads and threads > 1:
+    threads = min(threads or 1, _usable_cores())
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(stats_for, seeds))
     else:

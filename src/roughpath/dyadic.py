@@ -72,9 +72,6 @@ class DyadicPath:
             v = (s[np.minimum(j + 1, n)] - s0) / (1.0 / n) * (x - g0) + s0
         return np.where(x == g0, s0, v)[()]
 
-    def __call__(self, t):
-        return self.eval(t)
-
     def pyramid(self) -> "AveragePyramid":
         if self._pyramid is None:
             self._pyramid = average_pyramid(self)

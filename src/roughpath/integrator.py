@@ -10,7 +10,7 @@ heights and depends only on the path, the level and the blocks, and a sum,
 which evaluates one field on a skeleton.  ``staircase_integral`` builds and
 sums a one-block skeleton and ``cumulative_increments`` (behind
 ``indefinite_integral``) a many-block one; the Picard operator builds its
-window's skeletons once and sums them on every sweep.
+window's skeletons once and sums every component's field on them.
 ``integrate`` runs the one-block sum, closed to (g(a), g(b)), over levels
 until two consecutive differences fall under tolerance, so endpoint
 truncation never pollutes the limit.
@@ -18,6 +18,7 @@ truncation never pollutes the limit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -145,13 +146,16 @@ class _Skeleton:
     def n_blocks(self) -> int:
         return self.offset.size // (self.span + 1)
 
+    @functools.cached_property
     def times(self) -> np.ndarray:
-        """The n_blocks*span + 1 distinct vertical times, in order."""
-        return (self.first + np.arange(self.n_blocks * self.span + 1)) * 2.0 ** -self.k
+        """The n_blocks*span + 1 distinct times, in order; read-only, as fields get them."""
+        times = (self.first + np.arange(self.n_blocks * self.span + 1)) * 2.0 ** -self.k
+        times.flags.writeable = False
+        return times
 
-    def block_sums(self, terms: np.ndarray) -> np.ndarray:
-        """Each block's span + 1 vertical terms summed in one fixed order."""
-        return terms.reshape(self.n_blocks, self.span + 1).sum(axis=1)
+    @functools.cached_property
+    def rise(self) -> np.ndarray:
+        return self.hi - self.lo
 
 
 def _skeleton(h: np.ndarray, k: int, first: int, span: int, g: np.ndarray) -> _Skeleton:
@@ -169,15 +173,15 @@ def _skeleton(h: np.ndarray, k: int, first: int, span: int, g: np.ndarray) -> _S
 def _skeleton_sum(sk: _Skeleton, field: ScalarField, tol: float) -> np.ndarray:
     """The closed staircase sum of every block of ``sk`` for one field.
 
-    All verticals go into one quadrature batch, or one elementwise product
-    for t_only fields.  A t_only field is evaluated once at each distinct
-    time, so the end time that two adjacent blocks share is evaluated once.
+    All verticals go into one quadrature batch, or, for a t_only field, one
+    product with its values at the distinct times, so the end time that two
+    adjacent blocks share is evaluated once.  Block sums run in a fixed order.
     """
     if field.depends_on == "t_only":
-        terms = field.value_at_times(sk.times())[sk.offset] * (sk.hi - sk.lo)
+        terms = field.value_at_times(sk.times)[sk.offset] * sk.rise
     else:
         terms = _vertical_batch(field, (sk.first + sk.offset) * 2.0 ** -sk.k, sk.lo, sk.hi, tol)
-    return sk.block_sums(terms)
+    return terms.reshape(sk.n_blocks, sk.span + 1).sum(axis=1)
 
 
 def staircase_integral(

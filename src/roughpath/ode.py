@@ -8,10 +8,10 @@ iterate.  Windows are accepted on sup-norm contraction and chained; failure
 halves the window dyadically.
 
 On a window the staircase verticals depend only on the drivers, the window
-and the grid level, never on the iterate.  So each window's verticals (their
-times and end heights) and every driver's values at those times are built
-once, kept on the problem, and shared by all sweeps on that window and by the
-residual check; a sweep only evaluates F.
+and the grid level, never on the iterate.  So each driver's skeleton, and
+every driver's values at its times, are built once per window, kept on the
+problem, and shared by all its sweeps and the residual check.  A sweep hands
+every component to the one staircase kernel as a field and evaluates only F.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import numpy as np
 from .diagnostics import existence_report
 from .dyadic import DyadicPath, holder_seminorm
 from .errors import BadInterval, NonFiniteIterate, WindowUnderflow
-from .integrator import (ConvergenceConfig, ScalarField, _increment_skeleton, _Skeleton,
-                         _skeleton_sum)
+from .integrator import ConvergenceConfig, ScalarField, _increment_skeleton, _skeleton_sum
 # Sweeps no longer call it, but bench/selftest.py looks it up on this module.
 from .integrator import cumulative_increments  # noqa: F401
 
@@ -53,10 +52,11 @@ class MatrixField:
 
     def __init__(self, components: list[list[FieldComponent]]):
         self.m = len(components)
-        self.d = len(components[0])
-        for row in components:
-            if len(row) != self.d:
-                raise BadInterval("ragged component matrix")
+        self.d = len(components[0]) if components else 0
+        if self.d == 0:
+            raise BadInterval("empty component matrix")
+        if any(len(row) != self.d for row in components):
+            raise BadInterval("ragged component matrix")
         self.components = components
 
     @staticmethod
@@ -142,8 +142,8 @@ def picard_operator(
     ``y_current`` holds the iterate on the level grid of [a, b] (shape
     (m, n_grid)); the return value is y_start + the cumulative component
     integrals on the same grid.  Each component's increments are the closed
-    staircase sums of ``cumulative_increments``, summed on the window's
-    cached plan.
+    staircase sums of ``cumulative_increments``: every F_ij goes to the one
+    staircase kernel as a field, summed on driver j's cached skeleton.
     """
     y_start = problem.y0 if y_start is None else np.asarray(y_start, dtype=float)
     n_grid = round((b - a) * (1 << grid_level)) + 1
@@ -155,68 +155,50 @@ def picard_operator(
         return np.stack([np.interp(t, t_grid, row) for row in y_current])
 
     out = np.repeat(y_start[:, None], n_grid, axis=1)
-    for j, col in enumerate(_window_plan(problem, a, b, grid_level)):
+    for j, (sk, x_at) in enumerate(_window_plan(problem, a, b, grid_level)):
         for i in range(problem.F.m):
-            comp = problem.F.components[i][j]
-            if comp.depends_on_driver:
-                sf = _composed_field(comp, j, y_at, problem.drivers)
-                sums = _skeleton_sum(col.skeleton, sf, _QUAD_TOL)
-            else:
-                # a pure function of time: evaluated once per distinct time
-                f_t = np.asarray(comp.evaluate(col.times, y_at(col.times), col.x_at), dtype=float)
-                f_t = np.broadcast_to(f_t, col.times.shape)
-                sums = col.skeleton.block_sums(f_t[col.skeleton.offset] * col.rise)
-            out[i, 1:] += np.cumsum(sums)
+            sf = _composed_field(problem.F.components[i][j], j, y_at, problem.drivers, x_at)
+            out[i, 1:] += np.cumsum(_skeleton_sum(sk, sf, _QUAD_TOL))
     if not np.isfinite(out).all():
         raise NonFiniteIterate("Picard sweep produced non-finite values")
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class _DriverPlan:
-    """What every sweep on one window reads for driver j.
+def _window_plan(problem: OdeProblem, a: float, b: float, grid_level: int) -> list[tuple]:
+    """One (skeleton, x_at) pair per driver j for the window [a, b], built on first use.
 
-    ``skeleton`` holds the verticals of driver j's increments.  ``times``
-    (the skeleton's distinct times), ``rise`` (hi - lo) and ``x_at`` (every
-    driver's values at those times, shape (d, len(times))) serve the
-    time-only components of column j, and are None when it has none.
+    ``x_at`` holds every driver's values at the skeleton's times, shape
+    (d, len(times)), read-only since F receives it; it is None when column j
+    has no time-only component.
     """
-
-    skeleton: _Skeleton
-    times: np.ndarray | None
-    rise: np.ndarray | None
-    x_at: np.ndarray | None
-
-
-def _window_plan(problem: OdeProblem, a: float, b: float, grid_level: int) -> list[_DriverPlan]:
-    """One ``_DriverPlan`` per driver for the window [a, b], built on first use."""
     key = (a, b, grid_level)
-    plan = problem._plans.get(key)
-    if plan is None:
-        plan = [_driver_plan(problem, j, a, b, grid_level) for j in range(problem.F.d)]
-        problem._plans[key] = plan
-    return plan
+    if key not in problem._plans:
+        plan = problem._plans[key] = []
+        for j, driver in enumerate(problem.drivers):
+            sk = _increment_skeleton(driver, a, b, grid_level)
+            x_at = None
+            if not all(row[j].depends_on_driver for row in problem.F.components):
+                x_at = np.stack([d.eval(sk.times) for d in problem.drivers])
+                x_at.flags.writeable = False
+            plan.append((sk, x_at))
+    return problem._plans[key]
 
 
-def _driver_plan(problem: OdeProblem, j: int, a: float, b: float, grid_level: int) -> _DriverPlan:
-    sk = _increment_skeleton(problem.drivers[j], a, b, grid_level)
-    if all(row[j].depends_on_driver for row in problem.F.components):
-        return _DriverPlan(sk, None, None, None)
-    times = sk.times()
-    arrays = (times, sk.hi - sk.lo, np.stack([d.eval(times) for d in problem.drivers]))
-    for arr in arrays:
-        arr.flags.writeable = False    # shared by every sweep on the window
-    return _DriverPlan(sk, *arrays)
-
-
-def _composed_field(comp: FieldComponent, j: int, y_at, drivers) -> ScalarField:
+def _composed_field(comp: FieldComponent, j: int, y_at, drivers, x_at) -> ScalarField:
     """Freeze every argument of F_ij except x_j along the current iterate.
 
     F_ij is evaluated at the times the staircase kernel asks for: y is the
-    iterate ``y_at(t)``, every other driver is read at t.  On the quadrature
-    grid t and y keep the kernel's (rows, 1) time column; only other drivers
-    and the result are spread to the grid.
+    iterate ``y_at(t)``.  A component that does not read x_j is a t_only
+    field, evaluated at the window's distinct times, where ``x_at`` holds
+    every driver's values.  Otherwise every other driver is read at t; on the
+    quadrature grid t and y keep the kernel's (rows, 1) time column, and only
+    other drivers and the result are spread to the grid.
     """
+    if not comp.depends_on_driver:
+        return ScalarField(
+            evaluate=lambda t, x: np.broadcast_to(comp.evaluate(t, y_at(t), x_at), t.shape),
+            depends_on="t_only",
+        )
 
     def f_tx(t, x):
         x = np.asarray(x, dtype=float)

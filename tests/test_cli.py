@@ -319,6 +319,23 @@ class TestCliCommands:
         assert json.loads(out)["error"] == "validation"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("exc", [
+        MemoryError(), MemoryError("Unable to allocate 256. TiB for an array with shape "
+                                   "(35184372088833,) and data type float64")])
+    def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch, exc):
+        # `gen-path --kind brownian --K 45` asks numpy for 256 TiB; the raise
+        # is simulated so that nothing large is allocated
+        def refuse(K, seed):
+            raise exc
+
+        monkeypatch.setattr(cli, "gen_brownian", refuse)
+        code = main(["gen-path", "--kind", "brownian", "--K", "45", "--out",
+                     str(tmp_path / "p.csv")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert json.loads(out) == {"error": "validation", "detail": str(exc) or "MemoryError"}
+        assert err == ""
+
     def test_closed_stdout_exits_quietly(self, tmp_path):
         # `roughpath integrate ... | head` with the reader already gone
         src = tmp_path / "p.csv"

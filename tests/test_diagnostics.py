@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import roughpath as rp
+from roughpath import diagnostics
 
 
 def constant_pyramid(value=1.5, K=10):
@@ -246,6 +247,30 @@ class TestWienerEnsemble:
         a = rp.wiener_ensemble([7], 8, 14, seed=5, threads=1)
         b = rp.wiener_ensemble([7], 8, 14, seed=5, threads=4)
         assert a["levels"][0]["mean"] == b["levels"][0]["mean"]
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_threads_capped_at_usable_cores(self, monkeypatch, cores):
+        # a pool that records its size and maps serially: no thread is started
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(diagnostics, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(diagnostics, "_usable_cores", lambda: cores)
+        got = rp.wiener_ensemble([6], 4, 12, seed=1, threads=10**6)
+        assert sizes == ([cores] if cores > 1 else [])
+        assert got == rp.wiener_ensemble([6], 4, 12, seed=1, threads=1)
 
     def test_level_guard(self):
         with pytest.raises(rp.LevelOutOfRange):

@@ -58,6 +58,31 @@ class TestPicardOperator:
         with pytest.raises(rp.BadInterval):
             rp.picard_operator(prob, np.zeros((1, 7)), 0.0, 1.0, 8)
 
+    def test_time_only_field_cannot_write_the_window_times(self):
+        # the window's times are cached and handed to F on every sweep
+        def write_t(t, y, x):
+            t += 1.0
+            return y[0]
+
+        prob = rp.OdeProblem(F=rp.MatrixField.scalar(write_t), drivers=[rp.gen_brownian(10, 1)],
+                             y0=np.array([1.0]), beta=0.5)
+        with pytest.raises(ValueError, match="read-only"):
+            rp.picard_operator(prob, np.ones((1, 2**6 + 1)), 0.0, 1.0, 6)
+        with pytest.raises(ValueError, match="read-only"):
+            rp.picard_operator(prob, np.ones((1, 2**6 + 1)), 0.0, 1.0, 6)
+
+
+class TestMatrixField:
+    @pytest.mark.parametrize("components", [[], [[]], [[], []]])
+    def test_empty_matrix_rejected(self, components):
+        with pytest.raises(rp.BadInterval, match="empty"):
+            rp.MatrixField(components)
+
+    def test_ragged_matrix_rejected(self):
+        comp = component(lambda t, y, x: y[0])
+        with pytest.raises(rp.BadInterval, match="ragged"):
+            rp.MatrixField([[comp, comp], [comp]])
+
 
 class TestSolve:
     def test_exponential_solution(self):
@@ -311,9 +336,11 @@ def reference_field(comp, j, t_grid, y_grid, drivers):
     return rp.ScalarField(evaluate=f_tx, depends_on="both")
 
 
-# Components F_ij(c, j): three time-only ones, two of which read both the
-# first and the last driver, and two that read x_j on the quadrature grid.
+# Components F_ij(c, j): four time-only ones, one of which returns a scalar
+# and two of which read both the first and the last driver, and two that
+# read x_j on the quadrature grid.
 COMPONENTS = (
+    lambda c, j: component(lambda t, y, x: c),
     lambda c, j: component(lambda t, y, x: c * y[0]),
     lambda c, j: component(lambda t, y, x: c * y[-1] * np.cos(x[0] + x[-1])),
     lambda c, j: component(lambda t, y, x: c * (np.sin(3.0 * t) + x[-1] * y[0] - x[0])),
@@ -406,8 +433,8 @@ class TestSweepsMatchTheReference:
     def test_solve_two_drivers(self, horizon):
         # time-only components read the other driver, whose values the plan
         # keeps next to the window's verticals
-        F = rp.MatrixField([[COMPONENTS[1](0.3, 0), COMPONENTS[3](0.5, 1)],
-                            [COMPONENTS[4](-0.4, 0), COMPONENTS[2](0.2, 1)]])
+        F = rp.MatrixField([[COMPONENTS[2](0.3, 0), COMPONENTS[4](0.5, 1)],
+                            [COMPONENTS[5](-0.4, 0), COMPONENTS[3](0.2, 1)]])
         system = (F, [rp.gen_brownian(12, 5), rp.gen_brownian(10, 6)], np.array([1.0, -0.5]))
         cfg = rp.SolverConfig(tol=1e-9, grid_level=7, check_drivers=False)
         got = rp.solve(problem_of(system, horizon), cfg)
