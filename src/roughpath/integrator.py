@@ -66,7 +66,8 @@ class ScalarField:
         return ScalarField.t_only(path.eval)
 
     def value_at_times(self, t: np.ndarray) -> np.ndarray:
-        return np.asarray(self.evaluate(t, np.zeros_like(t)), dtype=float)
+        """f at the times ``t`` with x = 0, which a t_only field ignores."""
+        return np.asarray(self.evaluate(t, np.broadcast_to(0.0, t.shape)), dtype=float)
 
     def shifted_in_x(self, c: float) -> "ScalarField":
         if c == 0.0:

@@ -51,12 +51,16 @@ class MatrixField:
     """m x d matrix of FieldComponents with convenience constructors."""
 
     def __init__(self, components: list[list[FieldComponent]]):
+        if not isinstance(components, list) or not all(isinstance(row, list) for row in components):
+            raise BadInterval("component matrix must be a list of rows")
         self.m = len(components)
         self.d = len(components[0]) if components else 0
         if self.d == 0:
             raise BadInterval("empty component matrix")
         if any(len(row) != self.d for row in components):
             raise BadInterval("ragged component matrix")
+        if not all(isinstance(c, FieldComponent) for row in components for c in row):
+            raise BadInterval("component matrix entries must be FieldComponents")
         self.components = components
 
     @staticmethod
@@ -195,10 +199,11 @@ def _composed_field(comp: FieldComponent, j: int, y_at, drivers, x_at) -> Scalar
     other drivers and the result are spread to the grid.
     """
     if not comp.depends_on_driver:
-        return ScalarField(
-            evaluate=lambda t, x: np.broadcast_to(comp.evaluate(t, y_at(t), x_at), t.shape),
-            depends_on="t_only",
-        )
+        def f_t(t, x):
+            value = comp.evaluate(t, y_at(t), x_at)
+            return value if np.shape(value) == t.shape else np.broadcast_to(value, t.shape)
+
+        return ScalarField(evaluate=f_t, depends_on="t_only")
 
     def f_tx(t, x):
         x = np.asarray(x, dtype=float)

@@ -4,8 +4,10 @@ Integrands are smooth on each requested interval (the library only ever asks
 for integrals of continuous fields over short vertical segments), so one
 embedded 3/7-point Gauss-Kronrod panel per leaf gives both the value and an
 error estimate from 7 evaluations; only leaves whose estimate misses the
-tolerance are bisected.  All routines accept signed bounds: swapping lo and
-hi negates the result, which is what oriented line integrals need.
+tolerance are bisected.  A slice of intervals whose first panels all pass is
+returned as those panels' sums; only the other slices enter bisection.  All
+routines accept signed bounds: swapping lo and hi negates the result, which is
+what oriented line integrals need.
 """
 
 import numpy as np
@@ -76,7 +78,8 @@ def refine_batch(eval_xs, lo, hi, tol: float = 1e-10):
     (rows, nodes) temporary under 0.25 MiB for 7 nodes.  With glibc's default
     malloc settings, freed arrays of 2 MiB and more go back to the system,
     so a whole-batch temporary of that size pays fresh page faults at every
-    panel.
+    panel.  A slice whose intervals all pass on their first panel is returned
+    as those panels' Kronrod sums; only the other slices enter bisection.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -91,18 +94,20 @@ def refine_batch(eval_xs, lo, hi, tol: float = 1e-10):
 
 
 def _refine_slice(eval_xs, lo, hi, first: int, tol: float):
-    """refine_batch for the intervals first .. first + lo.size - 1."""
+    """refine_batch for the intervals first .. first + lo.size - 1.
+
+    The first-panel test is false for a NaN or inf sum, so a slice holding
+    one goes on into the loop, which names the first bad interval.
+    """
+    (kronrod, gauss), mid = _panel(eval_xs, np.arange(first, first + lo.size), lo, hi)
+    if (np.abs(kronrod - gauss) <= tol).all():
+        return kronrod + 0.0   # a -0.0 sum reads +0.0, as when added into zeros
     total = np.zeros(lo.size)
     owner = np.arange(lo.size)
-    a, b = lo.copy(), hi.copy()
+    a, b = lo, hi
     for split in range(_MAX_SPLITS + 1):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (b + a)
-        # built node-major in one buffer: numpy then broadcasts along the long
-        # axis, and the panel grid needs no second (rows, 7) temporary
-        x = np.multiply.outer(_XK, half)
-        x += mid
-        kronrod, gauss = (_RULE @ eval_xs(first + owner, x.T).T) * half
+        if split:
+            (kronrod, gauss), mid = _panel(eval_xs, first + owner, a, b)
         # the Gauss nodes are Kronrod nodes, so this check covers every value
         bad = ~np.isfinite(kronrod)
         if bad.any():
@@ -124,3 +129,21 @@ def _refine_slice(eval_xs, lo, hi, first: int, tol: float):
     raise QuadratureFailure(
         f"{owner.size} subintervals still above tolerance after {_MAX_SPLITS} splits"
     )
+
+
+def _panel(eval_xs, owner, a, b):
+    """The (K7, G3) sums of one panel on each row [a[r], b[r]], and the midpoints.
+
+    ``owner`` goes to ``eval_xs`` as is.  The nodes are built node-major in
+    one buffer: numpy then broadcasts along the long axis, and the panel grid
+    needs no second (rows, 7) temporary.
+    """
+    half = np.subtract(b, a)
+    half *= 0.5
+    mid = np.add(b, a)
+    mid *= 0.5
+    x = _XK[:, None] * half
+    x += mid
+    kg = _RULE @ eval_xs(owner, x.T).T
+    kg *= half
+    return kg, mid

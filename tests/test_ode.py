@@ -83,6 +83,18 @@ class TestMatrixField:
         with pytest.raises(rp.BadInterval, match="ragged"):
             rp.MatrixField([[comp, comp], [comp]])
 
+    @pytest.mark.parametrize("rows, match", [("flat", "list of rows"), ("none", "FieldComponents")])
+    def test_malformed_matrix_rejected(self, rows, match):
+        # a flat list of components used to raise a bare TypeError, and a None
+        # entry passed until solve read it
+        comp = component(lambda t, y, x: y[0])
+        components = [comp] if rows == "flat" else [[comp, None]]
+        with pytest.raises(rp.BadInterval, match=match):
+            rp.MatrixField(components)
+        with pytest.raises(rp.BadInterval, match=match):
+            rp.OdeProblem(F=rp.MatrixField(components), drivers=[rp.gen_brownian(8, 1)] * 2,
+                          y0=np.array([1.0]), beta=0.5)
+
 
 class TestSolve:
     def test_exponential_solution(self):

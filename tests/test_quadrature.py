@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -237,3 +238,124 @@ class TestVerticalAccuracy:
         exact = F(t, hi) - F(t, lo)
         budget = 0.0 if k7_exact else rows * tol
         assert np.all(np.abs(got - exact) <= budget + _ulp_slack(F, t, lo, hi))
+
+
+def _reference_refine_slice(eval_xs, lo, hi, first: int, tol: float):
+    """The slice kernel without the first-panel return: every slice, also one
+    whose intervals all pass at once, runs the bisection loop from zeros."""
+    total = np.zeros(lo.size)
+    owner = np.arange(lo.size)
+    a, b = lo.copy(), hi.copy()
+    for split in range(quadrature._MAX_SPLITS + 1):
+        half = 0.5 * (b - a)
+        mid = 0.5 * (b + a)
+        x = np.multiply.outer(quadrature._XK, half)
+        x += mid
+        kronrod, gauss = (quadrature._RULE @ eval_xs(first + owner, x.T).T) * half
+        bad = ~np.isfinite(kronrod)
+        if bad.any():
+            r = owner[bad][0]
+            raise rp.NonFinite(
+                f"non-finite integrand on interval {first + r}: [{lo[r]:.17g}, {hi[r]:.17g}]"
+            )
+        done = np.abs(kronrod - gauss) <= tol
+        np.add.at(total, owner[done], kronrod[done])
+        if done.all():
+            return total
+        keep = ~done
+        owner = np.concatenate([owner[keep], owner[keep]])
+        if owner.size > quadrature._MAX_LEAVES:
+            raise rp.QuadratureFailure(
+                f"{owner.size} subintervals still above tolerance after {split + 1} splits"
+            )
+        a, b = np.concatenate([a[keep], mid[keep]]), np.concatenate([mid[keep], b[keep]])
+    raise rp.QuadratureFailure(
+        f"{owner.size} subintervals still above tolerance after {quadrature._MAX_SPLITS} splits"
+    )
+
+
+def _outcome(kernel, f, lo, hi, tol):
+    """refine_batch through ``kernel``: its result bytes or error, and the
+    bytes of every (owner, x) pair it passed to the integrand."""
+    calls = []
+
+    def eval_xs(owner, x):
+        calls.append((owner.tobytes(), x.tobytes(), x.shape))
+        return f(owner, x)
+
+    with mock.patch.object(quadrature, "_refine_slice", kernel):
+        try:
+            result = ("value", refine_batch(eval_xs, lo, hi, tol).tobytes())
+        except (rp.NonFinite, rp.QuadratureFailure) as exc:
+            result = (type(exc).__name__, str(exc))
+    return result, calls
+
+
+def _matches_reference(f, lo, hi, tol=1e-10):
+    got = _outcome(quadrature._refine_slice, f, lo, hi, tol)
+    want = _outcome(_reference_refine_slice, f, lo, hi, tol)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    return got[0]
+
+
+# integrands for the comparison with the reference kernel: growth that forces
+# bisection on long intervals, sign changes (zero-length intervals then give a
+# signed zero), the owner index, and a NaN band no coarse panel node hits
+_KERNEL_INTEGRANDS = {
+    "exp(3x)": lambda owner, x: np.exp(3.0 * x),
+    "sin(x)*owner": lambda owner, x: np.sin(x) * (owner[:, None] % 3 - 1.0),
+    "-cos(5x)": lambda owner, x: -np.cos(5.0 * x),
+    "nan band": lambda owner, x: np.sqrt(np.abs(x - 0.3) - 1e-4),
+}
+
+
+class TestFirstPanelReturn:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_KERNEL_INTEGRANDS)),
+        tol=st.sampled_from([1e-6, 1e-10, 1e-13]),
+        intervals=st.lists(
+            st.tuples(st.floats(-2.0, 3.0), st.sampled_from([0.0, 1e-3, 0.05, 1.0, 5.0]),
+                      st.booleans()),
+            min_size=1, max_size=10,
+        ),
+        filler=st.sampled_from([0, 3, quadrature._SLICE + 5]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bytes_and_calls_match_reference(self, name, tol, intervals, filler, seed):
+        # short intervals that pass at once, optionally more than a slice of
+        # them, followed by the drawn ones: long, reversed or of zero length
+        rng = np.random.default_rng(seed)
+        start = rng.uniform(-2.0, 3.0, filler)
+        lo = np.concatenate([start, [a for a, _, _ in intervals]])
+        length = np.concatenate([rng.uniform(-1e-3, 1e-3, filler),
+                                 [-n if rev else n for _, n, rev in intervals]])
+        _matches_reference(_KERNEL_INTEGRANDS[name], lo, lo + length, tol)
+
+    def test_zero_length_interval_gives_positive_zero(self):
+        # the Kronrod sum is -2 * 0 = -0.0; the reference adds it into zeros
+        got = refine_batch(lambda owner, x: -np.ones_like(x), [1.0], [1.0])
+        assert got[0] == 0.0 and not np.signbit(got[0])
+        assert _matches_reference(lambda owner, x: -np.ones_like(x), [1.0], [1.0])[0] == "value"
+
+    def test_one_non_finite_interval_among_many(self):
+        # two bad intervals in the second slice; the first of them is named
+        n = quadrature._SLICE + 100
+        lo = np.linspace(0.0, 1.0, n)
+        hi = lo + 1e-3
+        bad = {quadrature._SLICE + 7, quadrature._SLICE + 40}
+
+        def f(owner, x):
+            return np.where(np.isin(owner, list(bad))[:, None], np.nan, np.sin(x))
+
+        with pytest.raises(rp.NonFinite, match=rf"interval {quadrature._SLICE + 7}: "):
+            refine_batch(f, lo, hi)
+        assert _matches_reference(f, lo, hi)[0] == "NonFinite"
+
+    def test_runaway_refinement_still_fails(self):
+        # exp(1000 x) is finite on [0, 0.7], but no panel meets the tolerance
+        f = lambda owner, x: np.exp(1000.0 * x)
+        with pytest.raises(rp.QuadratureFailure):
+            refine_batch(f, [0.0], [0.7])
+        assert _matches_reference(f, [0.0], [0.7])[0] == "QuadratureFailure"
