@@ -1,8 +1,8 @@
 """Computational calculus for the staircase integral.
 
 The Green-formula route rewrites the integral over [0, s] as an oriented
-double integral of the time partial between the path and the chord from the
-origin to (s, g(s)), plus a chord line integral.  For state-only integrands
+double integral of the time partial between the path and the chord from
+(0, g(0)) to (s, g(s)), plus a chord line integral.  For state-only integrands
 the double integral vanishes and the chord term collapses to a definite
 integral; for time-only integrands the identity is integration by parts.
 The Itô helpers discretize the classical stochastic integrals on the sample
@@ -66,31 +66,27 @@ def _cells(path: DyadicPath, s: float, level: int):
 def green_eval(field: ScalarField, path: DyadicPath, s: float) -> GreenEvaluation:
     """Evaluate the integral over [0, s] through the Green identity.
 
-    Requires the path to start at 0 (other starts are shifted internally) and
-    the field to carry its time partial unless it is state-only, for which
-    the area term is skipped outright.
+    The chord runs from (0, g(0)) to (s, g(s)), so the path may start
+    anywhere.  The field must carry its time partial unless it is
+    state-only, for which the area term is skipped outright.
     """
     if not 0.0 < s <= 1.0:
         raise BadInterval("s must lie in (0, 1]")
-    g0 = float(path.samples[0])
-    if g0 != 0.0:
-        path = path.shifted(-g0)
-        field = field.shifted_in_x(g0)
     needs_area = field.depends_on != "x_only"
     if needs_area and field.dt_partial is None:
         raise MissingDerivative("green_eval needs dt_partial unless the field is state-only")
-    gs = float(path.eval(s))
-    slope = gs / s
+    g0 = float(path.samples[0])
+    slope = (float(path.eval(s)) - g0) / s
 
     def area(t, g):
-        ell = slope * t
+        ell = g0 + slope * t
         xhalf = 0.5 * (g - ell)
         xmid = 0.5 * (g + ell)
         # inner Gauss panel per outer node, oriented from chord to path
         xs = xmid[..., None] + xhalf[..., None] * _XI[None, None, :]
         return (field.dt_partial(t[..., None], xs) @ _W) * xhalf
 
-    chord_term = slope * _time_integral(lambda t, g: field.evaluate(t, slope * t), path, s)
+    chord_term = slope * _time_integral(lambda t, g: field.evaluate(t, g0 + slope * t), path, s)
     area_term = _time_integral(area, path, s) if needs_area else 0.0
     return GreenEvaluation(
         chord_slope=slope,
@@ -163,15 +159,14 @@ def ito_reference(f, path: DyadicPath, s: float, level: int | None = None,
     return total
 
 
-def ito_compare(f, paths: list[DyadicPath], s: float = 1.0, fprime=None) -> dict:
+def ito_compare(f, paths, s: float = 1.0, fprime=None) -> dict:
     """Per-path residual of the correction identity
     [state-only integral] - [left-point sum] - 0.5 * integral of f'(g) dt.
 
-    ``fprime`` may be analytic; otherwise a central finite difference with
-    step ``_FD_STEP`` is used.
+    ``paths`` is any iterable of paths, read once in order, so a generator
+    keeps at most two paths alive at once.  ``fprime`` may be analytic;
+    otherwise a central finite difference with step ``_FD_STEP`` is used.
     """
-    if not paths:
-        raise ValueError("ito_compare needs at least one path")
     if fprime is None:
         fprime = lambda x: (f(x + _FD_STEP) - f(x - _FD_STEP)) / (2.0 * _FD_STEP)
     residuals = []
@@ -180,10 +175,12 @@ def ito_compare(f, paths: list[DyadicPath], s: float = 1.0, fprime=None) -> dict
         ito = ito_reference(f, path, s)
         corr = 0.5 * time_integral_of_state(fprime, path, s)
         residuals.append(new - ito - corr)
+    if not residuals:
+        raise ValueError("ito_compare needs at least one path")
     residuals = np.array(residuals)
     return {
         "s": s,
-        "n_paths": len(paths),
+        "n_paths": residuals.size,
         "mean_abs_residual": float(np.abs(residuals).mean()),
         "max_abs_residual": float(np.abs(residuals).max()),
         "residuals": residuals,

@@ -39,13 +39,6 @@ from .ode import MatrixField, OdeProblem, SolverConfig, solve
 _NUMERICAL = (QuadratureFailure, WindowUnderflow, NonFiniteIterate)   # exit 3; the rest exit 2
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("ROUGHPATH_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 def _parse_with_config(argv, args):
     """Parse ``argv`` again with the --config values as argparse defaults.
 
@@ -140,11 +133,12 @@ def _ito_compare(args):
     field = resolve_field(args.field)
     if field.depends_on != "x_only":
         raise RoughPathError("ito-compare needs a state-only field")
-    paths = [gen_brownian(args.K, args.seed + i) for i in range(args.n_paths)]
+    paths = (gen_brownian(args.K, args.seed + i) for i in range(args.n_paths))
     f = lambda x: field.evaluate(np.zeros_like(np.asarray(x, dtype=float)), x)
     report = ito_compare(f, paths, s=args.s)
     if args.out:
-        write_residuals_csv(range(args.seed, args.seed + len(paths)), report["residuals"], args.out)
+        write_residuals_csv(range(args.seed, args.seed + report["n_paths"]), report["residuals"],
+                            args.out)
     summary = {k: report[k] for k in ("s", "n_paths", "mean_abs_residual", "max_abs_residual")}
     _emit(summary, None)
     return 0
@@ -152,7 +146,7 @@ def _ito_compare(args):
 
 def _wiener_mc(args):
     k_list = [int(k) for k in args.k.split(",")]
-    _emit(wiener_ensemble(k_list, args.n_paths, args.K, args.seed, threads=_threads(args)),
+    _emit(wiener_ensemble(k_list, args.n_paths, args.K, args.seed, threads=args.threads),
           args.json_out)
     return 0
 
@@ -199,7 +193,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(prog="roughpath", description=__doc__)
     parser.add_argument("--config", help="flat key = value defaults file")
-    parser.add_argument("--threads", type=int, help="worker cap (ROUGHPATH_THREADS fallback)")
+    parser.add_argument("--threads", type=int, help="wiener-mc worker cap (default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-path", help="generate a path CSV")

@@ -15,6 +15,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -48,7 +49,7 @@ class DiagnosticsReport:
     terms: np.ndarray
     partial_sums: np.ndarray
     verdict: str
-    rule: str = "4-level trend: fitted ratio < 0.95 converging; nondecreasing diverging"
+    rule: ClassVar[str] = "4-level trend: fitted ratio < 0.95 converging; nondecreasing diverging"
 
     def to_json(self) -> dict:
         return {

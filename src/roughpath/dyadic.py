@@ -22,7 +22,7 @@ class DyadicPath:
     library's own generators hand over the arrays they build read-only.
     """
 
-    __slots__ = ("resolution_level", "samples", "_grid", "_pyramid")
+    __slots__ = ("resolution_level", "samples", "_pyramid")
 
     def __init__(self, samples, resolution_level: int):
         if resolution_level < 1:
@@ -41,17 +41,12 @@ class DyadicPath:
         samples.flags.writeable = False
         self.resolution_level = resolution_level
         self.samples = samples
-        self._grid = None
         self._pyramid = None
 
     @property
     def grid(self) -> np.ndarray:
-        """The abscissae n * 2**-K (exact in binary floating point)."""
-        if self._grid is None:
-            g = np.linspace(0.0, 1.0, self.samples.size)
-            g.flags.writeable = False
-            self._grid = g
-        return self._grid
+        """The abscissae n * 2**-K (exact in binary floating point), a fresh array."""
+        return np.linspace(0.0, 1.0, self.samples.size)
 
     def eval(self, t):
         """Piecewise-linear value(s) at ``t``; exact at grid points.
@@ -79,11 +74,6 @@ class DyadicPath:
 
     def range(self) -> tuple[float, float]:
         return float(self.samples.min()), float(self.samples.max())
-
-    def shifted(self, c: float) -> "DyadicPath":
-        samples = self.samples + c
-        samples.flags.writeable = False
-        return DyadicPath(samples, self.resolution_level)
 
     def __repr__(self):
         return f"DyadicPath(K={self.resolution_level}, n={self.samples.size})"

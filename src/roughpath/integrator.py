@@ -19,7 +19,7 @@ truncation never pollutes the limit.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,17 +28,19 @@ from .dyadic import AveragePyramid, DyadicPath
 from .errors import BadExponents, BadInterval, LevelOutOfRange, NonFinite
 from .quadrature import refine_batch
 
+_DEPENDS_ON = ("both", "t_only", "x_only")
+
 
 @dataclass(frozen=True)
 class ScalarField:
     """Two-argument integrand f(t, x), with its time partial when known.
 
     ``evaluate`` must be vectorized over numpy arrays and broadcast (t, x).
-    ``depends_on`` marks the dependence class: 't_only' integrands need no
-    quadrature at all.  ``integrate`` takes no 'x_only' shortcut; the exact
-    reduction of an integrand f(x) to one definite integral between path
-    values is ``integrate_state_only``.  ``dt_partial`` feeds the Green route
-    of ``calculus``.
+    ``depends_on`` marks the dependence class, one of 'both', 't_only' and
+    'x_only': 't_only' integrands need no quadrature at all.  ``integrate``
+    takes no 'x_only' shortcut; the exact reduction of an integrand f(x) to
+    one definite integral between path values is ``integrate_state_only``.
+    ``dt_partial`` feeds the Green route of ``calculus``.
     """
 
     evaluate: callable
@@ -65,27 +67,26 @@ class ScalarField:
         """Time-only field that interpolates a sampled path."""
         return ScalarField.t_only(path.eval)
 
+    def __post_init__(self):
+        if self.depends_on not in _DEPENDS_ON:
+            raise ValueError(f"unknown depends_on {self.depends_on!r}; "
+                             f"expected one of {', '.join(map(repr, _DEPENDS_ON))}")
+
     def value_at_times(self, t: np.ndarray) -> np.ndarray:
         """f at the times ``t`` with x = 0, which a t_only field ignores."""
         return np.asarray(self.evaluate(t, np.broadcast_to(0.0, t.shape)), dtype=float)
 
-    def shifted_in_x(self, c: float) -> "ScalarField":
-        if c == 0.0:
-            return self
-        f = self.evaluate
-        dt = self.dt_partial
-        return replace(
-            self,
-            evaluate=lambda t, x: f(t, x + c),
-            dt_partial=None if dt is None else (lambda t, x: dt(t, x + c)),
-        )
+
+# The absolute quadrature tolerance per vertical: ``ConvergenceConfig``'s
+# default, and the one ``cumulative_increments`` and the Picard sweeps use.
+_QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class ConvergenceConfig:
     tol: float = 1e-8           # absolute level-to-level stopping tolerance
     min_level: int = 2
-    quad_tol: float = 1e-10     # absolute quadrature tolerance per vertical
+    quad_tol: float = _QUAD_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,45 +326,30 @@ def adversarial_integrand(
     return DyadicPath(f, K), float(predicted)
 
 
-def indefinite_integral(
-    field: ScalarField,
-    path: DyadicPath,
-    grid_level: int,
-    cfg: ConvergenceConfig | None = None,
-) -> np.ndarray:
+def indefinite_integral(field: ScalarField, path: DyadicPath, grid_level: int) -> np.ndarray:
     """The map t -> integral over [0, t] on the level-``grid_level`` grid.
 
     Increment integrals over consecutive grid cells are accumulated, so
     value(t2) - value(t1) agrees with ``integrate`` over [t1, t2] to within a
-    couple of tolerances.  Returns an array of (t, value) rows.
+    couple of quadrature tolerances.  Returns an array of (t, value) rows.
     """
-    cfg = cfg or ConvergenceConfig()
-    K = path.resolution_level
-    if grid_level > K - 2:
-        raise LevelOutOfRange("grid_level must be <= K - 2")
-    increments = cumulative_increments(field, path, 0.0, 1.0, grid_level, cfg)
+    increments = cumulative_increments(field, path, 0.0, 1.0, grid_level)
     t = np.linspace(0.0, 1.0, (1 << grid_level) + 1)
     values = np.concatenate([[0.0], np.cumsum(increments)])
     return np.column_stack([t, values])
 
 
-def cumulative_increments(
-    field: ScalarField,
-    path: DyadicPath,
-    a: float,
-    b: float,
-    grid_level: int,
-    cfg: ConvergenceConfig | None = None,
-) -> np.ndarray:
+def cumulative_increments(field: ScalarField, path: DyadicPath, a: float, b: float,
+                          grid_level: int) -> np.ndarray:
     """Closed staircase integrals over every level-``grid_level`` cell of [a, b].
 
-    [a, b] must lie exactly on the grid.  Every increment is a closed
-    staircase sum at the one level k = max(K - 2, grid_level + 1), and all
-    increments share that level's vertical-segment work in one pass; only
-    ``cfg.quad_tol`` is read from ``cfg``.
+    [a, b] must lie exactly on the grid and ``grid_level`` in 0 .. K - 2.
+    Every increment is a closed staircase sum at the one level
+    k = max(K - 2, grid_level + 1), and all increments share that level's
+    vertical-segment work in one pass, each vertical to the absolute
+    quadrature tolerance 1e-10.
     """
-    cfg = cfg or ConvergenceConfig()
-    return _skeleton_sum(_increment_skeleton(path, a, b, grid_level), field, cfg.quad_tol)
+    return _skeleton_sum(_increment_skeleton(path, a, b, grid_level), field, _QUAD_TOL)
 
 
 def _increment_skeleton(path: DyadicPath, a: float, b: float, grid_level: int) -> _Skeleton:
@@ -374,12 +360,12 @@ def _increment_skeleton(path: DyadicPath, a: float, b: float, grid_level: int) -
     """
     K = path.resolution_level
     G = grid_level
+    if not 0 <= G <= K - 2:
+        raise LevelOutOfRange(f"grid_level {G} not in [0, {K - 2}]")
     scale = float(1 << G)
     if not (0.0 <= a < b <= 1.0 and (a * scale).is_integer() and (b * scale).is_integer()):
         raise BadInterval(f"[{a}, {b}] must be aligned to the level-{G} grid")
     ia, ib = round(a * scale), round(b * scale)
-    if G + 1 > K - 1:
-        raise LevelOutOfRange("grid_level must leave at least one staircase level")
     stride = 1 << (K - G)
     g_at = path.samples[ia * stride : ib * stride + 1 : stride]
     k = max(K - 2, G + 1)

@@ -24,7 +24,7 @@ import numpy as np
 from .diagnostics import existence_report
 from .dyadic import DyadicPath, holder_seminorm
 from .errors import BadInterval, NonFiniteIterate, WindowUnderflow
-from .integrator import ConvergenceConfig, ScalarField, _increment_skeleton, _skeleton_sum
+from .integrator import _QUAD_TOL, ScalarField, _increment_skeleton, _skeleton_sum
 # Sweeps no longer call it, but bench/selftest.py looks it up on this module.
 from .integrator import cumulative_increments  # noqa: F401
 
@@ -127,10 +127,6 @@ class OdeSolution:
 
     def component(self, i: int = 0) -> np.ndarray:
         return self.y[i]
-
-
-# The per-vertical quadrature tolerance of ``cumulative_increments``'s default.
-_QUAD_TOL = ConvergenceConfig().quad_tol
 
 
 def picard_operator(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,7 +55,7 @@ class TestGreenEval:
 
     def test_nonzero_start_is_shifted(self):
         base = rp.gen_analytic("linear", 10)
-        lifted = base.shifted(2.0)
+        lifted = rp.DyadicPath(base.samples + 2.0, 10)
         res_base = rp.green_eval(rp.BUILTIN_FIELDS["x2"], base, 1.0)
         res = rp.green_eval(rp.BUILTIN_FIELDS["x2"], lifted, 1.0)
         # integral of x^2 dx from 2 to 3
@@ -78,6 +80,106 @@ class TestGreenEval:
             green = rp.green_eval(field, path, s).total
             parts = rp.integration_by_parts(field, path, s)
             assert abs(green - parts) <= 1e-13 * (1.0 + np.abs(path.samples).max())
+
+
+# Fields with a time partial, for the Green route on paths that start anywhere:
+# three builtins and the integrate-rough benchmark expression.
+GREEN_FIELDS = {
+    "tx": rp.BUILTIN_FIELDS["tx"],
+    "sin_t_x": rp.BUILTIN_FIELDS["sin_t_x"],
+    "t_plus_x2": rp.BUILTIN_FIELDS["t_plus_x2"],
+    "expr": rp.ScalarField(
+        evaluate=lambda t, x: np.sin(3.0 * t) * np.exp(-x * x) + t * x,
+        depends_on="both",
+        dt_partial=lambda t, x: 3.0 * np.cos(3.0 * t) * np.exp(-x * x) + x,
+    ),
+}
+# sup |dt_partial(t, x)| over t in [0, 1] and |x| <= m
+DT_PARTIAL_BOUND = {
+    "tx": lambda m: m,
+    "sin_t_x": lambda m: m,
+    "t_plus_x2": lambda m: 1.0,
+    "expr": lambda m: 3.0 + m,
+}
+
+
+def shift_and_wrap(field, path, s):
+    """The Green route as it was while it needed g(0) = 0: the path shifted to
+    start at 0 and the field read at x + g(0)."""
+    g0 = float(path.samples[0])
+    f, dt = field.evaluate, field.dt_partial
+    wrapped = rp.ScalarField(evaluate=lambda t, x: f(t, x + g0), depends_on=field.depends_on,
+                             dt_partial=lambda t, x: dt(t, x + g0))
+    return rp.green_eval(wrapped, rp.DyadicPath(path.samples - g0, path.resolution_level), s)
+
+
+def staircase_area_bound(path, s, k):
+    """An upper bound of the area between the path and the closed level-k
+    staircase that ``integrate`` sums over [0, s].
+
+    On each admitted cell the staircase sits at the cell average, inside the
+    range of the path's samples there; from the admitted cells' end t_end to
+    s it is the horizontal at g(s), inside the range of the samples on
+    [t_end, s].  Each piece adds its width times that range.
+    """
+    K = path.resolution_level
+    step = 1 << (K - k)
+    n_end = rp.index_range(0.0, s, k)[1] + 1
+    covered = path.samples[: n_end * step + 1]
+    cells = np.lib.stride_tricks.sliding_window_view(covered, step + 1)[::step]
+    area = float((cells.max(axis=1) - cells.min(axis=1)).sum()) * 2.0 ** -k
+    tail = path.samples[n_end * step : math.ceil(s * (1 << K)) + 1]
+    return area + (s - n_end * 2.0 ** -k) * float(tail.max() - tail.min())
+
+
+@st.composite
+def offset_green_cases(draw):
+    """A Brownian path with K <= 12 lifted by c in [-5, 5], a field and s on
+    or off the grid."""
+    K = draw(st.integers(5, 12))
+    base = rp.gen_brownian(K, draw(st.integers(0, 2**32 - 1)))
+    c = draw(st.floats(-5.0, 5.0))
+    if draw(st.booleans()):
+        s = draw(st.integers(1, 1 << K)) / (1 << K)
+    else:
+        s = draw(st.floats(1e-3, 1.0))
+    return rp.DyadicPath(base.samples + c, K), draw(st.sampled_from(sorted(GREEN_FIELDS))), s
+
+
+class TestGreenEvalFromAnyStart:
+    @settings(max_examples=80, deadline=None)
+    @given(offset_green_cases())
+    def test_matches_shifted_route_and_staircase(self, case):
+        path, name, s = case
+        field = GREEN_FIELDS[name]
+        got = rp.green_eval(field, path, s)
+        # The chord from (0, g(0)) gives the shifted route's value up to
+        # rounding: 1e-13 relative to the larger term, or to m * (1 + m)**2
+        # with m = max |g|.  That floor covers the slope (g(s) - g(0)) / s,
+        # whose rounding error of order eps * m / s the chord integral of f,
+        # up to s * (1 + m)**2, turns into an absolute error.
+        ref = shift_and_wrap(field, path, s)
+        m = float(np.abs(path.samples).max())
+        size = max(abs(ref.chord_term), abs(ref.area_term), m * (1.0 + m) ** 2)
+        for a, b in ((got.total, ref.total), (got.chord_term, ref.chord_term),
+                     (got.area_term, ref.area_term)):
+            assert abs(a - b) <= 1e-13 * size
+        # Green against the finest staircase level K - 2.  Both curves run from
+        # (0, g(0)) to (., g(s)) and horizontal stretches add nothing to
+        # f dx, so the two integrals differ by the integral of dt_partial over
+        # the region between them: at most sup |dt_partial| times its area.
+        # Each vertical adds its quadrature tolerance 1e-10; 1e-9 covers the
+        # Gauss rules of the Green route.  One level, not the level loop: off
+        # the grid, levels that end at the same cell can agree to rounding for
+        # a field linear in t, and the loop then stops before the finest level.
+        k = path.resolution_level - 2
+        if rp.index_range(0.0, s, k) is None:
+            return
+        direct = rp.integrate(field, path, 0.0, s, rp.ConvergenceConfig(min_level=k))
+        assert direct.levels == (k, k)
+        sup_dt = DT_PARTIAL_BOUND[name](m)
+        allowed = sup_dt * staircase_area_bound(path, s, k) + 1e-10 * (2**k + 2) + 1e-9
+        assert abs(direct.value - got.total) <= allowed
 
 
 class TestIntegrationByParts:
@@ -157,6 +259,21 @@ class TestItoCompare:
         paths = [rp.gen_brownian(14, 100 + i) for i in range(40)]
         rep = rp.ito_compare(lambda x: x, paths, fprime=lambda x: np.ones_like(x))
         assert rep["mean_abs_residual"] < 0.02
+
+    def test_takes_any_iterable_of_paths(self):
+        # a generator is read once, in order, and gives the list's report
+        seeds = range(7, 11)
+        listed = rp.ito_compare(lambda x: x * x, [rp.gen_brownian(8, i) for i in seeds])
+        streamed = rp.ito_compare(lambda x: x * x, (rp.gen_brownian(8, i) for i in seeds))
+        assert streamed["n_paths"] == 4
+        assert streamed["residuals"].tobytes() == listed["residuals"].tobytes()
+        assert {k: v for k, v in streamed.items() if k != "residuals"} == \
+            {k: v for k, v in listed.items() if k != "residuals"}
+
+    @pytest.mark.parametrize("paths", [[], iter(())], ids=["list", "generator"])
+    def test_no_paths_is_a_value_error(self, paths):
+        with pytest.raises(ValueError, match="at least one path"):
+            rp.ito_compare(lambda x: x, paths)
 
     def test_square_field_finite_difference(self):
         paths = [rp.gen_brownian(14, 50 + i) for i in range(10)]

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -570,15 +571,49 @@ class TestCliCommands:
             main(["--config", str(cfg), "gen-path", "--kind", "linear", "--K", "4",
                   "--out", str(tmp_path / "p.csv")])
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("ROUGHPATH_THREADS", "2")
-        code = main(["wiener-mc", "--k", "6", "--n-paths", "4", "--K", "12", "--seed", "1"])
-        assert code == 0
-        with_env = json.loads(capsys.readouterr().out)
-        monkeypatch.delenv("ROUGHPATH_THREADS")
-        main(["wiener-mc", "--k", "6", "--n-paths", "4", "--K", "12", "--seed", "1"])
-        without_env = json.loads(capsys.readouterr().out)
-        assert with_env == without_env
+    def test_threads_flag_and_config_key(self, tmp_path, monkeypatch, capsys):
+        # --threads and the config key reach wiener_ensemble as given; no count
+        # changes the report
+        seen = []
+
+        def recording(*args, threads=None):
+            seen.append(threads)
+            return rp.wiener_ensemble(*args, threads=threads)
+
+        monkeypatch.setattr(cli, "wiener_ensemble", recording)
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("threads = 2\n")
+        argv = ["wiener-mc", "--k", "6", "--n-paths", "4", "--K", "12", "--seed", "1"]
+        outs = set()
+        for prefix in ([], ["--threads", "1"], ["--threads", "-3"], ["--threads", "64"],
+                       ["--config", str(cfg)]):
+            assert main([*prefix, *argv]) == 0
+            outs.add(capsys.readouterr().out)
+        assert seen == [None, 1, -3, 64, 2]
+        assert len(outs) == 1
+
+    def test_ito_compare_holds_at_most_two_paths(self, tmp_path, monkeypatch, capsys):
+        class Tracked(rp.DyadicPath):
+            pass   # without __slots__, so it takes weak references
+
+        made, live_before = [], []
+
+        def tracked_brownian(K, seed):
+            live_before.append(sum(ref() is not None for ref in made))
+            path = Tracked(rp.gen_brownian(K, seed).samples, K)
+            made.append(weakref.ref(path))
+            return path
+
+        argv = ["ito-compare", "--K", "8", "--n-paths", "6", "--seed", "4"]
+        assert main([*argv, "--out", str(tmp_path / "a.csv")]) == 0
+        plain = capsys.readouterr().out
+        monkeypatch.setattr(cli, "gen_brownian", tracked_brownian)
+        assert main([*argv, "--out", str(tmp_path / "b.csv")]) == 0
+        assert len(made) == 6
+        # the previous path is still held while the next one is made, no more
+        assert max(live_before) == 1
+        assert capsys.readouterr().out == plain
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_reproduce_runs_criterion(self, capsys):
         code = main(["reproduce", "pyramid-exactness"])

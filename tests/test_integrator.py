@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roughpath as rp
+from roughpath import ode
 from roughpath.experiments import riemann_stieltjes_oracle
 
 
@@ -236,16 +237,21 @@ class TestIndefiniteIntegral:
 
     def test_additivity_against_integrate(self):
         path = rp.gen_analytic("square", 12)
-        cfg = rp.ConvergenceConfig(tol=1e-8)
-        curve = rp.indefinite_integral(rp.BUILTIN_FIELDS["sin_t_x"], path, 5, cfg)
+        curve = rp.indefinite_integral(rp.BUILTIN_FIELDS["sin_t_x"], path, 5)
         c = round(2.0**5 / 3.0) / 2.0**5  # grid point nearest 1/3
         i = int(round(c * 2.0**5))
-        part = rp.integrate(rp.BUILTIN_FIELDS["sin_t_x"], path, 0.0, c, cfg).value
+        part = rp.integrate(rp.BUILTIN_FIELDS["sin_t_x"], path, 0.0, c).value
         assert curve[i, 1] == pytest.approx(part, abs=2e-8)
 
     def test_grid_guard(self):
+        # levels 0 .. K - 2 only; a negative level is out of range too, not a
+        # numpy shift error
+        path = rp.gen_analytic("linear", 6)
+        for level in (5, -1):
+            with pytest.raises(rp.LevelOutOfRange):
+                rp.indefinite_integral(rp.BUILTIN_FIELDS["x"], path, level)
         with pytest.raises(rp.LevelOutOfRange):
-            rp.indefinite_integral(rp.BUILTIN_FIELDS["x"], rp.gen_analytic("linear", 6), 5)
+            rp.cumulative_increments(rp.BUILTIN_FIELDS["x"], path, 0.0, 1.0, -2)
 
     @pytest.mark.parametrize("a", [0.25 + 1e-10, float("nan")])
     def test_ends_off_the_grid_are_rejected(self, a):
@@ -389,3 +395,25 @@ class TestLevelKernelProperties:
         got = rp.staircase_integral(f, mirror.pyramid(), a, b, k, endpoint_values=(-ga, -gb))
         want = rp.staircase_integral(f_mirror, path.pyramid(), a, b, k, endpoint_values=(ga, gb))
         assert got == -want
+
+
+class TestDependsOn:
+    @pytest.mark.parametrize("typo", ["t-only", "x-only"])
+    def test_unknown_class_is_a_value_error(self, typo):
+        # a typo would otherwise take the quadrature route ('t-only') or make
+        # green_eval ask for a time partial ('x-only')
+        with pytest.raises(ValueError, match="'both', 't_only', 'x_only'"):
+            rp.ScalarField(evaluate=lambda t, x: t * x, depends_on=typo)
+
+    def test_every_library_field_constructs(self):
+        kinds = [f.depends_on for f in rp.BUILTIN_FIELDS.values()]
+        kinds += [rp.field_from_expression(e).depends_on for e in ("t*x", "t+1", "x**2", "2")]
+        kinds += [rp.ScalarField.t_only(np.cos, dt_partial=np.sin).depends_on,
+                  rp.ScalarField.x_only(np.cos).depends_on,
+                  rp.ScalarField.from_path(rp.gen_brownian(4, 0)).depends_on]
+        driver = rp.gen_brownian(6, 1)
+        for reads_driver in (False, True):
+            comp = ode.FieldComponent(lambda t, y, x: y[0] * x[0], reads_driver)
+            sf = ode._composed_field(comp, 0, lambda t: np.ones((1, np.size(t))), [driver], None)
+            kinds.append(sf.depends_on)
+        assert set(kinds) == {"both", "t_only", "x_only"}

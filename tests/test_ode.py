@@ -136,7 +136,7 @@ class TestSolve:
 
     def test_driver_shift_invariance(self):
         driver = rp.gen_brownian(12, 21)
-        shifted = driver.shifted(5.0)
+        shifted = rp.DyadicPath(driver.samples + 5.0, 12)
         cfg = rp.SolverConfig(tol=1e-9, grid_level=8, check_drivers=False)
         a = rp.solve(linear_problem(driver=driver, beta=0.6), cfg)
         b = rp.solve(linear_problem(driver=shifted, beta=0.6), cfg)
