@@ -24,8 +24,15 @@ from .errors import BadInterval, MissingDerivative
 from .integrator import ScalarField, integrate_state_only
 
 # A fixed rule per path cell with no error estimate; changing it would move the
-# ito-residual and wiener-constant numbers.
-_XI, _W = np.polynomial.legendre.leggauss(8)
+# ito-residual and wiener-constant numbers.  8-point Gauss-Legendre on [-1, 1],
+# bit for bit the values of numpy.polynomial.legendre.leggauss(8), written out
+# so that importing the package does not import numpy.polynomial.
+_XI = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                0.7966664774136267, 0.9602898564975362])
+_W = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+               0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+               0.22238103445337443, 0.10122853629037706])
 _CHUNK = 1 << 14
 _U = 0.5 * (1.0 + _XI)   # Gauss nodes on [0, 1]
 _FD_STEP = 1e-6

@@ -110,7 +110,11 @@ def _integrate(args):
         "level_values": [float(v) for v in result.level_values],
     }
     _emit(payload, args.json_out)
-    if not result.converged:
+    return _converged_or_3(result.converged)
+
+
+def _converged_or_3(converged: bool) -> int:
+    if not converged:
         print("integration did not converge within the resolved levels", file=sys.stderr)
         return 3
     return 0
@@ -125,8 +129,9 @@ def _green_check(args):
         "value_direct": direct.value,
         "value_green": green.total,
         "difference": direct.value - green.total,
+        "converged": bool(direct.converged),
     }, args.json_out)
-    return 0
+    return _converged_or_3(direct.converged)
 
 
 def _ito_compare(args):

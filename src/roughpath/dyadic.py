@@ -36,8 +36,7 @@ class DyadicPath:
             raise LengthMismatch(
                 f"need {expected} samples for K={resolution_level}, got {samples.size}"
             )
-        if not np.isfinite(samples).all():
-            raise NonFinite("path samples must be finite")
+        _require_finite(samples)
         samples.flags.writeable = False
         self.resolution_level = resolution_level
         self.samples = samples
@@ -77,6 +76,11 @@ class DyadicPath:
 
     def __repr__(self):
         return f"DyadicPath(K={self.resolution_level}, n={self.samples.size})"
+
+
+def _require_finite(samples: np.ndarray) -> None:
+    if not np.isfinite(samples).all():
+        raise NonFinite("path samples must be finite")
 
 
 class AveragePyramid:
@@ -135,25 +139,54 @@ class AveragePyramid:
 def average_pyramid(path: DyadicPath) -> AveragePyramid:
     """Exact average pyramid of the path's piecewise-linear interpolant."""
     K = path.resolution_level
-    with np.errstate(over="ignore", invalid="ignore"):
-        levels = _mean_levels(path.samples, K, lambda a, b: 0.5 * (a + b))
-    if not np.isfinite(levels[0][0]):
-        # a pair sum passed DBL_MAX, which takes samples above DBL_MAX/2 in
-        # size; an overflow anywhere reaches level 0 as inf or nan.  Halving
-        # first cannot overflow.  Below that bound no sum overflows and the
-        # halving is exact, so every other pyramid keeps the one-rounding form.
-        levels = _mean_levels(path.samples, K, lambda a, b: 0.5 * a + 0.5 * b)
+    levels = _empty_levels(K)
+    _mean_levels(path.samples, levels, np.empty(1 << (K - 1)))
     return AveragePyramid(levels, K)
 
 
-def _mean_levels(s: np.ndarray, K: int, mean) -> list[np.ndarray]:
-    """Levels 0 .. K-1 of pairwise means ``mean(a, b)`` over the samples."""
-    cur = mean(s[:-1], s[1:])  # level-K cell averages of the interpolant
-    levels: list[np.ndarray] = [np.empty(0)] * K
-    for k in range(K - 1, -1, -1):
-        cur = mean(cur[0::2], cur[1::2])
-        levels[k] = cur
-    return levels
+def _empty_levels(K: int) -> list[np.ndarray]:
+    """Levels 0 .. K-1 of 2**k values each, as views of one block of 2**K - 1."""
+    block = np.empty((1 << K) - 1)
+    return [block[(1 << k) - 1 : (2 << k) - 1] for k in range(K)]
+
+
+def _mean_levels(s: np.ndarray, levels: list[np.ndarray], scratch: np.ndarray) -> None:
+    """Write the pyramid of the samples ``s`` into ``levels[k]`` (2**k values each).
+
+    ``scratch`` holds 2**(K-1) values.  Level K-1 is the mean of the two
+    level-K cell averages mean(s[2i], s[2i+1]) and mean(s[2i+1], s[2i+2]),
+    with no array of length 2**K; each coarser level is the mean of its
+    children.  A mean is 0.5 * (a + b), one rounding, unless a pair sum
+    passed DBL_MAX, which takes samples above DBL_MAX/2 in size: an overflow
+    anywhere reaches level 0 as inf or nan, and then every level is built
+    again as 0.5 * a + 0.5 * b, which cannot overflow.  Below that bound no
+    sum overflows and the halving is exact, so every other pyramid keeps the
+    one-rounding form.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        _pairwise_means(s, levels, scratch, _sum_then_halve)
+    if not np.isfinite(levels[0][0]):
+        _pairwise_means(s, levels, scratch, _halve_then_sum)
+
+
+def _sum_then_halve(a, b, out):
+    np.add(a, b, out=out)
+    out *= 0.5
+
+
+def _halve_then_sum(a, b, out):
+    np.multiply(a, 0.5, out=out)
+    out += 0.5 * b
+
+
+def _pairwise_means(s, levels, scratch, mean) -> None:
+    top = levels[-1]
+    mean(s[0:-1:2], s[1::2], top)      # level-K cells 2i
+    mean(s[1::2], s[2::2], scratch)    # level-K cells 2i + 1
+    mean(top, scratch, top)
+    for k in range(len(levels) - 2, -1, -1):
+        child = levels[k + 1]
+        mean(child[0::2], child[1::2], levels[k])
 
 
 @dataclass(frozen=True)

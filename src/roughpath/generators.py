@@ -28,29 +28,46 @@ def gen_brownian(K: int, seed: int) -> DyadicPath:
     the samples for a given (K, seed) are those of the index-array form of
     the same recursion, bit for bit.
     """
+    _check_brownian_args(K, seed)
+    w = np.empty((1 << K) + 1)
+    _fill_brownian(w, seed, np.empty(1 << (K - 1)))
+    w.flags.writeable = False   # handed over without a copy
+    return DyadicPath(w, K)
+
+
+def _check_brownian_args(K: int, seed: int) -> None:
     if K < 1:
         raise ResolutionTooCoarse("K must be >= 1")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    n = 1 << K
-    w = np.zeros(n + 1)
-    w[n] = _level_normals(seed, 0, 1)[0]
+
+
+def _fill_brownian(w: np.ndarray, seed: int, z: np.ndarray) -> None:
+    """Write the bridge for ``seed`` into ``w`` (2**K + 1 samples) in place.
+
+    ``z`` is scratch of at least 2**(K-1) values: level j draws its normals
+    into ``z[:count]`` from the Philox stream keyed by (seed, j).
+    """
+    n = w.size - 1
+    K = n.bit_length() - 1
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+
+    def normals(level: int, count: int) -> np.ndarray:
+        key[1] = level
+        out = z[:count]
+        np.random.Generator(np.random.Philox(key=key)).standard_normal(out=out)
+        return out
+
+    w[0] = 0.0
+    w[n] = normals(0, 1)[0]
     for j in range(1, K + 1):
         step = 1 << (K - j)
         mid = w[step:n:2 * step]
         np.add(w[0 : n - step : 2 * step], w[2 * step :: 2 * step], out=mid)
         mid *= 0.5
-        z = _level_normals(seed, j, mid.size)
-        z *= 2.0 ** (-(j + 1) / 2)
-        mid += z
-    w.flags.writeable = False   # handed over without a copy
-    return DyadicPath(w, K)
-
-
-def _level_normals(seed: int, level: int, count: int) -> np.ndarray:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, level], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.standard_normal(count)
+        zj = normals(j, mid.size)
+        zj *= 2.0 ** (-(j + 1) / 2)
+        mid += zj
 
 
 def oscillation_levels(alpha: float, A: float, m_max: int) -> list[int]:

@@ -6,7 +6,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roughpath as rp
+from roughpath import calculus
 from roughpath.experiments import simpson_oracle
+
+
+def _gauss_legendre_8(digits: int):
+    """Nodes and weights of 8-point Gauss-Legendre on [-1, 1], in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    n = 8
+    with mpmath.workdps(digits):
+        p = lambda x: mpmath.legendre(n, x)
+        dp = lambda x: n * (x * mpmath.legendre(n, x) - mpmath.legendre(n - 1, x)) / (x * x - 1)
+        half = []
+        for i in range(1, n // 2 + 1):
+            x = mpmath.cos(mpmath.pi * (i - mpmath.mpf(1) / 4) / (n + mpmath.mpf(1) / 2))
+            for _ in range(30):   # Newton from the Tricomi guess
+                x -= p(x) / dp(x)
+            half.append(x)
+        nodes = sorted([-x for x in half] + half)
+        weights = [2 / ((1 - x * x) * dp(x) ** 2) for x in nodes]
+        return [float(x) for x in nodes], [float(w) for w in weights]
+
+
+class TestGaussRule:
+    def test_literals_are_numpys_leggauss(self):
+        # bit for bit, so every time integral keeps the values it had
+        xi, w = np.polynomial.legendre.leggauss(8)
+        assert calculus._XI.tobytes() == xi.tobytes()
+        assert calculus._W.tobytes() == w.tobytes()
+
+    def test_literals_match_mpmath(self):
+        # the nodes are within 1 ulp of their 40-digit values; leggauss's
+        # weights are up to 58 ulp (8e-16) off, which the literals keep
+        nodes, weights = _gauss_legendre_8(40)
+        np.testing.assert_array_max_ulp(calculus._XI, np.array(nodes), maxulp=1)
+        np.testing.assert_allclose(calculus._W, weights, rtol=0, atol=1e-15)
+        assert calculus._W.sum() == pytest.approx(2.0, abs=4e-16)
 
 
 class TestGreenEval:

@@ -366,10 +366,25 @@ class TestCliCommands:
         src = tmp_path / "p.csv"
         main(["gen-path", "--kind", "linear", "--K", "12", "--out", str(src)])
         capsys.readouterr()
-        code = main(["green-check", "--path", str(src), "--field", "tx"])
+        # the level changes of tx fall by 4 a level: 4.8e-7 and 1.2e-7 last at K = 12
+        code = main(["green-check", "--path", str(src), "--field", "tx", "--tol", "1e-6"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["difference"]) < 1e-6
+        assert payload["converged"] is True
+
+    def test_green_check_not_converged_exit_code(self, tmp_path, capsys):
+        # the same run at the default tol 1e-8 prints its result, then exits 3 as integrate does
+        src = tmp_path / "p.csv"
+        main(["gen-path", "--kind", "linear", "--K", "12", "--out", str(src)])
+        capsys.readouterr()
+        code = main(["green-check", "--path", str(src), "--field", "tx"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["converged"] is False
+        assert abs(payload["difference"]) < 1e-6
+        assert err == "integration did not converge within the resolved levels\n"
 
     def test_ito_compare(self, tmp_path, capsys):
         out = tmp_path / "res.csv"

@@ -1,7 +1,11 @@
+import concurrent.futures
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import roughpath as rp
 from roughpath import diagnostics
@@ -266,7 +270,7 @@ class TestWienerEnsemble:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(diagnostics, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(diagnostics, "_usable_cores", lambda: cores)
         got = rp.wiener_ensemble([6], 4, 12, seed=1, threads=10**6)
         assert sizes == ([cores] if cores > 1 else [])
@@ -275,3 +279,35 @@ class TestWienerEnsemble:
     def test_level_guard(self):
         with pytest.raises(rp.LevelOutOfRange):
             rp.wiener_ensemble([10], 2, 14, seed=1)
+
+    def test_path_argument_errors(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            rp.wiener_ensemble([0], 2, 6, seed=-1)
+        with pytest.raises(rp.ResolutionTooCoarse):
+            rp.wiener_ensemble([], 2, 0, seed=1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        K=st.integers(6, 10),
+        n_paths=st.one_of(st.sampled_from([1, 5, 7, 11, 13]), st.integers(1, 12)),
+        seed=st.one_of(st.integers(0, 1000), st.integers(2**64 - 20, 2**64 + 20)),
+        threads=st.sampled_from([1, 2, 3]),
+        data=st.data(),
+    )
+    def test_matches_fresh_paths(self, K, n_paths, seed, threads, data):
+        # one reused workspace per worker gives what a fresh path per seed
+        # gives, joined in seed order and reduced the same way; three cores
+        # are claimed so that threads=3 runs three chunks
+        k_list = data.draw(st.lists(st.integers(0, K - 6), min_size=1, max_size=3))
+        rows = [[rp.wiener_statistic(rp.gen_brownian(K, s).pyramid(), k) for k in k_list]
+                for s in range(seed, seed + n_paths)]
+        cols = np.array(rows).T
+        want = []
+        for k, col in zip(k_list, cols):
+            var = float(col.var(ddof=1)) if n_paths > 1 else 0.0
+            want.append({"k": k, "mean": float(col.mean()), "variance": var,
+                         "stderr": math.sqrt(var / n_paths) if n_paths > 1 else 0.0})
+        with mock.patch.object(diagnostics, "_usable_cores", lambda: 3):
+            got = rp.wiener_ensemble(k_list, n_paths, K, seed, threads=threads)
+        assert got == {"K": K, "n_paths": n_paths, "seed": seed,
+                       "target": rp.WIENER_CONSTANT, "levels": want}

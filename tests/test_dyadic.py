@@ -35,6 +35,41 @@ def paths_and_times(draw):
     return path, draw(t), draw(st.lists(t, max_size=50))
 
 
+def nested_means(s, K):
+    """Levels 0 .. K-1 as nested pairwise means over the level-K cells, as a
+    reference: 0.5 * (a + b), or 0.5 * a + 0.5 * b everywhere when the first
+    form overflows."""
+    for mean in (lambda a, b: 0.5 * (a + b), lambda a, b: 0.5 * a + 0.5 * b):
+        with np.errstate(over="ignore", invalid="ignore"):
+            cur = mean(s[:-1], s[1:])
+            levels = []
+            for _ in range(K):
+                cur = mean(cur[0::2], cur[1::2])
+                levels.insert(0, cur)
+        if np.isfinite(levels[0][0]):
+            break
+    return levels
+
+
+@st.composite
+def pyramid_samples(draw):
+    """(samples, K): any finite floats, values near +-DBL_MAX or moderate ones
+    at K 1..6, or a seeded uniform array scaled by DBL_MAX or 1 at K 1..12."""
+    big = np.finfo(float).max
+    if draw(st.booleans()):
+        K = draw(st.integers(1, 6))
+        value = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(-1e6, 1e6),
+            st.sampled_from([big, -big, np.nextafter(big / 2, big), big / 2, -0.0, 0.0]),
+        )
+        return np.array(draw(st.lists(value, min_size=(1 << K) + 1, max_size=(1 << K) + 1))), K
+    K = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    scale = draw(st.sampled_from([big, 1.0]))
+    return scale * rng.uniform(draw(st.sampled_from([-1.0, 0.4])), 1.0, (1 << K) + 1), K
+
+
 class TestBuildPath:
     def test_identity_path(self):
         path = rp.DyadicPath([0.0, 0.5, 1.0], 1)
@@ -152,6 +187,17 @@ class TestAveragePyramid:
         quarter = rp.DyadicPath(s / 4.0, 6).pyramid()
         for k in range(6):
             np.testing.assert_array_equal(pyr.level(k), 4.0 * quarter.level(k))
+
+    @settings(max_examples=150, deadline=None)
+    @given(pyramid_samples())
+    def test_matches_nested_means(self, case):
+        # the in-place kernel does the reference's roundings in its order,
+        # also where the one-rounding form overflows near DBL_MAX
+        s, K = case
+        pyr = rp.DyadicPath(s, K).pyramid()
+        want = nested_means(s, K)
+        for k in range(K):
+            assert pyr.level(k).tobytes() == want[k].tobytes(), k
 
     def test_sibling_gap_overflow_is_non_finite(self):
         # the averages DBL_MAX and -DBL_MAX/2 are finite, their gap is not

@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 
 import roughpath as rp
 from roughpath import generators
-from roughpath.generators import _level_normals
+
+
+def _level_normals(seed, level, count):
+    """``count`` fresh normals from the Philox stream keyed by (seed mod 2**64, level)."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, level], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal(count)
 
 
 def index_array_bridge(K, seed):
