@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import _cells_within
-from .dyadic import DyadicPath
+from .dyadic import DyadicPath, _cells_within
 from .errors import BadInterval, MissingDerivative
 from .integrator import ScalarField, integrate_state_only
 

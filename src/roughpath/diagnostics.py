@@ -18,7 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dyadic import AveragePyramid, _empty_levels, _mean_levels, _require_finite
+from .dyadic import AveragePyramid, _cells_within, _empty_levels, _mean_levels, _require_finite
 from .errors import BadExponents, BadInterval, LevelOutOfRange
 from .generators import _check_brownian_args, _fill_brownian
 
@@ -105,14 +105,6 @@ def existence_report(pyramid: AveragePyramid, beta: float) -> DiagnosticsReport:
 def base_level(a: float, b: float) -> int:
     """k0 with 2**-(k0+1) <= b - a <= 2**-(k0-1), taken as floor(log2(2/(b-a)))."""
     return math.floor(math.log2(2.0 / (b - a)) + 1e-12)
-
-
-def _cells_within(a: float, b: float, k: int) -> tuple[int, int]:
-    """Index range [c_lo, c_hi] of level-k cells fully inside [a, b]."""
-    scale = float(1 << k)
-    c_lo = math.ceil(a * scale - 4.0 * np.spacing(max(1.0, a * scale)))
-    c_hi = math.floor(b * scale + 4.0 * np.spacing(max(1.0, b * scale))) - 1
-    return c_lo, c_hi
 
 
 def gap_functional(

@@ -7,11 +7,12 @@ averages of that interpolant over the level-k dyadic cells; children average
 to their parent exactly, which every downstream diagnostic relies on.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadExponents, LengthMismatch, LevelOutOfRange, NonFinite
+from .errors import BadExponents, BadInterval, LengthMismatch, LevelOutOfRange, NonFinite
 
 
 class DyadicPath:
@@ -81,6 +82,31 @@ class DyadicPath:
 def _require_finite(samples: np.ndarray) -> None:
     if not np.isfinite(samples).all():
         raise NonFinite("path samples must be finite")
+
+
+def _cells_within(a: float, b: float, k: int) -> tuple[int, int]:
+    """Index range [c_lo, c_hi] of level-k cells fully inside [a, b]."""
+    scale = float(1 << k)
+    c_lo = math.ceil(a * scale - 4.0 * np.spacing(max(1.0, a * scale)))
+    c_hi = math.floor(b * scale + 4.0 * np.spacing(max(1.0, b * scale))) - 1
+    return c_lo, c_hi
+
+
+def _grid_span(a: float, b: float, k: int) -> tuple[int, int]:
+    """Indices (i, j) of a = i * 2**-k and b = j * 2**-k, which must sit exactly
+    on the level-k grid with 0 <= a < b <= 1."""
+    scale = float(1 << k)
+    if not (0.0 <= a < b <= 1.0 and (a * scale).is_integer() and (b * scale).is_integer()):
+        raise BadInterval(f"[{a}, {b}] must be aligned to the level-{k} grid")
+    return int(a * scale), int(b * scale)
+
+
+def _add_tents(w: np.ndarray, level: int, first: int, amplitudes: np.ndarray) -> None:
+    """Add to the path samples ``w`` one tent on each level-``level`` cell
+    first + c: zero at the cell's ends and ``amplitudes[c]`` at its midpoint."""
+    period = (w.size - 1) >> level       # samples per cell
+    cells = w[first * period : (first + amplitudes.size) * period].reshape(-1, period)
+    cells += amplitudes[:, None] * (1.0 - np.abs(2.0 * (np.arange(period) / period) - 1.0))
 
 
 class AveragePyramid:

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .dyadic import DyadicPath
+from .dyadic import DyadicPath, _add_tents
 from .errors import BadExponents, NonFinite, ResolutionTooCoarse
 
 
@@ -78,10 +78,10 @@ def oscillation_levels(alpha: float, A: float, m_max: int) -> list[int]:
 def gen_oscillatory(alpha: float, beta: float, A: float, m_max: int, K: int) -> DyadicPath:
     """High-frequency tent-packet path.
 
-    Packet m lives on [2**-m, 2**-m+1] and consists of 2**n_m congruent tents
-    of width 2**-(n_m+m) and height 2**-(n_m+m+1)*alpha, with n_m from
-    ``oscillation_levels``.  Tent signs are fixed to +1.  The path vanishes at
-    every grid point outside the packet supports.
+    Packet m lives on [2**-m, 2**-m+1] and consists of one tent of height
+    2**-(n_m+m+1)*alpha on each of its 2**n_m level-(n_m+m) cells, with n_m
+    from ``oscillation_levels``.  Tent signs are fixed to +1.  The path
+    vanishes at every grid point outside the packet supports.
     """
     if not (alpha > 0 and beta > 0 and alpha + beta < 1):
         raise BadExponents("need alpha, beta > 0 and alpha + beta < 1")
@@ -94,15 +94,9 @@ def gen_oscillatory(alpha: float, beta: float, A: float, m_max: int, K: int) -> 
     if K < needed:
         raise ResolutionTooCoarse(f"K={K} too coarse; need K >= {needed}")
     w = np.zeros((1 << K) + 1)
-    for m in range(1, m_max + 1):
-        kappa = n_m[m - 1] + m        # tent level: width 2**-kappa
-        height = 2.0 ** (-(kappa + 1) * alpha)
-        start = 1 << (K - m)          # grid index of 2**-m
-        stop = 1 << (K - m + 1)       # grid index of 2**-(m-1)
-        idx = np.arange(start, stop + 1)
-        period = 1 << (K - kappa)
-        phase = ((idx - start) % period) / period
-        w[idx] += height * (1.0 - np.abs(2.0 * phase - 1.0))
+    for m, n in enumerate(n_m, 1):
+        kappa = n + m                 # tent level; packet m is its cells 2**n .. 2**(n+1) - 1
+        _add_tents(w, kappa, 1 << n, np.full(1 << n, 2.0 ** (-(kappa + 1) * alpha)))
     w.flags.writeable = False
     return DyadicPath(w, K)
 
@@ -118,7 +112,8 @@ def gen_counterexample(alpha: float, beta: float, K: int) -> DyadicPath:
 
     Layer k > k0 places, on every level-k dyadic cell inside the geometric
     band J_k = [2**-k(1-gamma), 2**-(k-1)(1-gamma)] (gamma = alpha + beta), a
-    tent of height 2**-(k+1)*alpha on the first half of the cell.  Layers run
+    tent of height 2**-(k+1)*alpha on the first half of the cell, which is
+    the even level-(k+1) cell 2n inside level-k cell n.  Layers run
     to the finest level the grid can represent so every resolvable diagnostic
     level keeps receiving fresh oscillation.
     """
@@ -137,14 +132,9 @@ def gen_counterexample(alpha: float, beta: float, K: int) -> DyadicPath:
         m_hi = math.floor(right * scale + 1e-9) - 1
         if m_hi < m_lo:
             continue
-        height = 2.0 ** (-(k + 1) * alpha)
-        half = 1 << (K - k - 1)       # samples per half cell
-        quarter = 1 << (K - k - 2)
-        for m in range(m_lo, m_hi + 1):
-            base = m << (K - k)
-            ramp = np.arange(quarter + 1) / quarter
-            w[base : base + quarter + 1] = height * ramp
-            w[base + quarter : base + half + 1] = height * ramp[::-1]
+        heights = np.zeros(2 * (m_hi - m_lo + 1))
+        heights[::2] = 2.0 ** (-(k + 1) * alpha)
+        _add_tents(w, k + 1, 2 * m_lo, heights)
     w.flags.writeable = False
     return DyadicPath(w, K)
 

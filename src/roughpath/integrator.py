@@ -11,9 +11,9 @@ which evaluates one field on a skeleton.  ``staircase_integral`` builds and
 sums a one-block skeleton and ``cumulative_increments`` (behind
 ``indefinite_integral``) a many-block one; the Picard operator builds its
 window's skeletons once and sums every component's field on them.
-``integrate`` runs the one-block sum, closed to (g(a), g(b)), over levels
-until two consecutive differences fall under tolerance, so endpoint
-truncation never pollutes the limit.
+``integrate`` runs the one-block sum, closed to (g(a), g(b)) so endpoint
+truncation never pollutes the limit, over levels until two consecutive
+differences, of levels that move an end of their cells, fall under tolerance.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import _cells_within
-from .dyadic import AveragePyramid, DyadicPath
+from .dyadic import AveragePyramid, DyadicPath, _add_tents, _cells_within, _grid_span
 from .errors import BadExponents, BadInterval, LevelOutOfRange, NonFinite
 from .quadrature import refine_batch
 
@@ -237,8 +236,11 @@ def integrate(
 ) -> IntegralResult:
     """Run the staircase limit over levels min_level .. K-2.
 
-    Converged means two consecutive level differences below ``cfg.tol``.  The
-    result carries the per-level history.
+    Converged means two consecutive level differences below ``cfg.tol``.  A
+    level counts only when its admitted cells end somewhere other than the
+    previous level's, or reach a and b exactly: on equal cells a field linear
+    in t gives equal values whatever the limit.  The result carries the
+    per-level history.
     """
     cfg = cfg or ConvergenceConfig()
     if not (0.0 <= a < b <= 1.0):
@@ -253,14 +255,17 @@ def integrate(
     levels = []
     hits = 0
     converged = False
+    ends = None
     for k in range(max(cfg.min_level, 1), K - 1):
-        if index_range(a, b, k) is None:
+        rng = index_range(a, b, k)
+        if rng is None:
             continue
         v = staircase_integral(field, pyramid, a, b, k, tol=cfg.quad_tol,
                                endpoint_values=endpoints)
         values.append(v)
         levels.append(k)
-        if len(values) >= 2:
+        prev, ends = ends, (rng[0] * 2.0 ** -k, (rng[1] + 1) * 2.0 ** -k)
+        if len(values) >= 2 and (ends != prev or ends == (a, b)):
             hits = hits + 1 if abs(values[-1] - values[-2]) < cfg.tol else 0
             if hits >= 2:
                 converged = True
@@ -297,9 +302,10 @@ def adversarial_integrand(
 ) -> tuple[DyadicPath, float]:
     """Tent-sum integrand that extracts the weighted sibling-gap sums.
 
-    Level k < k_max contributes one tent per level-k cell, peaking at the cell
-    midpoint with amplitude 2**(-(k+1)beta) * sign(h[k+1][2n+1] - h[k+1][2n])
-    (zero on ties).  Its level-k_max staircase integral over [0, 1] equals
+    Level k < k_max contributes one tent per level-k cell, zero at the cell's
+    ends and peaking at its midpoint with amplitude
+    2**(-(k+1)beta) * sign(h[k+1][2n+1] - h[k+1][2n]) (zero on ties).  Its
+    level-k_max staircase integral over [0, 1] equals
 
         sum_{k=1}^{k_max-1} 2**(-(k+1)beta) * sum_n |h[k+1][2n+1] - h[k+1][2n]|
 
@@ -309,21 +315,14 @@ def adversarial_integrand(
         raise BadExponents("beta must lie in (0, 1)")
     if not 2 <= k_max <= pyramid.K - 2:
         raise LevelOutOfRange(f"k_max must lie in [2, {pyramid.K - 2}]")
-    K = pyramid.K
-    n_samples = (1 << K) + 1
-    f = np.zeros(n_samples)
-    idx = np.arange(n_samples)
+    f = np.zeros((1 << pyramid.K) + 1)
     predicted = 0.0
     for k in range(1, k_max):
         gaps = pyramid.child_gap(k)          # h[k+1][2n] - h[k+1][2n+1]
-        amp = 2.0 ** (-(k + 1) * beta) * np.sign(-gaps)
+        _add_tents(f, k, 0, 2.0 ** (-(k + 1) * beta) * np.sign(-gaps))
         predicted += 2.0 ** (-(k + 1) * beta) * np.abs(gaps).sum()
-        period = 1 << (K - k)
-        phase = (idx % period) / period
-        cell = np.minimum(idx >> (K - k), amp.size - 1)
-        f += amp[cell] * (1.0 - np.abs(2.0 * phase - 1.0))
     f.flags.writeable = False
-    return DyadicPath(f, K), float(predicted)
+    return DyadicPath(f, pyramid.K), float(predicted)
 
 
 def indefinite_integral(field: ScalarField, path: DyadicPath, grid_level: int) -> np.ndarray:
@@ -362,10 +361,7 @@ def _increment_skeleton(path: DyadicPath, a: float, b: float, grid_level: int) -
     G = grid_level
     if not 0 <= G <= K - 2:
         raise LevelOutOfRange(f"grid_level {G} not in [0, {K - 2}]")
-    scale = float(1 << G)
-    if not (0.0 <= a < b <= 1.0 and (a * scale).is_integer() and (b * scale).is_integer()):
-        raise BadInterval(f"[{a}, {b}] must be aligned to the level-{G} grid")
-    ia, ib = round(a * scale), round(b * scale)
+    ia, ib = _grid_span(a, b, G)
     stride = 1 << (K - G)
     g_at = path.samples[ia * stride : ib * stride + 1 : stride]
     k = max(K - 2, G + 1)

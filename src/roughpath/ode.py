@@ -4,8 +4,8 @@ irregular paths.
 Each sweep of the operator y -> y0 + integral of F(., y, x) dx is evaluated
 with the staircase machinery, component by component: for the j-th driver the
 integrand is F_ij with every argument except x_j frozen along the current
-iterate.  Windows are accepted on sup-norm contraction and chained; failure
-halves the window dyadically.
+iterate.  Windows are runs of whole grid cells, accepted on sup-norm
+contraction and chained; failure halves a window's cell count.
 
 On a window the staircase verticals depend only on the drivers, the window
 and the grid level, never on the iterate.  So each driver's skeleton, and
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import existence_report
-from .dyadic import DyadicPath, holder_seminorm
+from .dyadic import DyadicPath, _grid_span, holder_seminorm
 from .errors import BadInterval, NonFiniteIterate, WindowUnderflow
 from .integrator import _QUAD_TOL, ScalarField, _increment_skeleton, _skeleton_sum
 # Sweeps no longer call it, but bench/selftest.py looks it up on this module.
@@ -146,15 +146,15 @@ def picard_operator(
     staircase kernel as a field, summed on driver j's cached skeleton.
     """
     y_start = problem.y0 if y_start is None else np.asarray(y_start, dtype=float)
-    n_grid = round((b - a) * (1 << grid_level)) + 1
-    t_grid = a + np.arange(n_grid) * 2.0 ** -grid_level
-    if y_current.shape != (problem.F.m, n_grid):
+    ia, ib = _grid_span(a, b, grid_level)
+    t_grid = np.arange(ia, ib + 1) * 2.0 ** -grid_level
+    if y_current.shape != (problem.F.m, t_grid.size):
         raise BadInterval("iterate shape does not match the window grid")
 
     def y_at(t):
         return np.stack([np.interp(t, t_grid, row) for row in y_current])
 
-    out = np.repeat(y_start[:, None], n_grid, axis=1)
+    out = np.repeat(y_start[:, None], t_grid.size, axis=1)
     for j, (sk, x_at) in enumerate(_window_plan(problem, a, b, grid_level)):
         for i in range(problem.F.m):
             sf = _composed_field(problem.F.components[i][j], j, y_at, problem.drivers, x_at)
@@ -216,20 +216,23 @@ def _composed_field(comp: FieldComponent, j: int, y_at, drivers, x_at) -> Scalar
 def solve(problem: OdeProblem, cfg: SolverConfig | None = None) -> OdeSolution:
     """Window-chained Picard iteration from the constant start y0.
 
-    A window is accepted when the sup-norm change drops below tol with an
-    estimated contraction ratio below one; otherwise the window is halved
-    (dyadically) down to 2**-8.  Accepted windows feed their endpoint to the
-    next one.  The solution is ``converged`` when the post-hoc fixed-point
-    residual over the whole horizon is at most ``cfg.tol``.
+    The horizon must sit on the level-L solver grid, and a window is a run of
+    whole level-L cells.  A window is accepted when the sup-norm change drops
+    below tol with an estimated contraction ratio below one; otherwise its
+    cell count is halved, floored to whole cells, down to 2**-8 and one cell.
+    Accepted windows feed their endpoint to the next one.  The solution is
+    ``converged`` when the post-hoc fixed-point residual over the whole
+    horizon is at most ``cfg.tol``.
     """
     cfg = cfg or SolverConfig()
     K = min(d.resolution_level for d in problem.drivers)
     L = cfg.grid_level if cfg.grid_level is not None else K - 4
     if L < 1 or L > K - 2:
         raise BadInterval(f"solver grid level {L} incompatible with driver resolution {K}")
-    T = problem.horizon
-    if round(T * (1 << L)) != T * (1 << L):
-        raise BadInterval("horizon must sit on the solver grid")
+    try:
+        n = _grid_span(0.0, problem.horizon, L)[1]   # the horizon's level-L cells
+    except BadInterval:
+        raise BadInterval("horizon must sit on the solver grid") from None
     if cfg.check_drivers:
         for j, d in enumerate(problem.drivers):
             verdict = existence_report(d.pyramid(), problem.beta).verdict
@@ -239,39 +242,35 @@ def solve(problem: OdeProblem, cfg: SolverConfig | None = None) -> OdeSolution:
                     f"{verdict}; solving best-effort",
                     stacklevel=2,
                 )
-    t_all = np.linspace(0.0, T, round(T * (1 << L)) + 1)
-    y_all = np.zeros((problem.F.m, t_all.size))
-    y_all[:, 0] = problem.y0
+    t_all = np.linspace(0.0, problem.horizon, n + 1)
+    y_all = np.zeros((problem.F.m, n + 1))
     windows: list[dict] = []
-    t0 = 0.0
     y_start = problem.y0.copy()
-    window = T
-    while t0 < T - 1e-15:
-        t1 = min(t0 + window, T)
+    step = 2.0 ** -L
+    i0, width = 0, n        # the window is cells i0 .. i0 + width - 1, cut at n
+    while i0 < n:
+        i1 = min(i0 + width, n)
+        t0, t1 = i0 * step, i1 * step
         ok, y_win, iters, ratio = _picard_window(problem, y_start, t0, t1, L, cfg.tol)
         if not ok:
-            window *= 0.5
-            if window < max(_MIN_WINDOW, 2.0 ** -L):
-                raise WindowUnderflow(
-                    f"window shrank below {_MIN_WINDOW} at t = {t0} without contraction"
-                )
+            width //= 2
+            if width * step < max(_MIN_WINDOW, step):
+                raise WindowUnderflow(f"window shrank below {_MIN_WINDOW} at t = {t0} "
+                                      "without contraction")
             continue
-        i0 = round(t0 * (1 << L))
-        i1 = round(t1 * (1 << L))
         y_all[:, i0 : i1 + 1] = y_win
-        windows.append(
-            {"start": t0, "end": t1, "iterations": iters, "contraction_ratio": ratio}
-        )
+        windows.append({"start": t0, "end": t1, "iterations": iters,
+                        "contraction_ratio": ratio})
         y_start = y_win[:, -1].copy()
-        t0 = t1
-    residual = _fixed_point_residual(problem, t_all, y_all, L)
+        i0 = i1
+    residual = _fixed_point_residual(problem, y_all, L)
     return OdeSolution(t=t_all, y=y_all, windows=windows, residual=residual,
                        converged=residual <= cfg.tol)
 
 
 def _picard_window(problem, y_start, a, b, L, tol):
-    n_grid = round((b - a) * (1 << L)) + 1
-    y = np.repeat(np.asarray(y_start, dtype=float)[:, None], n_grid, axis=1)
+    ia, ib = _grid_span(a, b, L)
+    y = np.repeat(np.asarray(y_start, dtype=float)[:, None], ib - ia + 1, axis=1)
     changes: list[float] = []
     for it in range(1, _MAX_PICARD + 1):
         y_new = picard_operator(problem, y, a, b, L, y_start=y_start)
@@ -298,10 +297,9 @@ def _contraction_ratio(changes):
     return float(np.mean(pairs))
 
 
-def _fixed_point_residual(problem, t_all, y_all, L):
+def _fixed_point_residual(problem, y_all, L):
     """Post-hoc defect max_t |y(t) - y0 - integral of F dx over [0, t]|."""
-    check = picard_operator(problem, y_all, float(t_all[0]), float(t_all[-1]), L,
-                            y_start=problem.y0)
+    check = picard_operator(problem, y_all, 0.0, problem.horizon, L, y_start=problem.y0)
     return float(np.abs(check - y_all).max())
 
 
@@ -323,11 +321,8 @@ def continuity_experiment(
         for da, db in zip(problem_a.drivers, problem_b.drivers)
     )
     holder_x = max(
-        holder_seminorm(
-            DyadicPath(da.samples - db.samples, da.resolution_level), problem_a.beta
-        ).seminorm_lower_bound
-        if np.any(da.samples != db.samples)
-        else 0.0
+        holder_seminorm(DyadicPath(da.samples - db.samples, da.resolution_level),
+                        problem_a.beta).seminorm_lower_bound
         for da, db in zip(problem_a.drivers, problem_b.drivers)
     )
     y0_dist = float(np.abs(problem_a.y0 - problem_b.y0).max())
@@ -341,10 +336,10 @@ def continuity_experiment(
 
 
 def _difference_path(sol_a: OdeSolution, sol_b: OdeSolution, beta: float) -> float:
+    """Hölder lower bound of y_a - y_b held at its last value from the horizon
+    to t = 1: a path on the level grid of [0, 1] with the same seminorm."""
     diff = sol_a.y[0] - sol_b.y[0]
-    if not np.any(diff):
-        return 0.0
-    level = int(np.log2(sol_a.t.size - 1))
-    if sol_a.t[-1] == 1.0:
-        return holder_seminorm(DyadicPath(diff, level), beta).seminorm_lower_bound
-    return float(np.abs(diff).max() / (sol_a.t[-1] - sol_a.t[0]) ** beta)
+    level = int(-np.log2(sol_a.t[1]))     # t[1] = 2**-L exactly
+    full = np.full((1 << level) + 1, diff[-1])
+    full[: diff.size] = diff
+    return holder_seminorm(DyadicPath(full, level), beta).seminorm_lower_bound

@@ -15,3 +15,8 @@ def test_criterion(name):
     print(experiments.format_result(result))
     assert result.runtime_s < result.budget_s, f"{name} exceeded its runtime budget"
     assert result.passed, experiments.format_result(result)
+
+
+def test_unknown_criterion_is_a_key_error():
+    with pytest.raises(KeyError, match="unknown criterion 'nope'"):
+        experiments.run_criterion("nope")

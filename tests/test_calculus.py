@@ -244,6 +244,17 @@ class TestIntegrationByParts:
         with pytest.raises(rp.BadInterval):
             rp.integration_by_parts(rp.BUILTIN_FIELDS["tx"], rp.gen_analytic("linear", 8), 1.0)
 
+    def test_requires_the_derivative(self):
+        with pytest.raises(rp.MissingDerivative):
+            rp.integration_by_parts(rp.ScalarField.t_only(np.sin), rp.gen_analytic("linear", 8),
+                                    1.0)
+
+    @pytest.mark.parametrize("s", [0.0, 1.5])
+    def test_bad_s(self, s):
+        field = rp.ScalarField.t_only(np.sin, dt_partial=np.cos)
+        with pytest.raises(rp.BadInterval, match="s must lie"):
+            rp.integration_by_parts(field, rp.gen_analytic("linear", 8), s)
+
 
 class TestItoReference:
     def test_constant_integrand_exact(self):
@@ -281,6 +292,21 @@ class TestItoReference:
         path = rp.gen_analytic("linear", 10)
         got = rp.ito_reference(lambda x: np.ones_like(x), path, 0.3, level=4)
         assert got == pytest.approx(0.3, abs=1e-12)
+
+    def test_unknown_variant(self):
+        with pytest.raises(ValueError, match="unknown variant"):
+            rp.ito_reference(np.sin, rp.gen_analytic("linear", 8), 1.0, variant="midpoint")
+
+    @pytest.mark.parametrize("level", [-1, 9])
+    def test_bad_level(self, level):
+        # the cell walk takes levels 0 .. K
+        with pytest.raises(rp.BadInterval, match="discretization level"):
+            rp.ito_reference(np.sin, rp.gen_analytic("linear", 8), 1.0, level=level)
+
+    @pytest.mark.parametrize("s", [0.0, -0.25, 1.5])
+    def test_bad_s(self, s):
+        with pytest.raises(rp.BadInterval, match="s must lie"):
+            rp.ito_reference(np.sin, rp.gen_analytic("linear", 8), s)
 
 
 class TestItoCompare:

@@ -59,6 +59,18 @@ class TestPathCsv:
         with pytest.raises(rp.SchemaError):
             read_path_csv(fname)
 
+    def test_malformed_body_rejected(self, tmp_path):
+        fname = tmp_path / "bad.csv"
+        fname.write_text("t,value\n0,0\n0.5,abc\n1,2\n")
+        with pytest.raises(rp.SchemaError, match="malformed CSV body"):
+            read_path_csv(fname)
+
+    def test_three_columns_rejected(self, tmp_path):
+        fname = tmp_path / "bad.csv"
+        fname.write_text("t,value\n0,0,0\n0.5,1,1\n1,2,2\n")
+        with pytest.raises(rp.SchemaError, match="exactly two columns"):
+            read_path_csv(fname)
+
     def test_nan_time_rejected(self, tmp_path):
         fname = tmp_path / "bad.csv"
         fname.write_text("t,value\n0,0\nnan,1\n1,2\n")
@@ -193,6 +205,16 @@ class TestFieldExpressions:
     def test_rejects_calls_outside_whitelist(self):
         with pytest.raises(rp.SchemaError):
             field_from_expression("__import__('os')")
+
+    @pytest.mark.parametrize("expr", ["x if t else 1", "x < t", "[x]", "x % 2", "'x'"])
+    def test_rejects_unsupported_syntax(self, expr):
+        with pytest.raises(rp.SchemaError, match="unsupported syntax"):
+            field_from_expression(expr)
+
+    def test_unary_plus_is_the_operand(self):
+        t, x = np.array([0.5, 1.0]), np.array([-2.0, 3.0])
+        assert np.array_equal(field_from_expression("+x*t").evaluate(t, x), x * t)
+        assert np.array_equal(field_from_expression("-(+x)").evaluate(t, x), -x)
 
     @pytest.mark.parametrize("expr", ["0+" + "-" * 1000 + "x", "0+" + "-" * 50000 + "x",
                                       "+".join(["x"] * 300), "x*1." + "0" * 2000])
@@ -534,6 +556,12 @@ class TestCliCommands:
         with pytest.raises(SystemExit) as exc:
             main(["--config", str(cfg), *argv])
         assert exc.value.code == 2
+
+    def test_config_line_without_equals_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 11\nthreads 4\n")
+        with pytest.raises(rp.SchemaError, match="line 2: expected key = value"):
+            read_flat_config(cfg)
 
     def test_config_comments_stop_at_quoted_values(self, tmp_path):
         cfg = tmp_path / "run.cfg"

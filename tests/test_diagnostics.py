@@ -128,11 +128,21 @@ class TestGapFunctional:
         with pytest.raises(rp.BadInterval):
             rp.gap_functional(constant_pyramid(), 0.5, 0.5, 0.5)
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_bad_beta(self, beta):
+        with pytest.raises(rp.BadExponents):
+            rp.gap_functional(constant_pyramid(), 0.0, 1.0, beta)
+
 
 class TestScalingNorm:
     def test_constant_zero(self):
         est = rp.scaling_norm(constant_pyramid(), 0.5, 0.5)
         assert est.value == 0.0
+
+    @pytest.mark.parametrize("beta, gamma", [(0.0, 0.5), (0.5, 0.0), (-0.1, 0.5)])
+    def test_bad_exponents(self, beta, gamma):
+        with pytest.raises(rp.BadExponents):
+            rp.scaling_norm(constant_pyramid(), beta, gamma)
 
     def test_dominates_full_interval_ratio(self):
         pyr = rp.gen_brownian(12, 21).pyramid()
@@ -180,6 +190,20 @@ class TestOperatorTailConstant:
 class TestQuadraticGapSum:
     def test_constant_zero(self):
         assert rp.quadratic_gap_sum(constant_pyramid(), 0.0, 1.0, 3) == 0.0
+
+    def test_bad_interval(self):
+        with pytest.raises(rp.BadInterval):
+            rp.quadratic_gap_sum(constant_pyramid(), 0.6, 0.4, 3)
+
+    @pytest.mark.parametrize("k", [-1, 9])
+    def test_bad_level(self, k):
+        with pytest.raises(rp.LevelOutOfRange):
+            rp.quadratic_gap_sum(constant_pyramid(K=10), 0.0, 1.0, k)
+
+    def test_no_cell_inside_is_zero(self):
+        # no level-3 cell fits in [0.3, 0.4]
+        pyr = rp.gen_brownian(10, 1).pyramid()
+        assert rp.quadratic_gap_sum(pyr, 0.3, 0.4, 3) == 0.0
 
     def test_linear_closed_form(self):
         pyr = rp.gen_analytic("linear", 12).pyramid()

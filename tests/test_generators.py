@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,6 +100,23 @@ class TestOscillatory:
         with pytest.raises(rp.BadExponents):
             rp.gen_oscillatory(0.6, 0.6, 0.0, 1, 12)
 
+    def test_no_packet(self):
+        with pytest.raises(ValueError, match="m_max"):
+            rp.gen_oscillatory(0.3, 0.3, 0.0, 0, 12)
+
+    @pytest.mark.parametrize("alpha, A, m_max", [(0.45, 0.0, 1), (0.3, 0.5, 3), (0.2, 1.3, 2)])
+    def test_samples_equal_the_phase_formula(self, alpha, A, m_max):
+        # each grid point of packet m takes its tent from its phase in the tent's cell
+        K = rp.oscillation_levels(alpha, A, m_max)[-1] + m_max + 3
+        w = np.zeros((1 << K) + 1)
+        for m, n in enumerate(rp.oscillation_levels(alpha, A, m_max), 1):
+            idx = np.arange(1 << (K - m), (1 << (K - m + 1)) + 1)
+            period = 1 << (K - n - m)
+            phase = ((idx - idx[0]) % period) / period
+            w[idx] += 2.0 ** (-(n + m + 1) * alpha) * (1.0 - np.abs(2.0 * phase - 1.0))
+        got = rp.gen_oscillatory(alpha, 0.1, A, m_max, K).samples
+        assert got.tobytes() == w.tobytes()
+
     @pytest.mark.parametrize("A", [-1.0, float("inf"), float("nan")])
     def test_bad_offset(self, A):
         with pytest.raises(ValueError):
@@ -132,6 +151,23 @@ class TestCounterexample:
     def test_resolution_guard(self):
         with pytest.raises(rp.ResolutionTooCoarse):
             rp.gen_counterexample(0.3, 0.3, 8)
+
+    @pytest.mark.parametrize("alpha, beta, K", [(0.3, 0.3, 12), (0.45, 0.45, 16), (0.1, 0.3, 14)])
+    def test_samples_equal_the_half_cell_ramps(self, alpha, beta, K):
+        # layer k raises then lowers a ramp over the first half of each of
+        # its level-k cells inside the band J_k
+        gamma = alpha + beta
+        w = np.zeros((1 << K) + 1)
+        for k in range(generators.counterexample_base_level(alpha, beta) + 1, K - 1):
+            m_lo = math.ceil(2.0 ** (-k * (1.0 - gamma)) * (1 << k) - 1e-9)
+            m_hi = math.floor(2.0 ** (-(k - 1) * (1.0 - gamma)) * (1 << k) + 1e-9) - 1
+            quarter = 1 << (K - k - 2)
+            ramp = 2.0 ** (-(k + 1) * alpha) * (np.arange(quarter + 1) / quarter)
+            for m in range(m_lo, m_hi + 1):
+                base = m << (K - k)
+                w[base : base + quarter + 1] = ramp
+                w[base + quarter : base + 2 * quarter + 1] = ramp[::-1]
+        assert rp.gen_counterexample(alpha, beta, K).samples.tobytes() == w.tobytes()
 
     def test_partial_sums_strictly_increase(self):
         path = rp.gen_counterexample(0.3, 0.3, 16)

@@ -35,6 +35,10 @@ class TestIndexRange:
         with pytest.raises(rp.BadInterval):
             rp.index_range(0.7, 0.2, 3)
 
+    def test_level_below_one(self):
+        with pytest.raises(rp.LevelOutOfRange, match="k >= 1"):
+            rp.index_range(0.0, 1.0, 0)
+
 
 class TestStaircaseIntegral:
     def test_constant_field_telescopes(self):
@@ -78,6 +82,11 @@ class TestStaircaseIntegral:
         pyr = rp.gen_analytic("linear", 6).pyramid()
         with pytest.raises(rp.LevelOutOfRange):
             rp.staircase_integral(rp.BUILTIN_FIELDS["x"], pyr, 0.0, 1.0, 6)
+
+    def test_no_parent_cell_fits(self):
+        pyr = rp.gen_analytic("linear", 8).pyramid()
+        with pytest.raises(rp.BadInterval, match="no level-4 parent cell"):
+            rp.staircase_integral(rp.BUILTIN_FIELDS["x"], pyr, 0.3, 0.3 + 2.0**-6, 4)
 
 
 class TestIntegrate:
@@ -147,6 +156,18 @@ class TestIntegrate:
                            rp.ConvergenceConfig(tol=1e-14))
         assert not res.converged
         assert np.isfinite(res.value)
+
+    def test_equal_cell_ends_are_no_evidence(self):
+        # levels 3 to 5 admit cells that all end at 1/4, so for this field,
+        # linear in t, their values agree to rounding; they used to count as
+        # two small differences and stop the loop 1.4e-2 from the limit
+        path = rp.gen_brownian(10, 1)
+        field = rp.BUILTIN_FIELDS["t_plus_x2"]
+        res = rp.integrate(field, path, 0.0, 0.3)
+        assert res.levels == (3, 8)
+        assert np.ptp(res.level_values[:3]) < 1e-15
+        assert not res.converged
+        assert abs(res.value - rp.green_eval(field, path, 0.3).total) < 2e-4
 
     def test_min_resolution_guard(self):
         with pytest.raises(rp.LevelOutOfRange):
@@ -220,6 +241,26 @@ class TestAdversarialIntegrand:
         pyr = rp.gen_brownian(8, 0).pyramid()
         with pytest.raises(rp.LevelOutOfRange):
             rp.adversarial_integrand(pyr, 0.5, 7)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, -0.5])
+    def test_bad_beta(self, beta):
+        with pytest.raises(rp.BadExponents):
+            rp.adversarial_integrand(rp.gen_brownian(8, 0).pyramid(), beta, 4)
+
+    @pytest.mark.parametrize("K, k_max", [(6, 2), (9, 5), (12, 10)])
+    def test_samples_equal_the_whole_path_tent_sum(self, K, k_max):
+        # every grid point takes its level-k cell's tent from its phase in the
+        # cell, for k < k_max, added level by level
+        pyr = rp.gen_brownian(K, K).pyramid()
+        f = np.zeros((1 << K) + 1)
+        idx = np.arange(f.size)
+        for k in range(1, k_max):
+            amp = 2.0 ** (-(k + 1) * 0.3) * np.sign(-pyr.child_gap(k))
+            period = 1 << (K - k)
+            cell = np.minimum(idx >> (K - k), amp.size - 1)
+            f += amp[cell] * (1.0 - np.abs(2.0 * ((idx % period) / period) - 1.0))
+        got, _ = rp.adversarial_integrand(pyr, 0.3, k_max)
+        assert got.samples.tobytes() == f.tobytes()
 
 
 class TestIndefiniteIntegral:
@@ -417,3 +458,32 @@ class TestDependsOn:
             sf = ode._composed_field(comp, 0, lambda t: np.ones((1, np.size(t))), [driver], None)
             kinds.append(sf.depends_on)
         assert set(kinds) == {"both", "t_only", "x_only"}
+
+
+@st.composite
+def green_cases(draw):
+    """A path at K 8..14, a field with a time partial, b on or off the grid, a tol."""
+    K = draw(st.integers(8, 14))
+    if draw(st.booleans()):
+        path = rp.gen_brownian(K, draw(st.integers(0, 2**16)))
+    else:
+        path = rp.gen_analytic(draw(st.sampled_from(("linear", "square", "sine"))), K)
+    if draw(st.booleans()):
+        G = draw(st.integers(4, K - 3))
+        b = draw(st.integers(1 << (G - 4), 1 << G)) / 2.0**G
+    else:
+        b = draw(st.floats(0.0625, 1.0))
+    field = rp.BUILTIN_FIELDS[draw(st.sampled_from(("tx", "sin_t_x", "t_plus_x2")))]
+    return path, field, b, draw(st.sampled_from((1e-8, 1e-6, 1e-4)))
+
+
+class TestConvergenceIsSound:
+    @settings(max_examples=80, deadline=None)
+    @given(green_cases())
+    def test_converged_value_is_within_ten_tol_of_the_green_value(self, case):
+        # the Green route integrates the interpolant on [0, b] cell by cell,
+        # independently of the staircase
+        path, field, b, tol = case
+        res = rp.integrate(field, path, 0.0, b, rp.ConvergenceConfig(tol=tol))
+        if res.converged:
+            assert abs(res.value - rp.green_eval(field, path, b).total) <= 10 * tol

@@ -9,12 +9,13 @@ import roughpath as rp
 from roughpath import integrator, ode
 
 
-def linear_problem(K=14, beta=0.9, driver=None):
+def linear_problem(K=14, beta=0.9, driver=None, horizon=1.0):
     return rp.OdeProblem(
         F=rp.MatrixField.linear_in_y(),
         drivers=[driver or rp.gen_analytic("linear", K)],
         y0=np.array([1.0]),
         beta=beta,
+        horizon=horizon,
     )
 
 
@@ -97,6 +98,47 @@ class TestMatrixField:
 
 
 class TestSolve:
+    def test_dimension_mismatch(self):
+        with pytest.raises(rp.BadInterval, match="dimension mismatch"):
+            rp.OdeProblem(F=rp.MatrixField.linear_in_y(), drivers=[rp.gen_brownian(8, 1)],
+                          y0=np.array([1.0, 2.0]), beta=0.5)
+
+    @pytest.mark.parametrize("horizon", [0.0, -0.5, 1.5])
+    def test_horizon_outside_the_unit_interval(self, horizon):
+        with pytest.raises(rp.BadInterval, match="horizon must lie in"):
+            linear_problem(K=8, horizon=horizon)
+
+    @pytest.mark.parametrize("L", [0, 7])
+    def test_grid_level_incompatible_with_the_drivers(self, L):
+        with pytest.raises(rp.BadInterval, match="incompatible with driver resolution 8"):
+            rp.solve(linear_problem(K=8), rp.SolverConfig(grid_level=L, check_drivers=False))
+
+    def test_horizon_off_the_grid(self):
+        with pytest.raises(rp.BadInterval, match="horizon must sit on the solver grid"):
+            rp.solve(linear_problem(K=10, horizon=0.3),
+                     rp.SolverConfig(grid_level=6, check_drivers=False))
+
+    def test_window_halving_floors_to_whole_cells(self):
+        # 12 cells halve to 6, 3 and then 1, never to the 1.5 cells of
+        # [0, 0.09375]; the window then underflows at t = 1/16, as with horizon 1
+        F = rp.MatrixField.scalar(lambda t, y, x: 4.0 * y[0])
+        cfg = rp.SolverConfig(grid_level=4, check_drivers=False)
+        for horizon in (0.75, 1.0):
+            problem = rp.OdeProblem(F=F, drivers=[rp.gen_brownian(12, 3)], y0=np.array([1.0]),
+                                    beta=0.5, horizon=horizon)
+            with pytest.raises(rp.WindowUnderflow, match="at t = 0.0625 without"):
+                rp.solve(problem, cfg)
+
+    def test_any_horizon_on_the_grid(self):
+        # 40 level-6 cells: the solution grid and windows end at 5/8
+        sol = rp.solve(linear_problem(K=12, horizon=0.625),
+                       rp.SolverConfig(tol=1e-9, grid_level=6, check_drivers=False))
+        assert sol.t.tolist() == [i / 64 for i in range(41)]
+        assert sol.windows[0]["start"] == 0.0
+        assert sol.windows[-1]["end"] == 0.625
+        assert sol.converged
+        assert np.abs(sol.component() - np.exp(sol.t)).max() < 1e-4
+
     def test_exponential_solution(self):
         sol = rp.solve(linear_problem(K=16), rp.SolverConfig(tol=1e-10, grid_level=12))
         assert np.abs(sol.component() - np.exp(sol.t)).max() < 1e-6
@@ -292,6 +334,32 @@ class TestContinuity:
         assert rep["output_distance"]["sup"] <= 3.0 * eps
         assert rep["output_distance"]["sup"] > 0
 
+    def test_constant_difference_has_zero_holder_distance(self):
+        # on [0, 1/2] the solutions differ by the constant y0 gap, whose
+        # Hölder seminorm is 0; sup |dy| / T**beta is not a seminorm
+        cfg = rp.SolverConfig(grid_level=6, check_drivers=False)
+        problems = [rp.OdeProblem(F=rp.MatrixField.constant(1.0), drivers=[rp.gen_brownian(10, 4)],
+                                  y0=np.array([y0]), beta=0.5, horizon=0.5) for y0 in (1.0, 1.1)]
+        rep = rp.continuity_experiment(*problems, cfg)
+        assert rep["output_distance"]["sup"] == pytest.approx(0.1)
+        assert rep["output_distance"]["holder_beta"] == 0.0
+
+    @pytest.mark.parametrize("horizon", [0.5, 0.25])
+    def test_holder_distance_below_full_horizon(self, horizon):
+        # the distance is the scan of the difference held at its last value
+        # to t = 1, so it bounds every adjacent quotient on the grid
+        L, beta = 8, 0.6
+        base = linear_problem(K=12, beta=beta, horizon=horizon)
+        bumped = linear_problem(K=12, beta=beta, horizon=horizon,
+                                driver=rp.gen_analytic(lambda t: t + 0.05 * np.sin(40 * t), 12))
+        rep = rp.continuity_experiment(base, bumped, rp.SolverConfig(tol=1e-10, grid_level=L))
+        sol_a, sol_b = rep["solutions"]
+        diff = sol_a.y[0] - sol_b.y[0]
+        held = np.concatenate([diff, np.full((1 << L) + 1 - diff.size, diff[-1])])
+        want = rp.holder_seminorm(rp.DyadicPath(held, L), beta).seminorm_lower_bound
+        assert rep["output_distance"]["holder_beta"] == want
+        assert want >= np.abs(np.diff(diff)).max() * 2.0 ** (L * beta)
+
     def test_perturbation_sweep_is_linear(self):
         cfg = rp.SolverConfig(tol=1e-10, grid_level=8)
         ratios = []
@@ -410,7 +478,8 @@ class TestSweepsMatchTheReference:
             assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=15, deadline=None)
-    @given(system=systems((0.25, 4.0)), horizon=st.sampled_from((1.0, 0.5)), data=st.data())
+    @given(system=systems((0.25, 4.0)), horizon=st.sampled_from((1.0, 0.5, 0.75)),
+           data=st.data())
     def test_solve(self, system, horizon, data):
         # F = 4 y-type fields fail on the whole horizon and halve the window,
         # so windows with one start and different ends both get plans
