@@ -230,9 +230,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--field", required=True, help="builtin name or expression in t, x")
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--min-level", type=int, default=2)
-    p.add_argument("--quad-tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=ConvergenceConfig.tol)
+    p.add_argument("--min-level", type=int, default=ConvergenceConfig.min_level)
+    p.add_argument("--quad-tol", type=float, default=ConvergenceConfig.quad_tol)
     p.add_argument("--json-out")
     p.set_defaults(fn=_integrate)
 
@@ -240,7 +240,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--path", required=True)
     p.add_argument("--field", required=True)
     p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=ConvergenceConfig.tol)
     p.add_argument("--json-out")
     p.set_defaults(fn=_green_check)
 
@@ -266,7 +266,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--F", default="linear")
     p.add_argument("--y0", default="1.0")
     p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=SolverConfig.tol)
     p.add_argument("--grid-level", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--json-out")

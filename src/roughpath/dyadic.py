@@ -118,14 +118,13 @@ class AveragePyramid:
     the last bit by construction.
     """
 
-    __slots__ = ("K", "_levels", "_gaps", "_prefix")
+    __slots__ = ("K", "_levels", "_prefix")
 
     def __init__(self, levels: list[np.ndarray], K: int):
         self.K = K
         for arr in levels:
             arr.flags.writeable = False
         self._levels = levels
-        self._gaps: dict[int, np.ndarray] = {}
         self._prefix: dict[int, np.ndarray] = {}
 
     def level(self, k: int) -> np.ndarray:
@@ -135,23 +134,19 @@ class AveragePyramid:
         return self._levels[k]
 
     def child_gap(self, k: int) -> np.ndarray:
-        """Signed sibling gaps h[k+1][2n] - h[k+1][2n+1], one per level-k cell."""
+        """Signed sibling gaps h[k+1][2n] - h[k+1][2n+1], one per level-k cell, a fresh array."""
         if not 0 <= k <= self.K - 2:
             raise LevelOutOfRange(f"child gaps need k <= {self.K - 2}")
-        if k not in self._gaps:
-            child = self.level(k + 1)
-            # the averages are finite, so overflow is the only way to a non-finite gap
-            try:
-                with np.errstate(over="raise"):
-                    g = child[0::2] - child[1::2]
-            except FloatingPointError:
-                raise NonFinite(
-                    f"a level-{k + 1} sibling gap h[{k + 1}][2n] - h[{k + 1}][2n+1] "
-                    "overflows the float range"
-                ) from None
-            g.flags.writeable = False
-            self._gaps[k] = g
-        return self._gaps[k]
+        child = self.level(k + 1)
+        # the averages are finite, so overflow is the only way to a non-finite gap
+        try:
+            with np.errstate(over="raise"):
+                return child[0::2] - child[1::2]
+        except FloatingPointError:
+            raise NonFinite(
+                f"a level-{k + 1} sibling gap h[{k + 1}][2n] - h[{k + 1}][2n+1] "
+                "overflows the float range"
+            ) from None
 
     def gap_prefix(self, k: int) -> np.ndarray:
         """Prefix sums of |child_gap(k)| with a leading zero (length 2**k + 1)."""

@@ -71,7 +71,16 @@ def _fill_brownian(w: np.ndarray, seed: int, z: np.ndarray) -> None:
 
 
 def oscillation_levels(alpha: float, A: float, m_max: int) -> list[int]:
-    """Packet frequency offsets n_m: the smallest integers >= (A + alpha*m)/(1 - alpha)."""
+    """Packet frequency offsets n_m: the smallest integers >= (A + alpha*m)/(1 - alpha).
+
+    Raises ``ResolutionTooCoarse`` when the largest offset passes the float
+    range (A near DBL_MAX): no grid resolves such a packet.
+    """
+    with np.errstate(over="ignore"):   # numpy-float arguments overflow quietly, like floats
+        top = (A + alpha * m_max) / (1.0 - alpha)
+    if not math.isfinite(top):
+        raise ResolutionTooCoarse(f"packet level (A + alpha*m)/(1 - alpha) overflows at "
+                                  f"A = {float(A)!r}; no grid resolves it")
     return [math.ceil((A + alpha * m) / (1.0 - alpha) - 1e-12) for m in range(1, m_max + 1)]
 
 
@@ -102,9 +111,21 @@ def gen_oscillatory(alpha: float, beta: float, A: float, m_max: int, K: int) -> 
 
 
 def counterexample_base_level(alpha: float, beta: float) -> int:
-    """Coarsest tent layer index of the divergence witness construction."""
+    """Coarsest tent layer index of the divergence witness construction.
+
+    The index grows without bound as gamma = alpha + beta nears 0 or 1.
+    Raises ``ResolutionTooCoarse`` when it leaves the float range: at gamma =
+    1 - 2**-53, for one, 2**(1 - gamma) rounds to 1 and no grid resolves
+    the construction.
+    """
     gamma = alpha + beta
-    return math.floor((1.0 / gamma) * math.log2(4.0 / (2.0 ** (1.0 - gamma) - 1.0)) + 1.0)
+    rise = 2.0 ** (1.0 - gamma) - 1.0
+    with np.errstate(over="ignore"):   # numpy-float arguments overflow quietly, like floats
+        level = (1.0 / gamma) * math.log2(4.0 / rise) + 1.0 if rise > 0.0 else math.inf
+    if not math.isfinite(level):
+        raise ResolutionTooCoarse(f"base level overflows at alpha + beta = {float(gamma)!r}; "
+                                  "no grid resolves it")
+    return math.floor(level)
 
 
 def gen_counterexample(alpha: float, beta: float, K: int) -> DyadicPath:
@@ -128,6 +149,11 @@ def gen_counterexample(alpha: float, beta: float, K: int) -> DyadicPath:
         right = 2.0 ** (-(k - 1) * (1.0 - gamma))
         left = 2.0 ** (-k * (1.0 - gamma))
         scale = 1 << k
+        # A band edge is often a grid point in exact arithmetic, but the
+        # powers above land about 1e-13 cells off it, beyond the 4-ulp slop of
+        # ``dyadic._cells_within``: at alpha = 0.01, beta = 0.34 and k = 20,
+        # left * scale is 128.00000000000017, and that slop would start the
+        # band at cell 129.  The 1e-9 slop keeps every such edge cell.
         m_lo = math.ceil(left * scale - 1e-9)
         m_hi = math.floor(right * scale + 1e-9) - 1
         if m_hi < m_lo:

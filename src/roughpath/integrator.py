@@ -25,7 +25,7 @@ import numpy as np
 
 from .dyadic import AveragePyramid, DyadicPath, _add_tents, _cells_within, _grid_span
 from .errors import BadExponents, BadInterval, LevelOutOfRange, NonFinite
-from .quadrature import refine_batch
+from .quadrature import _QUAD_TOL, refine_batch
 
 _DEPENDS_ON = ("both", "t_only", "x_only")
 
@@ -76,11 +76,6 @@ class ScalarField:
         return np.asarray(self.evaluate(t, np.broadcast_to(0.0, t.shape)), dtype=float)
 
 
-# The absolute quadrature tolerance per vertical: ``ConvergenceConfig``'s
-# default, and the one ``cumulative_increments`` and the Picard sweeps use.
-_QUAD_TOL = 1e-10
-
-
 @dataclass(frozen=True)
 class ConvergenceConfig:
     tol: float = 1e-8           # absolute level-to-level stopping tolerance
@@ -111,16 +106,6 @@ def index_range(a: float, b: float, k: int) -> tuple[int, int] | None:
     if p_hi < p_lo:
         return None
     return 2 * p_lo, 2 * p_hi + 1
-
-
-def _vertical_batch(field: ScalarField, t_abs: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                    tol: float) -> np.ndarray:
-    """Signed integrals of f(t_abs[i], x) for x from lo[i] to hi[i]."""
-
-    def eval_xs(owner, x):
-        return np.asarray(field.evaluate(t_abs[owner][:, None], x), dtype=float)
-
-    return refine_batch(eval_xs, lo, hi, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,14 +159,21 @@ def _skeleton(h: np.ndarray, k: int, first: int, span: int, g: np.ndarray) -> _S
 def _skeleton_sum(sk: _Skeleton, field: ScalarField, tol: float) -> np.ndarray:
     """The closed staircase sum of every block of ``sk`` for one field.
 
-    All verticals go into one quadrature batch, or, for a t_only field, one
-    product with its values at the distinct times, so the end time that two
-    adjacent blocks share is evaluated once.  Block sums run in a fixed order.
+    All verticals go into one quadrature batch, each integrating f(t, x) at
+    its own time t for x from its ``lo`` to its ``hi``, or, for a t_only
+    field, one product with its values at the distinct times, so the end
+    time that two adjacent blocks share is evaluated once.  Block sums run
+    in a fixed order.
     """
     if field.depends_on == "t_only":
         terms = field.value_at_times(sk.times)[sk.offset] * sk.rise
     else:
-        terms = _vertical_batch(field, (sk.first + sk.offset) * 2.0 ** -sk.k, sk.lo, sk.hi, tol)
+        t_abs = (sk.first + sk.offset) * 2.0 ** -sk.k
+
+        def eval_xs(owner, x):
+            return np.asarray(field.evaluate(t_abs[owner][:, None], x), dtype=float)
+
+        terms = refine_batch(eval_xs, sk.lo, sk.hi, tol)
     return terms.reshape(sk.n_blocks, sk.span + 1).sum(axis=1)
 
 
@@ -191,7 +183,7 @@ def staircase_integral(
     a: float,
     b: float,
     k: int,
-    tol: float = 1e-10,
+    tol: float = _QUAD_TOL,
     endpoint_values: tuple[float, float] | None = None,
 ) -> float:
     """Level-k staircase line integral of f(t, x) dx over [a, b].
@@ -250,7 +242,7 @@ def integrate(
         raise LevelOutOfRange(f"path resolution {K} below min_level + 2")
     _check_field_finite(field, path)
     pyramid = path.pyramid()
-    endpoints = (float(path.eval(a)), float(path.eval(b)))
+    g_ab = np.array([path.eval(a), path.eval(b)], dtype=float)
     values = []
     levels = []
     hits = 0
@@ -260,9 +252,8 @@ def integrate(
         rng = index_range(a, b, k)
         if rng is None:
             continue
-        v = staircase_integral(field, pyramid, a, b, k, tol=cfg.quad_tol,
-                               endpoint_values=endpoints)
-        values.append(v)
+        sk = _skeleton(pyramid.level(k), k, rng[0], rng[1] - rng[0] + 1, g_ab)
+        values.append(float(_skeleton_sum(sk, field, cfg.quad_tol)[0]))
         levels.append(k)
         prev, ends = ends, (rng[0] * 2.0 ** -k, (rng[1] + 1) * 2.0 ** -k)
         if len(values) >= 2 and (ends != prev or ends == (a, b)):
@@ -346,7 +337,7 @@ def cumulative_increments(field: ScalarField, path: DyadicPath, a: float, b: flo
     Every increment is a closed staircase sum at the one level
     k = max(K - 2, grid_level + 1), and all increments share that level's
     vertical-segment work in one pass, each vertical to the absolute
-    quadrature tolerance 1e-10.
+    quadrature tolerance ``quadrature._QUAD_TOL``.
     """
     return _skeleton_sum(_increment_skeleton(path, a, b, grid_level), field, _QUAD_TOL)
 

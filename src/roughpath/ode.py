@@ -24,9 +24,10 @@ import numpy as np
 from .diagnostics import existence_report
 from .dyadic import DyadicPath, _grid_span, holder_seminorm
 from .errors import BadInterval, NonFiniteIterate, WindowUnderflow
-from .integrator import _QUAD_TOL, ScalarField, _increment_skeleton, _skeleton_sum
+from .integrator import ScalarField, _increment_skeleton, _skeleton_sum
 # Sweeps no longer call it, but bench/selftest.py looks it up on this module.
 from .integrator import cumulative_increments  # noqa: F401
+from .quadrature import _QUAD_TOL
 
 
 @dataclass(frozen=True)
@@ -308,38 +309,39 @@ def continuity_experiment(
     problem_b: OdeProblem,
     cfg: SolverConfig | None = None,
 ) -> dict:
-    """Solve both problems and report output distances against input distances."""
+    """Solve both problems and report output distances against input distances.
+
+    Every distance is measured on [0, horizon]: the driver differences, like
+    the solution difference, are held at their horizon values to t = 1.
+    """
     cfg = cfg or SolverConfig()
     sol_a = solve(problem_a, cfg)
     sol_b = solve(problem_b, cfg)
     if sol_a.t.size != sol_b.t.size:
         raise BadInterval("problems must share horizon and grid for comparison")
     sup_out = float(np.abs(sol_a.y - sol_b.y).max())
-    diff_path = _difference_path(sol_a, sol_b, problem_a.beta)
-    sup_x = max(
-        float(np.abs(da.samples - db.samples).max())
-        for da, db in zip(problem_a.drivers, problem_b.drivers)
-    )
-    holder_x = max(
-        holder_seminorm(DyadicPath(da.samples - db.samples, da.resolution_level),
-                        problem_a.beta).seminorm_lower_bound
-        for da, db in zip(problem_a.drivers, problem_b.drivers)
-    )
+    level = int(-np.log2(sol_a.t[1]))     # t[1] = 2**-L exactly
+    holder_out = _held_seminorm(sol_a.y[0] - sol_b.y[0], level, problem_a.beta)
+    dx = []                               # (driver difference on [0, horizon], its level)
+    for da, db in zip(problem_a.drivers, problem_b.drivers):
+        K = da.resolution_level
+        n = _grid_span(0.0, problem_a.horizon, K)[1]
+        dx.append((da.samples[: n + 1] - db.samples[: n + 1], K))
+    sup_x = max(float(np.abs(d).max()) for d, _ in dx)
+    holder_x = max(_held_seminorm(d, K, problem_a.beta) for d, K in dx)
     y0_dist = float(np.abs(problem_a.y0 - problem_b.y0).max())
     input_dist = y0_dist + sup_x + holder_x
     return {
         "input_distance": {"y0": y0_dist, "sup_x": sup_x, "holder_x": holder_x},
-        "output_distance": {"sup": sup_out, "holder_beta": diff_path},
+        "output_distance": {"sup": sup_out, "holder_beta": holder_out},
         "ratio": sup_out / input_dist if input_dist > 0 else 0.0,
         "solutions": (sol_a, sol_b),
     }
 
 
-def _difference_path(sol_a: OdeSolution, sol_b: OdeSolution, beta: float) -> float:
-    """Hölder lower bound of y_a - y_b held at its last value from the horizon
-    to t = 1: a path on the level grid of [0, 1] with the same seminorm."""
-    diff = sol_a.y[0] - sol_b.y[0]
-    level = int(-np.log2(sol_a.t[1]))     # t[1] = 2**-L exactly
-    full = np.full((1 << level) + 1, diff[-1])
-    full[: diff.size] = diff
+def _held_seminorm(values: np.ndarray, level: int, beta: float) -> float:
+    """Hölder lower bound of ``values``, on the first points of the level grid,
+    held at its last value to t = 1: a path on [0, 1] with the same seminorm."""
+    full = np.full((1 << level) + 1, values[-1])
+    full[: values.size] = values
     return holder_seminorm(DyadicPath(full, level), beta).seminorm_lower_bound

@@ -47,12 +47,16 @@ _WG = np.zeros(7)
 _WG[1::2] = _mirror(_WG_HALF)
 _RULE = np.stack([_WK, _WG])   # one product gives the K7 and G3 sums
 
+# The absolute tolerance per interval: ``refine_batch``'s default, and the one
+# every staircase vertical gets unless a caller sets ``ConvergenceConfig.quad_tol``.
+_QUAD_TOL = 1e-10
+
 _SLICE = 1 << 12        # intervals refined together (see refine_batch)
 _MAX_LEAVES = 1 << 17   # live leaves per slice before refinement gives up
 _MAX_SPLITS = 48        # bisection depth cap
 
 
-def refine_batch(eval_xs, lo, hi, tol: float = 1e-10):
+def refine_batch(eval_xs, lo, hi, tol: float = _QUAD_TOL):
     """Adaptive signed integrals over a batch of intervals.
 
     ``eval_xs(owner, x2d) -> values`` evaluates the integrand on an

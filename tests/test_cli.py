@@ -377,6 +377,54 @@ class TestCliCommands:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
 
+    def test_closed_stdout_in_process_exits_2(self, tmp_path, monkeypatch):
+        sink = os.open(tmp_path / "sink", os.O_WRONLY | os.O_CREAT)
+
+        class ClosedPipe(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError
+
+            def fileno(self):
+                return sink
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        try:
+            code = main(["gen-path", "--kind", "linear", "--K", "3",
+                         "--out", str(tmp_path / "p.csv")])
+        finally:
+            os.close(sink)
+        assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "counterexample", "--K", "12", "--alpha", "0.5", "--beta", "0.4999999999999999"],
+        ["--kind", "oscillatory", "--K", "12", "--A", "1e308"],
+    ])
+    def test_gen_path_past_the_float_range_exits_2(self, tmp_path, capsys, argv):
+        code = main(["gen-path", *argv, "--out", str(tmp_path / "p.csv")])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert json.loads(out)["error"] == "validation"
+        assert "no grid resolves it" in json.loads(out)["detail"]
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_gen_path_counterexample_is_the_library_path(self, tmp_path, capsys):
+        out = tmp_path / "cex.csv"
+        code = main(["gen-path", "--kind", "counterexample", "--K", "12", "--alpha", "0.3",
+                     "--beta", "0.3", "--out", str(out)])
+        assert code == 0
+        write_path_csv(rp.gen_counterexample(0.3, 0.3, 12), tmp_path / "lib.csv")
+        assert out.read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+    def test_defaults_come_from_the_configs(self):
+        parser, _ = cli.build_parser()
+        conv, solver = rp.ConvergenceConfig(), rp.SolverConfig()
+        args = parser.parse_args(["integrate", "--path", "p.csv", "--field", "x"])
+        assert (args.tol, args.min_level, args.quad_tol) == (conv.tol, conv.min_level,
+                                                             conv.quad_tol)
+        assert parser.parse_args(["green-check", "--path", "p.csv", "--field", "x"]).tol == conv.tol
+        args = parser.parse_args(["solve-ode", "--drivers", "p.csv", "--out", "y.csv"])
+        assert (args.tol, args.grid_level) == (solver.tol, solver.grid_level)
+
     def test_validation_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("t,value\n0,0\n0.6,1\n1,2\n")
@@ -455,6 +503,28 @@ class TestCliCommands:
         assert code == 0
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         assert abs(rows[-1, 1] - np.e) < 1e-5
+
+    def test_solve_ode_constant_field(self, tmp_path, capsys):
+        # dy = dx solves to y0 + x(t) - x(0)
+        src = tmp_path / "b.csv"
+        main(["gen-path", "--kind", "brownian", "--K", "10", "--seed", "1", "--out", str(src)])
+        out = tmp_path / "y.csv"
+        code = main(["solve-ode", "--drivers", str(src), "--F", "constant", "--y0", "2.0",
+                     "--grid-level", "6", "--out", str(out)])
+        assert code == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        x = read_path_csv(src)
+        assert np.abs(rows[:, 1] - (2.0 + x.eval(rows[:, 0]) - x.eval(0.0))).max() < 1e-9
+
+    def test_solve_ode_unknown_field_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "x.csv"
+        main(["gen-path", "--kind", "linear", "--K", "8", "--out", str(src)])
+        capsys.readouterr()
+        code = main(["solve-ode", "--drivers", str(src), "--F", "cubic",
+                     "--out", str(tmp_path / "y.csv")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "validation", "detail": "supported --F values: linear, constant"}
 
     def test_solve_ode_not_converged_exit_code(self, tmp_path, capsys, monkeypatch):
         src = tmp_path / "x.csv"

@@ -85,6 +85,18 @@ class TestExistenceReport:
         with pytest.raises(rp.BadExponents):
             rp.existence_report(constant_pyramid(), 1.5)
 
+    def test_short_series_is_inconclusive(self):
+        # K = 3 resolves two terms, too few for the 4-level trend
+        report = rp.existence_report(rp.gen_brownian(3, 2).pyramid(), 0.5)
+        assert report.terms.size == 2 and report.terms.any()
+        assert report.verdict == "inconclusive"
+
+    def test_tail_falling_to_zero_is_converging(self):
+        # a tail holding a zero term has no fitted ratio: it converges when the
+        # last term is zero and is inconclusive otherwise
+        assert diagnostics._trend_verdict(np.array([5.0, 4.0, 0.0, 2.0, 0.0])) == "converging"
+        assert diagnostics._trend_verdict(np.array([1.0, 0.0, 2.0, 1.0])) == "inconclusive"
+
 
 class TestGapFunctional:
     def test_constant_is_zero(self):

@@ -200,15 +200,25 @@ class TestAveragePyramid:
             assert pyr.level(k).tobytes() == want[k].tobytes(), k
 
     def test_sibling_gap_overflow_is_non_finite(self):
-        # the averages DBL_MAX and -DBL_MAX/2 are finite, their gap is not
+        # the averages DBL_MAX and -DBL_MAX/2 are finite, their gap is not,
+        # on every call and with either sign
         big = np.finfo(float).max
-        pyr = rp.DyadicPath([big, big, big, -big, -big], 2).pyramid()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(rp.NonFinite, match="level-1 sibling gap"):
-                pyr.child_gap(0)
-            with pytest.raises(rp.NonFinite, match="sibling gap"):
-                rp.existence_report(pyr, 0.6)
+        for sign in (1.0, -1.0):
+            pyr = rp.DyadicPath(sign * np.array([big, big, big, -big, -big]), 2).pyramid()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for _ in range(3):
+                    with pytest.raises(rp.NonFinite, match="level-1 sibling gap"):
+                        pyr.child_gap(0)
+                with pytest.raises(rp.NonFinite, match="sibling gap"):
+                    rp.existence_report(pyr, 0.6)
+
+    def test_child_gaps_repeat_equal(self):
+        pyr = rp.gen_brownian(10, 6).pyramid()
+        for k in range(9):
+            child = pyr.level(k + 1)
+            first, second = pyr.child_gap(k), pyr.child_gap(k)
+            assert first.tobytes() == second.tobytes() == (child[0::2] - child[1::2]).tobytes()
 
     def test_level_out_of_range(self):
         pyr = rp.gen_analytic("linear", 4).pyramid()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,16 @@ class TestOscillatory:
         with pytest.raises(rp.ResolutionTooCoarse):
             rp.gen_oscillatory(0.45, 0.45, 4.0, 1, n1 + 1 + 1)
 
+    @pytest.mark.parametrize("number", [float, np.float64])
+    def test_offset_past_the_float_range_is_too_coarse(self, number):
+        # (A + alpha*m)/(1 - alpha) overflows; math.ceil(inf) used to raise OverflowError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rp.ResolutionTooCoarse, match="no grid resolves it"):
+                rp.oscillation_levels(number(0.45), number(1e308), 2)
+            with pytest.raises(rp.ResolutionTooCoarse, match="no grid resolves it"):
+                rp.gen_oscillatory(number(0.45), number(0.45), number(1e308), 2, 12)
+
     def test_holder_flat_while_norm_grows(self):
         alpha = beta = 0.45
         gamma = alpha * beta / (1.0 - alpha)
@@ -168,6 +179,29 @@ class TestCounterexample:
                 w[base : base + quarter + 1] = ramp
                 w[base + quarter : base + 2 * quarter + 1] = ramp[::-1]
         assert rp.gen_counterexample(alpha, beta, K).samples.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("number", [float, np.float64])
+    @pytest.mark.parametrize("alpha, beta", [(0.5, 0.4999999999999999), (1e-320, 1e-320)])
+    def test_base_level_past_the_float_range_is_too_coarse(self, number, alpha, beta):
+        # alpha + beta = 1 - 2**-53 rounds 2**(1 - gamma) to 1, and 1 / 2e-320
+        # overflows: the base level has no float value and no grid resolves it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rp.ResolutionTooCoarse, match="no grid resolves it"):
+                generators.counterexample_base_level(number(alpha), number(beta))
+            with pytest.raises(rp.ResolutionTooCoarse, match="no grid resolves it"):
+                rp.gen_counterexample(number(alpha), number(beta), 12)
+
+    def test_band_keeps_its_edge_cell(self):
+        # At alpha = 0.01, beta = 0.34 the layer-20 band starts at the grid
+        # point 2**-13, level-20 cell 128, which the rounded power puts
+        # 1.7e-13 cells to its right.  Its first tent is on level-21 cell
+        # 256: at K = 22 it peaks at sample 513, and sample 511, in the cell
+        # before, is 0.
+        path = rp.gen_counterexample(0.01, 0.34, 22)
+        assert generators.counterexample_base_level(0.01, 0.34) < 20
+        assert path.samples[513] == 2.0 ** (-21 * 0.01)
+        assert path.samples[511] == 0.0
 
     def test_partial_sums_strictly_increase(self):
         path = rp.gen_counterexample(0.3, 0.3, 16)

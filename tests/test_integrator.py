@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roughpath as rp
-from roughpath import ode
+from roughpath import integrator, ode
 from roughpath.experiments import riemann_stieltjes_oracle
 
 
@@ -87,6 +87,48 @@ class TestStaircaseIntegral:
         pyr = rp.gen_analytic("linear", 8).pyramid()
         with pytest.raises(rp.BadInterval, match="no level-4 parent cell"):
             rp.staircase_integral(rp.BUILTIN_FIELDS["x"], pyr, 0.3, 0.3 + 2.0**-6, 4)
+
+
+class TestIntegrateLevels:
+    """Each level value of ``integrate`` is the closed staircase integral at that level."""
+
+    PATHS = {
+        "brownian": lambda: rp.gen_brownian(12, 5),
+        "square": lambda: rp.gen_analytic("square", 11),
+        "oscillatory": lambda: rp.gen_oscillatory(0.3, 0.3, 0.5, 3, 12),
+    }
+    FIELDS = {
+        "sin_t_x": rp.BUILTIN_FIELDS["sin_t_x"],
+        "x2": rp.BUILTIN_FIELDS["x2"],
+        "cos_t": rp.ScalarField.t_only(lambda t: np.cos(5.0 * t)),
+    }
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.25, 0.75), (0.123456789, 0.87654321),
+                                      (0.3, 0.31)])
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("path", PATHS)
+    def test_level_values_are_closed_staircase_integrals(self, path, field, a, b):
+        path, field = self.PATHS[path](), self.FIELDS[field]
+        res = rp.integrate(field, path, a, b, rp.ConvergenceConfig(tol=1e-12))
+        ends = (float(path.eval(a)), float(path.eval(b)))
+        levels = [k for k in range(res.levels[0], res.levels[1] + 1)
+                  if rp.index_range(a, b, k) is not None]
+        want = [rp.staircase_integral(field, path.pyramid(), a, b, k, endpoint_values=ends)
+                for k in levels]
+        assert res.level_values.tobytes() == np.array(want).tobytes()
+
+    def test_one_admitted_cell_search_per_level(self, monkeypatch):
+        calls = []
+
+        def counted(a, b, k):
+            calls.append(k)
+            return rp.index_range(a, b, k)
+
+        monkeypatch.setattr(integrator, "index_range", counted)
+        monkeypatch.setattr(integrator, "staircase_integral", None)   # not called
+        res = rp.integrate(rp.BUILTIN_FIELDS["tx"], rp.gen_brownian(10, 4), 0.1, 0.9,
+                           rp.ConvergenceConfig(tol=1e-12))
+        assert calls == list(range(2, res.levels[1] + 1))
 
 
 class TestIntegrate:

@@ -118,6 +118,28 @@ class TestSolve:
             rp.solve(linear_problem(K=10, horizon=0.3),
                      rp.SolverConfig(grid_level=6, check_drivers=False))
 
+    @pytest.mark.parametrize("beta", [0.0, -0.5, 1.5])
+    def test_beta_outside_the_unit_interval(self, beta):
+        with pytest.raises(rp.BadInterval, match="beta must lie in"):
+            linear_problem(K=8, beta=beta)
+
+    def test_non_finite_sweep_is_a_non_finite_iterate(self):
+        F = rp.MatrixField.scalar(lambda t, y, x: np.full_like(t, np.nan))
+        problem = rp.OdeProblem(F=F, drivers=[rp.gen_analytic("linear", 8)],
+                                y0=np.array([1.0]), beta=0.5)
+        with pytest.raises(rp.NonFiniteIterate, match="Picard sweep"):
+            rp.solve(problem, rp.SolverConfig(grid_level=4, check_drivers=False))
+
+    def test_overflowing_change_is_a_non_finite_iterate(self):
+        # the sweeps swing from about -M to about +M, both finite, so only
+        # their sup-norm change leaves the float range
+        M = 1.2e308
+        F = rp.MatrixField.scalar(lambda t, y, x: np.where(y[0] > 0, -M, M))
+        problem = rp.OdeProblem(F=F, drivers=[rp.gen_analytic("linear", 8)],
+                                y0=np.array([1.0]), beta=0.5)
+        with np.errstate(over="ignore"), pytest.raises(rp.NonFiniteIterate, match="sup-norm"):
+            rp.solve(problem, rp.SolverConfig(grid_level=4, check_drivers=False))
+
     def test_window_halving_floors_to_whole_cells(self):
         # 12 cells halve to 6, 3 and then 1, never to the 1.5 cells of
         # [0, 0.09375]; the window then underflows at t = 1/16, as with horizon 1
@@ -360,6 +382,36 @@ class TestContinuity:
         assert rep["output_distance"]["holder_beta"] == want
         assert want >= np.abs(np.diff(diff)).max() * 2.0 ** (L * beta)
 
+    def test_driver_differences_after_the_horizon_are_no_input_distance(self):
+        # the drivers differ only on (1/2, 1], which a solve to 1/2 never reads
+        t = np.linspace(0.0, 1.0, (1 << 12) + 1)
+        bent = rp.DyadicPath(np.where(t > 0.5, t + 0.1 * (t - 0.5), t), 12)
+        problems = [linear_problem(K=12, beta=0.5, horizon=0.5, driver=d)
+                    for d in (rp.gen_analytic("linear", 12), bent)]
+        rep = rp.continuity_experiment(*problems, rp.SolverConfig(grid_level=8))
+        assert rep["input_distance"] == {"y0": 0.0, "sup_x": 0.0, "holder_x": 0.0}
+        assert rep["output_distance"] == {"sup": 0.0, "holder_beta": 0.0}
+
+    def test_input_distance_is_measured_to_the_horizon(self):
+        # the driver difference is held at its horizon value to t = 1, as
+        # the solution difference is
+        L, K, horizon = 8, 12, 0.5
+        bump = rp.gen_analytic(lambda t: t + 0.05 * np.sin(40 * t), K)
+        rep = rp.continuity_experiment(
+            linear_problem(K=K, beta=0.6, horizon=horizon),
+            linear_problem(K=K, beta=0.6, horizon=horizon, driver=bump),
+            rp.SolverConfig(tol=1e-10, grid_level=L))
+        diff = (rp.gen_analytic("linear", K).samples - bump.samples)[: (1 << (K - 1)) + 1]
+        held = np.concatenate([diff, np.full((1 << K) + 1 - diff.size, diff[-1])])
+        want = rp.holder_seminorm(rp.DyadicPath(held, K), 0.6).seminorm_lower_bound
+        assert rep["input_distance"]["sup_x"] == np.abs(diff).max()
+        assert rep["input_distance"]["holder_x"] == want
+
+    def test_problems_on_different_grids_are_rejected(self):
+        with pytest.raises(rp.BadInterval, match="share horizon and grid"):
+            rp.continuity_experiment(linear_problem(K=8), linear_problem(K=8, horizon=0.5),
+                                     rp.SolverConfig(grid_level=4))
+
     def test_perturbation_sweep_is_linear(self):
         cfg = rp.SolverConfig(tol=1e-10, grid_level=8)
         ratios = []
@@ -563,3 +615,49 @@ def test_rough_driver_error_falls_with_grid_level(alpha):
         exact = np.exp(driver.eval(sol.t) - driver.eval(0.0))
         errors.append(np.abs(sol.component() - exact).max())
     assert errors[1] * 4.0 <= errors[0]
+
+
+def rough_problem(driver, alpha):
+    """dy = y dx from y0 = 1: on a driver from x(0) = 0 it solves to exp(x)."""
+    return rp.OdeProblem(F=rp.MatrixField.linear_in_y(), drivers=[driver],
+                         y0=np.array([1.0]), beta=alpha)
+
+
+@settings(max_examples=12, deadline=None)
+@given(alpha=st.floats(0.2, 0.45), m_max=st.integers(3, 5), L=st.integers(8, 10),
+       eps=st.floats(1e-3, 0.1))
+def test_continuity_ratio_is_bounded_on_rough_drivers(alpha, m_max, L, eps):
+    # Perturb a tent-packet driver of Hölder exponent alpha by eps times
+    # itself, t, and a sawtooth of level-(L-3) cells.  Since y = exp(x),
+    # |y_a - y_b| <= exp(max(x_a, x_b)) * sup |x_a - x_b|, so the ratio of
+    # output to input distance is at most exp(max(x_a, x_b)).  The output
+    # distance must also match the closed form's to 1%: the worst seen over
+    # alpha, m_max, L, eps and the three perturbations is 0.26%.  Reading
+    # the iterate one grid cell late misses it by 17% or more on the first.
+    K = 14
+    x = rp.gen_oscillatory(alpha, alpha, 0.0, m_max, K)
+    t = x.grid
+    phase = t * 2.0 ** (L - 3) % 1.0
+    cfg = rp.SolverConfig(tol=1e-10, grid_level=L, check_drivers=False)
+    for z in (x.samples, t, 1.0 - np.abs(2.0 * phase - 1.0)):
+        xb = rp.DyadicPath(x.samples + eps * z, K)
+        rep = rp.continuity_experiment(rough_problem(x, alpha), rough_problem(xb, alpha), cfg)
+        grid = rep["solutions"][0].t
+        exact = np.abs(np.exp(x.eval(grid)) - np.exp(xb.eval(grid))).max()
+        assert rep["ratio"] <= 1.01 * np.exp(max(x.samples.max(), xb.samples.max()))
+        assert abs(rep["output_distance"]["sup"] - exact) <= 0.01 * exact
+
+
+@settings(max_examples=8, deadline=None)
+@given(alpha=st.floats(0.2, 0.45), m_max=st.integers(3, 5), L=st.integers(8, 9))
+def test_solve_is_consistent_across_grid_levels(alpha, m_max, L):
+    # At the level-L grid points the level-(L+2) solution lies within
+    # 2**(1-L) of the level-L one.  The worst seen over alpha, m_max and L
+    # is half that bound; reading the iterate one grid cell late leaves a
+    # first-order difference of at least 6.7 times it.
+    x = rp.gen_oscillatory(alpha, alpha, 0.0, m_max, 14)
+    coarse, fine = (rp.solve(rough_problem(x, alpha),
+                             rp.SolverConfig(tol=1e-10, grid_level=level, check_drivers=False))
+                    for level in (L, L + 2))
+    assert fine.t[::4].tobytes() == coarse.t.tobytes()
+    assert np.abs(fine.y[0, ::4] - coarse.y[0]).max() <= 2.0 ** (1 - L)
