@@ -76,12 +76,18 @@ def oscillation_levels(alpha: float, A: float, m_max: int) -> list[int]:
     Raises ``ResolutionTooCoarse`` when the largest offset passes the float
     range (A near DBL_MAX): no grid resolves such a packet.
     """
+    _last_oscillation_level(alpha, A, m_max)
+    return [math.ceil((A + alpha * m) / (1.0 - alpha) - 1e-12) for m in range(1, m_max + 1)]
+
+
+def _last_oscillation_level(alpha: float, A: float, m_max: int) -> int:
+    """The last entry of ``oscillation_levels``, found without building the list."""
     with np.errstate(over="ignore"):   # numpy-float arguments overflow quietly, like floats
         top = (A + alpha * m_max) / (1.0 - alpha)
     if not math.isfinite(top):
         raise ResolutionTooCoarse(f"packet level (A + alpha*m)/(1 - alpha) overflows at "
                                   f"A = {float(A)!r}; no grid resolves it")
-    return [math.ceil((A + alpha * m) / (1.0 - alpha) - 1e-12) for m in range(1, m_max + 1)]
+    return math.ceil(top - 1e-12)
 
 
 def gen_oscillatory(alpha: float, beta: float, A: float, m_max: int, K: int) -> DyadicPath:
@@ -90,7 +96,9 @@ def gen_oscillatory(alpha: float, beta: float, A: float, m_max: int, K: int) -> 
     Packet m lives on [2**-m, 2**-m+1] and consists of one tent of height
     2**-(n_m+m+1)*alpha on each of its 2**n_m level-(n_m+m) cells, with n_m
     from ``oscillation_levels``.  Tent signs are fixed to +1.  The path
-    vanishes at every grid point outside the packet supports.
+    vanishes at every grid point outside the packet supports.  K is checked
+    against the last packet before the levels are listed, so a huge m_max
+    fails at once, in constant memory.
     """
     if not (alpha > 0 and beta > 0 and alpha + beta < 1):
         raise BadExponents("need alpha, beta > 0 and alpha + beta < 1")
@@ -98,10 +106,10 @@ def gen_oscillatory(alpha: float, beta: float, A: float, m_max: int, K: int) -> 
         raise ValueError("m_max must be >= 1")
     if not 0.0 <= A < math.inf:
         raise ValueError("A must be finite and >= 0")
-    n_m = oscillation_levels(alpha, A, m_max)
-    needed = n_m[-1] + m_max + 2
+    needed = _last_oscillation_level(alpha, A, m_max) + m_max + 2
     if K < needed:
         raise ResolutionTooCoarse(f"K={K} too coarse; need K >= {needed}")
+    n_m = oscillation_levels(alpha, A, m_max)
     w = np.zeros((1 << K) + 1)
     for m, n in enumerate(n_m, 1):
         kappa = n + m                 # tent level; packet m is its cells 2**n .. 2**(n+1) - 1

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dyadic import AveragePyramid, DyadicPath, _add_tents, _cells_within, _grid_span
 from .errors import BadExponents, BadInterval, LevelOutOfRange, NonFinite
-from .quadrature import _QUAD_TOL, refine_batch
+from .quadrature import _QUAD_TOL, _PanelGrid, refine_batch
 
 _DEPENDS_ON = ("both", "t_only", "x_only")
 
@@ -156,14 +156,16 @@ def _skeleton(h: np.ndarray, k: int, first: int, span: int, g: np.ndarray) -> _S
     return _Skeleton(k, first, span, heights[:, :-1].ravel(), heights[:, 1:].ravel(), offset)
 
 
-def _skeleton_sum(sk: _Skeleton, field: ScalarField, tol: float) -> np.ndarray:
+def _skeleton_sum(sk: _Skeleton, field: ScalarField, tol: float,
+                  grid: _PanelGrid | None = None) -> np.ndarray:
     """The closed staircase sum of every block of ``sk`` for one field.
 
     All verticals go into one quadrature batch, each integrating f(t, x) at
     its own time t for x from its ``lo`` to its ``hi``, or, for a t_only
     field, one product with its values at the distinct times, so the end
-    time that two adjacent blocks share is evaluated once.  Block sums run
-    in a fixed order.
+    time that two adjacent blocks share is evaluated once.  ``grid``, when
+    given, is ``_panel_grid(sk.lo, sk.hi)``, kept by a caller that sums many
+    fields on one skeleton.  Block sums run in a fixed order.
     """
     if field.depends_on == "t_only":
         terms = field.value_at_times(sk.times)[sk.offset] * sk.rise
@@ -173,7 +175,7 @@ def _skeleton_sum(sk: _Skeleton, field: ScalarField, tol: float) -> np.ndarray:
         def eval_xs(owner, x):
             return np.asarray(field.evaluate(t_abs[owner][:, None], x), dtype=float)
 
-        terms = refine_batch(eval_xs, sk.lo, sk.hi, tol)
+        terms = refine_batch(eval_xs, sk.lo, sk.hi, tol, grid=grid)
     return terms.reshape(sk.n_blocks, sk.span + 1).sum(axis=1)
 
 

@@ -10,8 +10,10 @@ contraction and chained; failure halves a window's cell count.
 On a window the staircase verticals depend only on the drivers, the window
 and the grid level, never on the iterate.  So each driver's skeleton, and
 every driver's values at its times, are built once per window, kept on the
-problem, and shared by all its sweeps and the residual check.  A sweep hands
-every component to the one staircase kernel as a field and evaluates only F.
+problem, and shared by all its sweeps and the residual check; so is the
+first quadrature panel of every vertical that a component reading its driver
+integrates over.  A sweep hands every component to the one staircase kernel
+as a field and evaluates only F.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import BadInterval, NonFiniteIterate, WindowUnderflow
 from .integrator import ScalarField, _increment_skeleton, _skeleton_sum
 # Sweeps no longer call it, but bench/selftest.py looks it up on this module.
 from .integrator import cumulative_increments  # noqa: F401
-from .quadrature import _QUAD_TOL
+from .quadrature import _QUAD_TOL, _panel_grid
 
 
 @dataclass(frozen=True)
@@ -156,32 +158,39 @@ def picard_operator(
         return np.stack([np.interp(t, t_grid, row) for row in y_current])
 
     out = np.repeat(y_start[:, None], t_grid.size, axis=1)
-    for j, (sk, x_at) in enumerate(_window_plan(problem, a, b, grid_level)):
+    for j, (sk, x_at, grid) in enumerate(_window_plan(problem, a, b, grid_level)):
         for i in range(problem.F.m):
             sf = _composed_field(problem.F.components[i][j], j, y_at, problem.drivers, x_at)
-            out[i, 1:] += np.cumsum(_skeleton_sum(sk, sf, _QUAD_TOL))
+            out[i, 1:] += np.cumsum(_skeleton_sum(sk, sf, _QUAD_TOL, grid))
     if not np.isfinite(out).all():
         raise NonFiniteIterate("Picard sweep produced non-finite values")
     return out
 
 
 def _window_plan(problem: OdeProblem, a: float, b: float, grid_level: int) -> list[tuple]:
-    """One (skeleton, x_at) pair per driver j for the window [a, b], built on first use.
+    """One (skeleton, x_at, grid) triple per driver j for the window [a, b], built on first use.
 
     ``x_at`` holds every driver's values at the skeleton's times, shape
     (d, len(times)), read-only since F receives it; it is None when column j
-    has no time-only component.
+    has no time-only component.  ``grid`` is the first-panel quadrature grid
+    of the skeleton's verticals, read-only; it is None when no component of
+    column j reads x_j.
     """
     key = (a, b, grid_level)
     if key not in problem._plans:
         plan = problem._plans[key] = []
         for j, driver in enumerate(problem.drivers):
             sk = _increment_skeleton(driver, a, b, grid_level)
-            x_at = None
-            if not all(row[j].depends_on_driver for row in problem.F.components):
+            column = [row[j].depends_on_driver for row in problem.F.components]
+            x_at = grid = None
+            if not all(column):
                 x_at = np.stack([d.eval(sk.times) for d in problem.drivers])
                 x_at.flags.writeable = False
-            plan.append((sk, x_at))
+            if any(column):
+                grid = _panel_grid(sk.lo, sk.hi)
+                for array in grid:
+                    array.flags.writeable = False
+            plan.append((sk, x_at, grid))
     return problem._plans[key]
 
 
@@ -273,17 +282,21 @@ def _picard_window(problem, y_start, a, b, L, tol):
     ia, ib = _grid_span(a, b, L)
     y = np.repeat(np.asarray(y_start, dtype=float)[:, None], ib - ia + 1, axis=1)
     changes: list[float] = []
-    for it in range(1, _MAX_PICARD + 1):
-        y_new = picard_operator(problem, y, a, b, L, y_start=y_start)
-        change = float(np.abs(y_new - y).max())
-        changes.append(change)
-        y = y_new
-        if change < tol:
-            ratio = _contraction_ratio(changes)
-            if ratio < 1.0:
-                return True, y, it, ratio
-        if not np.isfinite(change):
-            raise NonFiniteIterate("sup-norm change is not finite")
+    # a non-finite sweep or sup-norm change raises NonFiniteIterate; numpy's
+    # overflow and invalid-value warnings, from F or from two finite sweeps
+    # far apart, would only print it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, _MAX_PICARD + 1):
+            y_new = picard_operator(problem, y, a, b, L, y_start=y_start)
+            change = float(np.abs(y_new - y).max())
+            changes.append(change)
+            y = y_new
+            if change < tol:
+                ratio = _contraction_ratio(changes)
+                if ratio < 1.0:
+                    return True, y, it, ratio
+            if not np.isfinite(change):
+                raise NonFiniteIterate("sup-norm change is not finite")
     return False, y, _MAX_PICARD, _contraction_ratio(changes)
 
 

@@ -5,10 +5,14 @@ for integrals of continuous fields over short vertical segments), so one
 embedded 3/7-point Gauss-Kronrod panel per leaf gives both the value and an
 error estimate from 7 evaluations; only leaves whose estimate misses the
 tolerance are bisected.  A slice of intervals whose first panels all pass is
-returned as those panels' sums; only the other slices enter bisection.  All
+returned as those panels' sums; only the other slices enter bisection.  A
+caller that integrates over the same intervals many times, as the Picard
+sweeps do, builds their first-panel grid once and passes it in.  All
 routines accept signed bounds: swapping lo and hi negates the result, which is
 what oriented line integrals need.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,11 +56,39 @@ _RULE = np.stack([_WK, _WG])   # one product gives the K7 and G3 sums
 _QUAD_TOL = 1e-10
 
 _SLICE = 1 << 12        # intervals refined together (see refine_batch)
+_GRID_RUN = 1 << 10     # rows per integrand call on a precomputed grid
 _MAX_LEAVES = 1 << 17   # live leaves per slice before refinement gives up
 _MAX_SPLITS = 48        # bisection depth cap
 
 
-def refine_batch(eval_xs, lo, hi, tol: float = _QUAD_TOL):
+class _PanelGrid(NamedTuple):
+    """One Gauss-Kronrod panel on each interval [a[r], b[r]]: its 7 abscissae,
+    node-major with shape (7, n), and the half-widths and midpoints."""
+
+    x: np.ndarray
+    half: np.ndarray
+    mid: np.ndarray
+
+    def rows(self, rows: slice) -> "_PanelGrid":
+        return _PanelGrid(self.x[:, rows], self.half[rows], self.mid[rows])
+
+
+def _panel_grid(a, b) -> _PanelGrid:
+    """The panels on [a[r], b[r]].
+
+    The nodes are built node-major in one buffer: numpy then broadcasts along
+    the long axis, and the grid needs no second (rows, 7) temporary.
+    """
+    half = np.subtract(b, a)
+    half *= 0.5
+    mid = np.add(b, a)
+    mid *= 0.5
+    x = _XK[:, None] * half
+    x += mid
+    return _PanelGrid(x, half, mid)
+
+
+def refine_batch(eval_xs, lo, hi, tol: float = _QUAD_TOL, *, grid: _PanelGrid | None = None):
     """Adaptive signed integrals over a batch of intervals.
 
     ``eval_xs(owner, x2d) -> values`` evaluates the integrand on an
@@ -78,32 +110,42 @@ def refine_batch(eval_xs, lo, hi, tol: float = _QUAD_TOL):
     any absolute tolerance) stops within bounded memory instead of doubling
     its leaves each split.
 
-    Intervals are refined in slices of at most ``_SLICE``, which keeps each
-    (rows, nodes) temporary under 0.25 MiB for 7 nodes.  With glibc's default
-    malloc settings, freed arrays of 2 MiB and more go back to the system,
-    so a whole-batch temporary of that size pays fresh page faults at every
-    panel.  A slice whose intervals all pass on their first panel is returned
-    as those panels' Kronrod sums; only the other slices enter bisection.
+    Intervals are refined in slices of at most ``_SLICE``.  A slice whose
+    intervals all pass on their first panel is returned as those panels'
+    Kronrod sums; only the other slices enter bisection.  The first panels
+    come from ``grid``, the ``_panel_grid(lo, hi)`` of a caller that
+    integrates over the same intervals again and again, or else from a grid
+    built per slice.  The integrand sees a given grid's first panels in runs
+    of ``_GRID_RUN`` rows, in order, which changes no result or error.  A
+    run's temporaries of 7 nodes take 56 KiB; those of a 4096-row slice take
+    224 KiB, which glibc was measured to return to the system on free (it
+    trims a free top of heap above 128 KiB, or above twice a raised mmap
+    threshold) and to fault back in by the next slice.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     total = np.zeros(lo.size)
+    run = _SLICE if grid is None else _GRID_RUN
     # a non-finite integrand or panel sum raises NonFinite below; numpy's
     # overflow and invalid-value warnings would only print it first
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, lo.size, _SLICE):
             rows = slice(first, first + _SLICE)
-            total[rows] = _refine_slice(eval_xs, lo[rows], hi[rows], first, tol)
+            panels = None if grid is None else grid.rows(rows)
+            total[rows] = _refine_slice(eval_xs, lo[rows], hi[rows], first, tol, panels, run)
     return total
 
 
-def _refine_slice(eval_xs, lo, hi, first: int, tol: float):
+def _refine_slice(eval_xs, lo, hi, first: int, tol: float, panels: _PanelGrid | None,
+                  run: int):
     """refine_batch for the intervals first .. first + lo.size - 1.
 
-    The first-panel test is false for a NaN or inf sum, so a slice holding
-    one goes on into the loop, which names the first bad interval.
+    ``panels`` holds their first panels, or is None to build them from
+    ``lo`` and ``hi``.  The first-panel test is false for a NaN or inf sum,
+    so a slice holding one goes on into the loop, which names the first bad
+    interval.
     """
-    (kronrod, gauss), mid = _panel(eval_xs, np.arange(first, first + lo.size), lo, hi)
+    (kronrod, gauss), mid = _first_panels(eval_xs, first, lo, hi, panels, run)
     if (np.abs(kronrod - gauss) <= tol).all():
         return kronrod + 0.0   # a -0.0 sum reads +0.0, as when added into zeros
     total = np.zeros(lo.size)
@@ -111,7 +153,7 @@ def _refine_slice(eval_xs, lo, hi, first: int, tol: float):
     a, b = lo, hi
     for split in range(_MAX_SPLITS + 1):
         if split:
-            (kronrod, gauss), mid = _panel(eval_xs, first + owner, a, b)
+            (kronrod, gauss), mid = _panel(eval_xs, first + owner, _panel_grid(a, b))
         # the Gauss nodes are Kronrod nodes, so this check covers every value
         bad = ~np.isfinite(kronrod)
         if bad.any():
@@ -135,19 +177,28 @@ def _refine_slice(eval_xs, lo, hi, first: int, tol: float):
     )
 
 
-def _panel(eval_xs, owner, a, b):
-    """The (K7, G3) sums of one panel on each row [a[r], b[r]], and the midpoints.
+def _first_panels(eval_xs, first: int, lo, hi, panels: _PanelGrid | None, run: int):
+    """``_panel`` on the slice's first panels, ``run`` rows per call.
 
-    ``owner`` goes to ``eval_xs`` as is.  The nodes are built node-major in
-    one buffer: numpy then broadcasts along the long axis, and the panel grid
-    needs no second (rows, 7) temporary.
+    A grid built here from ``lo`` and ``hi`` is freed on return, before any
+    bisection, as the panels of ``_panel`` are.
     """
-    half = np.subtract(b, a)
-    half *= 0.5
-    mid = np.add(b, a)
-    mid *= 0.5
-    x = _XK[:, None] * half
-    x += mid
-    kg = _RULE @ eval_xs(owner, x.T).T
-    kg *= half
-    return kg, mid
+    panels = _panel_grid(lo, hi) if panels is None else panels
+    owner = np.arange(first, first + lo.size)
+    if lo.size <= run:
+        return _panel(eval_xs, owner, panels)
+    sums = []
+    for start in range(0, lo.size, run):
+        rows = slice(start, start + run)
+        sums.append(_panel(eval_xs, owner[rows], panels.rows(rows))[0])
+    return np.concatenate(sums, axis=1), panels.mid
+
+
+def _panel(eval_xs, owner, panels: _PanelGrid):
+    """The (K7, G3) sums of one panel per row, and the midpoints.
+
+    ``owner`` goes to ``eval_xs`` as is.
+    """
+    kg = _RULE @ eval_xs(owner, panels.x.T).T
+    kg *= panels.half
+    return kg, panels.mid

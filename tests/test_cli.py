@@ -407,6 +407,15 @@ class TestCliCommands:
         assert "no grid resolves it" in json.loads(out)["detail"]
         assert not (tmp_path / "p.csv").exists()
 
+    def test_gen_path_with_a_billion_packets_exits_2(self, tmp_path, capsys):
+        # K is checked against the last packet before the 10**9 levels are listed
+        code = main(["gen-path", "--kind", "oscillatory", "--K", "12", "--m-max", "1000000000",
+                     "--out", str(tmp_path / "p.csv")])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert out == {"error": "validation", "detail": "K=12 too coarse; need K >= 1818181821"}
+        assert not (tmp_path / "p.csv").exists()
+
     def test_gen_path_counterexample_is_the_library_path(self, tmp_path, capsys):
         out = tmp_path / "cex.csv"
         code = main(["gen-path", "--kind", "counterexample", "--K", "12", "--alpha", "0.3",

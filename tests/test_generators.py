@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -127,6 +128,24 @@ class TestOscillatory:
         n1 = rp.oscillation_levels(0.45, 4.0, 1)[0]
         with pytest.raises(rp.ResolutionTooCoarse):
             rp.gen_oscillatory(0.45, 0.45, 4.0, 1, n1 + 1 + 1)
+
+    def test_huge_packet_count_fails_in_constant_memory(self):
+        # listing 10**9 packet levels would take about 40 GB; K is checked first
+        need = math.ceil((0.5 + 0.3 * 10**9) / 0.7 - 1e-12) + 10**9 + 2
+        tracemalloc.start()
+        try:
+            with pytest.raises(rp.ResolutionTooCoarse, match=rf"need K >= {need}$"):
+                rp.gen_oscillatory(0.3, 0.3, 0.5, 10**9, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=st.floats(0.01, 0.99), A=st.floats(0.0, 50.0), m_max=st.integers(1, 60))
+    def test_last_level_is_the_last_listed(self, alpha, A, m_max):
+        assert (generators._last_oscillation_level(alpha, A, m_max)
+                == rp.oscillation_levels(alpha, A, m_max)[-1])
 
     @pytest.mark.parametrize("number", [float, np.float64])
     def test_offset_past_the_float_range_is_too_coarse(self, number):

@@ -130,14 +130,15 @@ class TestSolve:
         with pytest.raises(rp.NonFiniteIterate, match="Picard sweep"):
             rp.solve(problem, rp.SolverConfig(grid_level=4, check_drivers=False))
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_change_is_a_non_finite_iterate(self):
         # the sweeps swing from about -M to about +M, both finite, so only
-        # their sup-norm change leaves the float range
+        # their sup-norm change leaves the float range, with no numpy warning
         M = 1.2e308
         F = rp.MatrixField.scalar(lambda t, y, x: np.where(y[0] > 0, -M, M))
         problem = rp.OdeProblem(F=F, drivers=[rp.gen_analytic("linear", 8)],
                                 y0=np.array([1.0]), beta=0.5)
-        with np.errstate(over="ignore"), pytest.raises(rp.NonFiniteIterate, match="sup-norm"):
+        with pytest.raises(rp.NonFiniteIterate, match="sup-norm"):
             rp.solve(problem, rp.SolverConfig(grid_level=4, check_drivers=False))
 
     def test_window_halving_floors_to_whole_cells(self):
@@ -506,6 +507,15 @@ def outcome(fn):
         return type(exc), str(exc)
 
 
+# Fields that read the driver on the quadrature grid, given a level c in the
+# driver's range: smooth ones, and one with a kink at x = c.
+GRID_FIELDS = {
+    "sin(x)*y": lambda c: lambda t, y, x: np.sin(x[0]) * y[0],
+    "x*y**2": lambda c: lambda t, y, x: x[0] * y[0] ** 2,
+    "sqrt|x-c|*y": lambda c: lambda t, y, x: np.sqrt(np.abs(x[0] - c)) * y[0],
+}
+
+
 class TestSweepsMatchTheReference:
     """Sweeps on a window's cached plan equal ``cumulative_increments`` sums, bit for bit."""
 
@@ -577,6 +587,38 @@ class TestSweepsMatchTheReference:
         assert got.windows == want.windows
         assert got.y.tobytes() == want.y.tobytes()
         assert got.residual.hex() == want.residual.hex()
+
+    @settings(max_examples=40, deadline=None)
+    @given(K=st.integers(4, 12), seed=st.integers(0, 2**32),
+           name=st.sampled_from(sorted(GRID_FIELDS)), data=st.data())
+    def test_first_panel_grid_changes_no_bit(self, K, seed, name, data):
+        # sweeps on the plan's first-panel grid against the same sweeps with
+        # every panel built from its bounds, over several windows of one
+        # problem; the kinked field bisects every vertical that crosses c
+        driver = rp.gen_brownian(K, seed)
+        c = float(driver.samples[data.draw(st.integers(0, 1 << K))])
+        F = rp.MatrixField.scalar(GRID_FIELDS[name](c), depends_on_driver=True)
+        problem = rp.OdeProblem(F=F, drivers=[driver], y0=np.array([0.5]), beta=0.5)
+        plan = ode._window_plan
+
+        def gridless(*args):
+            return [(sk, x_at, None) for sk, x_at, _ in plan(*args)]
+
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        for _ in range(data.draw(st.integers(1, 3))):
+            L = data.draw(st.integers(1, K - 2))
+            n = 1 << L
+            ia = data.draw(st.integers(0, n - 1))
+            ib = data.draw(st.integers(ia + 1, n))
+            y = rng.uniform(-2.0, 2.0, (1, ib - ia + 1))
+            got = outcome(lambda: ode.picard_operator(problem, y, ia / n, ib / n, L))
+            assert plan(problem, ia / n, ib / n, L)[0][2] is not None
+            with mock.patch.object(ode, "_window_plan", gridless):
+                want = outcome(lambda: ode.picard_operator(problem, y, ia / n, ib / n, L))
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(K=st.integers(3, 14), seed=st.integers(0, 2**32), data=st.data())

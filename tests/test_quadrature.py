@@ -240,9 +240,10 @@ class TestVerticalAccuracy:
         assert np.all(np.abs(got - exact) <= budget + _ulp_slack(F, t, lo, hi))
 
 
-def _reference_refine_slice(eval_xs, lo, hi, first: int, tol: float):
+def _reference_refine_slice(eval_xs, lo, hi, first: int, tol: float, *_grid):
     """The slice kernel without the first-panel return: every slice, also one
-    whose intervals all pass at once, runs the bisection loop from zeros."""
+    whose intervals all pass at once, runs the bisection loop from zeros, and
+    builds every panel from its bounds, whatever grid it is given."""
     total = np.zeros(lo.size)
     owner = np.arange(lo.size)
     a, b = lo.copy(), hi.copy()
@@ -274,10 +275,12 @@ def _reference_refine_slice(eval_xs, lo, hi, first: int, tol: float):
     )
 
 
-def _outcome(kernel, f, lo, hi, tol):
-    """refine_batch through ``kernel``: its result bytes or error, and the
-    bytes of every (owner, x) pair it passed to the integrand."""
+def _outcome(kernel, f, lo, hi, tol, grid=False):
+    """refine_batch through ``kernel``, with or without the batch's first-panel
+    grid: its result bytes or error, and the (owner, x) pairs it passed to the
+    integrand, as byte strings with the shape of x."""
     calls = []
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
 
     def eval_xs(owner, x):
         calls.append((owner.tobytes(), x.tobytes(), x.shape))
@@ -285,7 +288,8 @@ def _outcome(kernel, f, lo, hi, tol):
 
     with mock.patch.object(quadrature, "_refine_slice", kernel):
         try:
-            result = ("value", refine_batch(eval_xs, lo, hi, tol).tobytes())
+            panels = quadrature._panel_grid(lo, hi) if grid else None
+            result = ("value", refine_batch(eval_xs, lo, hi, tol, grid=panels).tobytes())
         except (rp.NonFinite, rp.QuadratureFailure) as exc:
             result = (type(exc).__name__, str(exc))
     return result, calls
@@ -296,6 +300,20 @@ def _matches_reference(f, lo, hi, tol=1e-10):
     want = _outcome(_reference_refine_slice, f, lo, hi, tol)
     assert got[0] == want[0]
     assert got[1] == want[1]
+    return got[0]
+
+
+def _grid_matches_reference(f, lo, hi, tol=1e-10):
+    """The grid path against the reference kernel: the same outcome, and the
+    integrand sees the same rows in the same order, first panels in runs of
+    at most ``_GRID_RUN`` rows."""
+    got = _outcome(quadrature._refine_slice, f, lo, hi, tol, grid=True)
+    want = _outcome(_reference_refine_slice, f, lo, hi, tol)
+    assert got[0] == want[0]
+    assert got[1][0][2][0] <= quadrature._GRID_RUN
+    assert all(shape[1] == 7 for _, _, shape in got[1])
+    for part in (0, 1):   # owner, then x
+        assert b"".join(c[part] for c in got[1]) == b"".join(c[part] for c in want[1])
     return got[0]
 
 
@@ -320,24 +338,27 @@ class TestFirstPanelReturn:
                       st.booleans()),
             min_size=1, max_size=10,
         ),
-        filler=st.sampled_from([0, 3, quadrature._SLICE + 5]),
+        filler=st.sampled_from([0, 3, quadrature._GRID_RUN + 5, quadrature._SLICE + 5]),
         seed=st.integers(0, 2**16),
     )
     def test_bytes_and_calls_match_reference(self, name, tol, intervals, filler, seed):
-        # short intervals that pass at once, optionally more than a slice of
-        # them, followed by the drawn ones: long, reversed or of zero length
+        # short intervals that pass at once, optionally more than a run or a
+        # slice of them, followed by the drawn ones: long, reversed or of zero
+        # length; with and without a precomputed first-panel grid
         rng = np.random.default_rng(seed)
         start = rng.uniform(-2.0, 3.0, filler)
         lo = np.concatenate([start, [a for a, _, _ in intervals]])
         length = np.concatenate([rng.uniform(-1e-3, 1e-3, filler),
                                  [-n if rev else n for _, n, rev in intervals]])
-        _matches_reference(_KERNEL_INTEGRANDS[name], lo, lo + length, tol)
+        outcome = _matches_reference(_KERNEL_INTEGRANDS[name], lo, lo + length, tol)
+        assert _grid_matches_reference(_KERNEL_INTEGRANDS[name], lo, lo + length, tol) == outcome
 
     def test_zero_length_interval_gives_positive_zero(self):
         # the Kronrod sum is -2 * 0 = -0.0; the reference adds it into zeros
         got = refine_batch(lambda owner, x: -np.ones_like(x), [1.0], [1.0])
         assert got[0] == 0.0 and not np.signbit(got[0])
         assert _matches_reference(lambda owner, x: -np.ones_like(x), [1.0], [1.0])[0] == "value"
+        assert _grid_matches_reference(lambda owner, x: -np.ones_like(x), [1.0], [1.0])[0] == "value"
 
     def test_one_non_finite_interval_among_many(self):
         # two bad intervals in the second slice; the first of them is named
@@ -352,6 +373,7 @@ class TestFirstPanelReturn:
         with pytest.raises(rp.NonFinite, match=rf"interval {quadrature._SLICE + 7}: "):
             refine_batch(f, lo, hi)
         assert _matches_reference(f, lo, hi)[0] == "NonFinite"
+        assert _grid_matches_reference(f, lo, hi)[0] == "NonFinite"
 
     def test_runaway_refinement_still_fails(self):
         # exp(1000 x) is finite on [0, 0.7], but no panel meets the tolerance
@@ -359,3 +381,4 @@ class TestFirstPanelReturn:
         with pytest.raises(rp.QuadratureFailure):
             refine_batch(f, [0.0], [0.7])
         assert _matches_reference(f, [0.0], [0.7])[0] == "QuadratureFailure"
+        assert _grid_matches_reference(f, [0.0], [0.7])[0] == "QuadratureFailure"
