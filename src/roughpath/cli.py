@@ -38,6 +38,21 @@ from .ode import MatrixField, OdeProblem, SolverConfig, solve
 
 _NUMERICAL = (QuadratureFailure, WindowUnderflow, NonFiniteIterate)   # exit 3; the rest exit 2
 
+# The resource budget of the generating subcommands, checked before any
+# generator runs: paths of at most 2**_MAX_K cells (a 128 MiB sample array at
+# the cap), and ensembles of at most _MAX_ENSEMBLE_SAMPLES samples over all
+# their paths (4096 paths at K = 18).
+_MAX_K = 24
+_MAX_ENSEMBLE_SAMPLES = 1 << 30
+
+
+def _check_budget(K: int, n_paths: int = 1) -> None:
+    if K > _MAX_K:
+        raise RoughPathError(f"K = {K} is above the cap of {_MAX_K}")
+    if n_paths * 2 ** max(K, 0) > _MAX_ENSEMBLE_SAMPLES:
+        raise RoughPathError(f"{n_paths} paths at K = {K} are above the cap of "
+                             f"{_MAX_ENSEMBLE_SAMPLES} samples per ensemble")
+
 
 def _parse_with_config(argv, args):
     """Parse ``argv`` again with the --config values as argparse defaults.
@@ -70,6 +85,7 @@ def _emit(payload, json_out, shown=None) -> None:
 
 
 def _gen_path(args):
+    _check_budget(args.K)
     kind = args.kind
     if kind == "brownian":
         path = gen_brownian(args.K, args.seed)
@@ -138,6 +154,7 @@ def _ito_compare(args):
     field = resolve_field(args.field)
     if field.depends_on != "x_only":
         raise RoughPathError("ito-compare needs a state-only field")
+    _check_budget(args.K, args.n_paths)
     paths = (gen_brownian(args.K, args.seed + i) for i in range(args.n_paths))
     f = lambda x: field.evaluate(np.zeros_like(np.asarray(x, dtype=float)), x)
     report = ito_compare(f, paths, s=args.s)
@@ -151,6 +168,7 @@ def _ito_compare(args):
 
 def _wiener_mc(args):
     k_list = [int(k) for k in args.k.split(",")]
+    _check_budget(args.K, args.n_paths)
     _emit(wiener_ensemble(k_list, args.n_paths, args.K, args.seed, threads=args.threads),
           args.json_out)
     return 0

@@ -5,12 +5,14 @@ staircase through the points (t_{k,n}, h_{k,n}); the line integral of
 f(t, x) dx over that staircase is a sum of one-dimensional integrals over the
 vertical segments.  One kernel sums them at one level for a run of equal
 blocks of cells, each block closed by verticals to given end values.  It
-comes in two parts: a skeleton, which holds the verticals' times and end
-heights and depends only on the path, the level and the blocks, and a sum,
-which evaluates one field on a skeleton.  ``staircase_integral`` builds and
-sums a one-block skeleton and ``cumulative_increments`` (behind
-``indefinite_integral``) a many-block one; the Picard operator builds its
-window's skeletons once and sums every component's field on them.
+comes in two parts: a skeleton, which holds the verticals' end heights and
+depends only on the path, the level and the blocks, and a sum, which
+evaluates one field on a skeleton.  In one block a vertical's time follows
+from its row, so a one-block quadrature sum builds no array of times.
+``staircase_integral`` builds and sums a one-block skeleton and
+``cumulative_increments`` (behind ``indefinite_integral``) a many-block one;
+the Picard operator builds its window's skeletons once and sums every
+component's field on them.
 ``integrate`` runs the one-block sum, closed to (g(a), g(b)) so endpoint
 truncation never pollutes the limit, over levels until two consecutive
 differences, of levels that move an end of their cells, fall under tolerance.
@@ -115,10 +117,12 @@ class _Skeleton:
     Block i covers cells first + i*span .. first + (i+1)*span - 1 of the
     level-k averages; its staircase rises from the block's start value to the
     block's first average, runs through its averages and ends at the block's
-    end value: span + 1 verticals, from ``lo`` to ``hi``, at the times
-    (first + offset) * 2**-k, where offset runs over i*span + j for
-    j = 0 .. span.  None of it depends on the integrand, so it can be built
-    once and summed for any number of fields.
+    end value: span + 1 verticals, from ``lo`` to ``hi``.  Vertical j of
+    block i is row i*(span + 1) + j, at the time (first + offset) * 2**-k
+    with offset = i*span + j.  ``offset`` is built on first use: a one-block
+    skeleton, whose offset is its row, needs it only for a t_only sum.  None
+    of it depends on the integrand, so it can be built once and summed for
+    any number of fields.
     """
 
     k: int
@@ -126,11 +130,15 @@ class _Skeleton:
     span: int
     lo: np.ndarray
     hi: np.ndarray
-    offset: np.ndarray
 
     @property
     def n_blocks(self) -> int:
-        return self.offset.size // (self.span + 1)
+        return self.lo.size // (self.span + 1)
+
+    @functools.cached_property
+    def offset(self) -> np.ndarray:
+        """i*span + j for every row: the index of its time in ``times``."""
+        return (self.span * np.arange(self.n_blocks)[:, None] + np.arange(self.span + 1)).ravel()
 
     @functools.cached_property
     def times(self) -> np.ndarray:
@@ -152,8 +160,7 @@ def _skeleton(h: np.ndarray, k: int, first: int, span: int, g: np.ndarray) -> _S
     heights[:, 0] = g[:-1]
     heights[:, 1:-1] = h[first : first + n_blocks * span].reshape(n_blocks, span)
     heights[:, -1] = g[1:]
-    offset = (span * np.arange(n_blocks)[:, None] + np.arange(span + 1)).ravel()
-    return _Skeleton(k, first, span, heights[:, :-1].ravel(), heights[:, 1:].ravel(), offset)
+    return _Skeleton(k, first, span, heights[:, :-1].ravel(), heights[:, 1:].ravel())
 
 
 def _skeleton_sum(sk: _Skeleton, field: ScalarField, tol: float,
@@ -163,17 +170,26 @@ def _skeleton_sum(sk: _Skeleton, field: ScalarField, tol: float,
     All verticals go into one quadrature batch, each integrating f(t, x) at
     its own time t for x from its ``lo`` to its ``hi``, or, for a t_only
     field, one product with its values at the distinct times, so the end
-    time that two adjacent blocks share is evaluated once.  ``grid``, when
-    given, is ``_panel_grid(sk.lo, sk.hi)``, kept by a caller that sums many
-    fields on one skeleton.  Block sums run in a fixed order.
+    time that two adjacent blocks share is evaluated once.  A one-block sum
+    computes the times of the rows quadrature hands over from the rows, and
+    builds no array of every row's time: at level 16 on [0, 1] such an
+    array takes 512 KiB, and a few of them take the transient heap of
+    ``integrate`` past the size that glibc gives back to the system on free,
+    to fault it in again on the next call.  A many-block sum gathers its
+    times from one such array, built per sum: in a Picard sweep the gather
+    costs less than the arithmetic per row would.  ``grid``, when given, is
+    ``_panel_grid(sk.lo, sk.hi)``, kept by a caller that sums many fields on
+    one skeleton.  Block sums run in a fixed order.
     """
     if field.depends_on == "t_only":
         terms = field.value_at_times(sk.times)[sk.offset] * sk.rise
     else:
-        t_abs = (sk.first + sk.offset) * 2.0 ** -sk.k
+        first, step = sk.first, 2.0 ** -sk.k
+        t_abs = None if sk.n_blocks == 1 else (first + sk.offset) * step
 
         def eval_xs(owner, x):
-            return np.asarray(field.evaluate(t_abs[owner][:, None], x), dtype=float)
+            t = (first + owner) * step if t_abs is None else t_abs[owner]
+            return np.asarray(field.evaluate(t[:, None], x), dtype=float)
 
         terms = refine_batch(eval_xs, sk.lo, sk.hi, tol, grid=grid)
     return terms.reshape(sk.n_blocks, sk.span + 1).sum(axis=1)

@@ -346,13 +346,13 @@ class TestCliCommands:
         MemoryError(), MemoryError("Unable to allocate 256. TiB for an array with shape "
                                    "(35184372088833,) and data type float64")])
     def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch, exc):
-        # `gen-path --kind brownian --K 45` asks numpy for 256 TiB; the raise
-        # is simulated so that nothing large is allocated
+        # numpy refusing a generator its memory; the raise is simulated so
+        # that nothing large is allocated
         def refuse(K, seed):
             raise exc
 
         monkeypatch.setattr(cli, "gen_brownian", refuse)
-        code = main(["gen-path", "--kind", "brownian", "--K", "45", "--out",
+        code = main(["gen-path", "--kind", "brownian", "--K", "24", "--out",
                      str(tmp_path / "p.csv")])
         out, err = capsys.readouterr()
         assert code == 2
@@ -415,6 +415,43 @@ class TestCliCommands:
         assert code == 2
         assert out == {"error": "validation", "detail": "K=12 too coarse; need K >= 1818181821"}
         assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-path", "--kind", "brownian", "--K", "25"],
+        ["gen-path", "--kind", "sine", "--K", "30"],
+        ["gen-path", "--kind", "oscillatory", "--K", "1000"],
+        ["wiener-mc", "--k", "8", "--K", "18", "--n-paths", "4097"],
+        ["wiener-mc", "--k", "8", "--K", "25", "--n-paths", "1"],
+        ["ito-compare", "--K", "14", "--n-paths", "65537"],
+        ["ito-compare", "--K", "25", "--n-paths", "1"],
+    ])
+    def test_over_the_budget_exits_2_before_any_generator(self, tmp_path, capsys, monkeypatch,
+                                                           argv):
+        def never(*args, **kwargs):
+            raise AssertionError("a generator ran past the budget check")
+
+        for name in ("gen_brownian", "gen_oscillatory", "gen_counterexample", "gen_analytic",
+                     "wiener_ensemble", "ito_compare"):
+            monkeypatch.setattr(cli, name, never)
+        out = tmp_path / "p.csv"
+        code = main([*argv, "--out", str(out)] if argv[0] == "gen-path" else argv)
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert payload["error"] == "validation"
+        assert "above the cap" in payload["detail"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["wiener-mc", "--k", "8", "--K", "18", "--n-paths", "4096"],
+        ["wiener-mc", "--k", "8", "--K", "24", "--n-paths", "64"],
+    ])
+    def test_an_ensemble_at_the_budget_runs(self, capsys, monkeypatch, argv):
+        # the caps themselves are inside the budget; the ensemble is stubbed
+        # so that nothing is generated
+        calls = []
+        monkeypatch.setattr(cli, "wiener_ensemble", lambda *args, **kw: calls.append(args) or {})
+        assert main(argv) == 0
+        assert len(calls) == 1
 
     def test_gen_path_counterexample_is_the_library_path(self, tmp_path, capsys):
         out = tmp_path / "cex.csv"
@@ -744,6 +781,11 @@ class TestCliCommands:
 
 
 _INTS = st.sampled_from(["-1", "0", "1", "2", "3", "5", "8", "x"])         # K <= 8
+# K and n-paths also past the budget: K = 25 is one level above the cap, and
+# 10**12 paths overrun the ensemble cap at any K; both exit 2 before any
+# generator allocates
+_KS = st.sampled_from(["-1", "0", "1", "2", "3", "5", "8", "25", "x"])
+_N_PATHS = st.sampled_from(["-1", "0", "1", "2", "3", "5", "8", "1000000000000", "x"])
 _FLOATS = st.sampled_from(["-1", "0", "1e-12", "0.25", "0.5", "1", "2", "nan", "inf", "x"])
 _FIELDS = st.sampled_from(["x", "x2", "tx", "sin_t_x", "t_plus_x2", "one", "x**3", "t*t",
                            "sqrt(x)", "log(x)", "1/x", "exp(1000*x)", "foo", "x+"])
@@ -770,7 +812,7 @@ def _fuzz_flags(d):
     return {
         "gen-path": {"--kind": st.sampled_from(["brownian", "oscillatory", "counterexample",
                                                 "linear", "square", "sine", "cubic"]),
-                     "--K": _INTS, "--seed": _INTS, "--alpha": _FLOATS, "--beta": _FLOATS,
+                     "--K": _KS, "--seed": _INTS, "--alpha": _FLOATS, "--beta": _FLOATS,
                      "--A": _FLOATS, "--m-max": _INTS, "--out": outs},
         "averages": {"--path": paths, "--out": outs},
         "diagnose": {"--path": paths, "--beta": _FLOATS, "--json": st.just(None),
@@ -780,10 +822,10 @@ def _fuzz_flags(d):
                       "--json-out": outs},
         "green-check": {"--path": paths, "--field": _FIELDS, "--s": _FLOATS, "--tol": _FLOATS,
                         "--json-out": outs},
-        "ito-compare": {"--field": _FIELDS, "--K": _INTS, "--n-paths": _INTS, "--seed": _INTS,
+        "ito-compare": {"--field": _FIELDS, "--K": _KS, "--n-paths": _N_PATHS, "--seed": _INTS,
                         "--s": _FLOATS, "--out": outs},
         "wiener-mc": {"--k": st.sampled_from(["2", "3,4", "", "x", "-1", "9"]),
-                      "--n-paths": _INTS, "--K": _INTS, "--seed": _INTS, "--json-out": outs},
+                      "--n-paths": _N_PATHS, "--K": _KS, "--seed": _INTS, "--json-out": outs},
         "solve-ode": {"--drivers": st.one_of(paths, st.just(f"{d / 'bm.csv'},{d / 'lin.csv'}")),
                       "--F": st.sampled_from(["linear", "constant", "cubic"]),
                       "--y0": st.sampled_from(["1.0", "1,2", "x", "nan"]), "--beta": _FLOATS,

@@ -1,8 +1,9 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import roughpath as rp
@@ -402,6 +403,78 @@ class TestStaircaseKernelProperties:
         whole = rp.staircase_integral(field, path.pyramid(), a, b, k,
                                       endpoint_values=(path.eval(a), path.eval(b)))
         assert abs(inc.sum() - whole) <= rp.ConvergenceConfig().quad_tol * inc.size + 1e-13
+
+
+@st.composite
+def skeleton_cases(draw):
+    """A one-block skeleton of ``integrate``'s level loop or a many-block one of
+    ``cumulative_increments``, on a Brownian path at K 3..14, and rows of it."""
+    K = draw(st.integers(3, 14))
+    path = rp.gen_brownian(K, draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, K - 1))
+        a, b = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True)))
+        rng = integrator.index_range(a, b, k)
+        assume(rng is not None)
+        g_ab = np.array([path.eval(a), path.eval(b)])
+        sk = integrator._skeleton(path.pyramid().level(k), k, rng[0], rng[1] - rng[0] + 1, g_ab)
+    else:
+        G = draw(st.integers(0, K - 2))
+        ia = draw(st.integers(0, (1 << G) - 1))
+        ib = draw(st.integers(ia + 1, 1 << G))
+        sk = integrator._increment_skeleton(path, ia / 2.0**G, ib / 2.0**G, G)
+    rows = draw(st.lists(st.integers(0, sk.lo.size - 1), min_size=1, max_size=64))
+    return sk, np.array(rows)
+
+
+class TestSkeletonRowTimes:
+    @settings(max_examples=100, deadline=None)
+    @given(skeleton_cases())
+    def test_field_sees_each_rows_own_time(self, case):
+        # quadrature hands the sum every row in order on the first panels,
+        # then any rows in any order on bisection; row i*(span + 1) + j is
+        # vertical j of block i, at the time (first + i*span + j) * 2**-k
+        sk, rows = case
+        seen = []
+
+        def stub_refine_batch(eval_xs, lo, hi, tol, grid=None):
+            for owner in (np.arange(lo.size), rows):
+                eval_xs(owner, np.zeros((owner.size, 7)))
+            return np.zeros(lo.size)
+
+        def record(t, x):
+            seen.append(t[:, 0].copy())
+            return t * x
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrator, "refine_batch", stub_refine_batch)
+            integrator._skeleton_sum(sk, rp.ScalarField(record), 1e-10)
+        for owner, t in zip((np.arange(sk.lo.size), rows), seen, strict=True):
+            i, j = np.divmod(owner, sk.span + 1)
+            want = (sk.first + i * sk.span + j) * 2.0 ** -sk.k
+            assert t.tobytes() == want.tobytes()
+
+
+class TestStaircaseMemory:
+    @pytest.mark.parametrize("name", ["tx", "sin_t_x"])
+    def test_level_16_sum_holds_under_four_level_arrays(self, name):
+        # the level-16 sum on [0, 1] closes 2**16 + 1 verticals; besides
+        # their heights, their sums and the slice temporaries of quadrature
+        # it builds no level-sized array; three more, for the rows' times,
+        # take the transient heap of an integrate call to where glibc gives
+        # it back to the system on free and faults it in again on the next
+        path = rp.gen_brownian(18, 1)
+        pyr = path.pyramid()
+        pyr.level(16)
+        field = rp.BUILTIN_FIELDS[name]
+        ends = (path.eval(0.0), path.eval(1.0))
+        tracemalloc.start()
+        try:
+            rp.staircase_integral(field, pyr, 0.0, 1.0, 16, endpoint_values=ends)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**16 * 8
 
 
 @st.composite
