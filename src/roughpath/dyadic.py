@@ -21,9 +21,12 @@ class DyadicPath:
     ``samples`` is read-only.  A writeable input array is copied, so the
     caller can keep writing to it; a read-only one is shared as is.  The
     library's own generators hand over the arrays they build read-only.
+    The samples' minimum and maximum are taken once, here: they are finite
+    exactly when every sample is, so they are the finiteness check, and
+    ``range()`` returns them.
     """
 
-    __slots__ = ("resolution_level", "samples", "_pyramid")
+    __slots__ = ("resolution_level", "samples", "_range", "_pyramid")
 
     def __init__(self, samples, resolution_level: int):
         if resolution_level < 1:
@@ -37,7 +40,7 @@ class DyadicPath:
             raise LengthMismatch(
                 f"need {expected} samples for K={resolution_level}, got {samples.size}"
             )
-        _require_finite(samples)
+        self._range = _require_finite(samples)
         samples.flags.writeable = False
         self.resolution_level = resolution_level
         self.samples = samples
@@ -73,15 +76,20 @@ class DyadicPath:
         return self._pyramid
 
     def range(self) -> tuple[float, float]:
-        return float(self.samples.min()), float(self.samples.max())
+        """The smallest and the largest sample."""
+        return self._range
 
     def __repr__(self):
         return f"DyadicPath(K={self.resolution_level}, n={self.samples.size})"
 
 
-def _require_finite(samples: np.ndarray) -> None:
-    if not np.isfinite(samples).all():
+def _require_finite(samples: np.ndarray) -> tuple[float, float]:
+    """The samples' (min, max); NaN and +-inf reach one of them, so both are
+    finite exactly when every sample is."""
+    lo, hi = float(samples.min()), float(samples.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NonFinite("path samples must be finite")
+    return lo, hi
 
 
 def _cells_within(a: float, b: float, k: int) -> tuple[int, int]:

@@ -25,7 +25,8 @@ import numpy as np
 
 from .diagnostics import existence_report
 from .dyadic import DyadicPath, _grid_span, holder_seminorm
-from .errors import BadInterval, NonFiniteIterate, WindowUnderflow
+from .errors import (BadExponents, BadInterval, LengthMismatch, LevelOutOfRange,
+                     NonFiniteIterate, SchemaError, WindowUnderflow)
 from .integrator import ScalarField, _increment_skeleton, _skeleton_sum
 # Sweeps no longer call it, but bench/selftest.py looks it up on this module.
 from .integrator import cumulative_increments  # noqa: F401
@@ -55,15 +56,15 @@ class MatrixField:
 
     def __init__(self, components: list[list[FieldComponent]]):
         if not isinstance(components, list) or not all(isinstance(row, list) for row in components):
-            raise BadInterval("component matrix must be a list of rows")
+            raise SchemaError("component matrix must be a list of rows")
         self.m = len(components)
         self.d = len(components[0]) if components else 0
         if self.d == 0:
-            raise BadInterval("empty component matrix")
+            raise SchemaError("empty component matrix")
         if any(len(row) != self.d for row in components):
-            raise BadInterval("ragged component matrix")
+            raise SchemaError("ragged component matrix")
         if not all(isinstance(c, FieldComponent) for row in components for c in row):
-            raise BadInterval("component matrix entries must be FieldComponents")
+            raise SchemaError("component matrix entries must be FieldComponents")
         self.components = components
 
     @staticmethod
@@ -98,9 +99,9 @@ class OdeProblem:
     def __post_init__(self):
         object.__setattr__(self, "y0", np.atleast_1d(np.asarray(self.y0, dtype=float)))
         if len(self.drivers) != self.F.d or self.y0.size != self.F.m:
-            raise BadInterval("dimension mismatch between F, drivers, and y0")
+            raise LengthMismatch("dimension mismatch between F, drivers, and y0")
         if not 0.0 < self.beta <= 1.0:
-            raise BadInterval("beta must lie in (0, 1]")
+            raise BadExponents("beta must lie in (0, 1]")
         if not 0.0 < self.horizon <= 1.0:
             raise BadInterval("horizon must lie in (0, 1]")
 
@@ -152,7 +153,7 @@ def picard_operator(
     ia, ib = _grid_span(a, b, grid_level)
     t_grid = np.arange(ia, ib + 1) * 2.0 ** -grid_level
     if y_current.shape != (problem.F.m, t_grid.size):
-        raise BadInterval("iterate shape does not match the window grid")
+        raise LengthMismatch("iterate shape does not match the window grid")
 
     def y_at(t):
         return np.stack([np.interp(t, t_grid, row) for row in y_current])
@@ -238,7 +239,7 @@ def solve(problem: OdeProblem, cfg: SolverConfig | None = None) -> OdeSolution:
     K = min(d.resolution_level for d in problem.drivers)
     L = cfg.grid_level if cfg.grid_level is not None else K - 4
     if L < 1 or L > K - 2:
-        raise BadInterval(f"solver grid level {L} incompatible with driver resolution {K}")
+        raise LevelOutOfRange(f"solver grid level {L} incompatible with driver resolution {K}")
     try:
         n = _grid_span(0.0, problem.horizon, L)[1]   # the horizon's level-L cells
     except BadInterval:

@@ -108,6 +108,29 @@ class TestBuildPath:
         path = rp.DyadicPath(w, 4)
         assert path.samples is w
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda K: st.tuples(
+               st.just(K),
+               st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                        min_size=(1 << K) + 1, max_size=(1 << K) + 1),
+               st.integers(0, 1 << K),
+               st.sampled_from([np.nan, np.inf, -np.inf]))),
+           st.booleans())
+    def test_range_is_the_finiteness_check(self, case, read_only):
+        # one min and one max at construction: NaN and +-inf each reach one of them
+        K, values, i, bad = case
+        samples = np.array(values)
+        samples.flags.writeable = not read_only
+        path = rp.DyadicPath(samples, K)
+        assert [v.hex() for v in path.range()] == [float(samples.min()).hex(),
+                                                   float(samples.max()).hex()]
+        assert (path.samples is samples) == read_only
+        samples = samples.copy()
+        samples[i] = bad
+        samples.flags.writeable = not read_only
+        with pytest.raises(rp.NonFinite, match=r"^path samples must be finite$"):
+            rp.DyadicPath(samples, K)
+
     def test_brownian_samples_not_copied(self, monkeypatch):
         handed = []
 

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import roughpath as rp
@@ -90,6 +90,44 @@ class TestStaircaseIntegral:
             rp.staircase_integral(rp.BUILTIN_FIELDS["x"], pyr, 0.3, 0.3 + 2.0**-6, 4)
 
 
+# t |x - 0.1|**0.3 bisects the verticals that cross x = 0.1: on gen_brownian(12, 3)
+# over [0, 1], 31 panels per level-2 vertical
+BISECTING = rp.ScalarField(lambda t, x: t * np.abs(x - 0.1) ** 0.3)
+
+
+@st.composite
+def batch_cases(draw):
+    """A Brownian path at K 6..14, an [a, b] on a dyadic grid or anywhere, a
+    field and a tolerance."""
+    K = draw(st.integers(6, 14))
+    path = rp.gen_brownian(K, draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        n = 1 << draw(st.integers(1, K - 3))
+        ia = draw(st.integers(0, n - 1))
+        a, b = ia / n, draw(st.integers(ia + 1, n)) / n
+    else:
+        a, b = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True)))
+        assume(rp.index_range(a, b, K - 2) is not None)
+    field = draw(st.sampled_from([rp.BUILTIN_FIELDS["tx"], rp.BUILTIN_FIELDS["sin_t_x"],
+                                  BISECTING]))
+    return path, a, b, field, draw(st.sampled_from([1e-8, 1e-12]))
+
+
+def quadrature_rows(field, run):
+    """Every (t, x nodes) row that quadrature hands ``field`` during ``run(recording)``,
+    as one byte string per row, sorted."""
+    rows = []
+
+    def record(t, x):
+        if np.shape(t)[-1:] == (1,):      # a quadrature call, not the finiteness probe
+            rows.append(np.hstack([t, x]))
+        return field.evaluate(t, x)
+
+    run(rp.ScalarField(record))
+    rows = np.ascontiguousarray(np.concatenate(rows))
+    return np.sort(rows.view(np.dtype((np.void, 64))).ravel())
+
+
 class TestIntegrateLevels:
     """Each level value of ``integrate`` is the closed staircase integral at that level."""
 
@@ -130,6 +168,38 @@ class TestIntegrateLevels:
         res = rp.integrate(rp.BUILTIN_FIELDS["tx"], rp.gen_brownian(10, 4), 0.1, 0.9,
                            rp.ConvergenceConfig(tol=1e-12))
         assert calls == list(range(2, res.levels[1] + 1))
+
+    @settings(max_examples=60, deadline=None)
+    @example((rp.gen_brownian(12, 3), 0.0, 1.0, BISECTING, 1e-8))
+    @given(batch_cases())
+    def test_batched_rows_see_their_own_levels_times(self, case):
+        # levels summed in one batch hand quadrature the rows, first panels
+        # and bisected leaves alike, that summing each level on its own does
+        path, a, b, field, tol = case
+        res = rp.integrate(field, path, a, b, rp.ConvergenceConfig(tol=tol))
+        ends = (float(path.eval(a)), float(path.eval(b)))
+        levels = [k for k in range(res.levels[0], res.levels[1] + 1)
+                  if rp.index_range(a, b, k) is not None]
+        got = quadrature_rows(field, lambda f: rp.integrate(f, path, a, b,
+                                                            rp.ConvergenceConfig(tol=tol)))
+        want = quadrature_rows(field, lambda f: [
+            rp.staircase_integral(f, path.pyramid(), a, b, k, endpoint_values=ends)
+            for k in levels])
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_failing_batch_raises_its_first_failing_levels_error(self):
+        # NaN only at the odd multiples of 2**-6: levels 5 and 6 share a batch,
+        # which numbers the bad vertical 34, and level 6 alone names it 1
+        field = rp.ScalarField(lambda t, x: np.where((t * 2**6) % 2 == 1, np.nan, t * x))
+        with pytest.raises(rp.NonFinite, match="on interval 1: "):
+            rp.integrate(field, rp.gen_brownian(12, 3), 0.0, 1.0, rp.ConvergenceConfig(tol=1e-12))
+
+    def test_no_level_past_the_stop_is_summed(self):
+        # levels 2 to 4 stop the loop; NaN at the odd multiples of 2**-9 would
+        # raise if a batch ran on to level 9
+        field = rp.ScalarField(lambda t, x: np.where((t * 2**9) % 2 == 1, np.nan, x))
+        res = rp.integrate(field, rp.gen_analytic("linear", 12), 0.0, 1.0)
+        assert (res.converged, res.levels, res.value) == (True, (2, 4), 0.5)
 
 
 class TestIntegrate:

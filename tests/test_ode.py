@@ -56,7 +56,7 @@ class TestPicardOperator:
 
     def test_shape_guard(self):
         prob = linear_problem()
-        with pytest.raises(rp.BadInterval):
+        with pytest.raises(rp.LengthMismatch):
             rp.picard_operator(prob, np.zeros((1, 7)), 0.0, 1.0, 8)
 
     def test_time_only_field_cannot_write_the_window_times(self):
@@ -76,12 +76,12 @@ class TestPicardOperator:
 class TestMatrixField:
     @pytest.mark.parametrize("components", [[], [[]], [[], []]])
     def test_empty_matrix_rejected(self, components):
-        with pytest.raises(rp.BadInterval, match="empty"):
+        with pytest.raises(rp.SchemaError, match="empty"):
             rp.MatrixField(components)
 
     def test_ragged_matrix_rejected(self):
         comp = component(lambda t, y, x: y[0])
-        with pytest.raises(rp.BadInterval, match="ragged"):
+        with pytest.raises(rp.SchemaError, match="ragged"):
             rp.MatrixField([[comp, comp], [comp]])
 
     @pytest.mark.parametrize("rows, match", [("flat", "list of rows"), ("none", "FieldComponents")])
@@ -90,16 +90,16 @@ class TestMatrixField:
         # entry passed until solve read it
         comp = component(lambda t, y, x: y[0])
         components = [comp] if rows == "flat" else [[comp, None]]
-        with pytest.raises(rp.BadInterval, match=match):
+        with pytest.raises(rp.SchemaError, match=match):
             rp.MatrixField(components)
-        with pytest.raises(rp.BadInterval, match=match):
+        with pytest.raises(rp.SchemaError, match=match):
             rp.OdeProblem(F=rp.MatrixField(components), drivers=[rp.gen_brownian(8, 1)] * 2,
                           y0=np.array([1.0]), beta=0.5)
 
 
 class TestSolve:
     def test_dimension_mismatch(self):
-        with pytest.raises(rp.BadInterval, match="dimension mismatch"):
+        with pytest.raises(rp.LengthMismatch, match="dimension mismatch"):
             rp.OdeProblem(F=rp.MatrixField.linear_in_y(), drivers=[rp.gen_brownian(8, 1)],
                           y0=np.array([1.0, 2.0]), beta=0.5)
 
@@ -110,7 +110,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("L", [0, 7])
     def test_grid_level_incompatible_with_the_drivers(self, L):
-        with pytest.raises(rp.BadInterval, match="incompatible with driver resolution 8"):
+        with pytest.raises(rp.LevelOutOfRange, match="incompatible with driver resolution 8"):
             rp.solve(linear_problem(K=8), rp.SolverConfig(grid_level=L, check_drivers=False))
 
     def test_horizon_off_the_grid(self):
@@ -120,7 +120,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("beta", [0.0, -0.5, 1.5])
     def test_beta_outside_the_unit_interval(self, beta):
-        with pytest.raises(rp.BadInterval, match="beta must lie in"):
+        with pytest.raises(rp.BadExponents, match="beta must lie in"):
             linear_problem(K=8, beta=beta)
 
     def test_non_finite_sweep_is_a_non_finite_iterate(self):
@@ -432,7 +432,7 @@ def reference_operator(problem, y_current, a, b, grid_level, y_start=None):
     n_grid = round((b - a) * (1 << grid_level)) + 1
     t_grid = a + np.arange(n_grid) * 2.0 ** -grid_level
     if y_current.shape != (problem.F.m, n_grid):
-        raise rp.BadInterval("iterate shape does not match the window grid")
+        raise rp.LengthMismatch("iterate shape does not match the window grid")
     out = np.repeat(y_start[:, None], n_grid, axis=1)
     for j, driver in enumerate(problem.drivers):
         for i in range(problem.F.m):
