@@ -16,9 +16,6 @@ component's field on them.
 ``integrate`` runs the one-block sum, closed to (g(a), g(b)) so endpoint
 truncation never pollutes the limit, over levels until two consecutive
 differences, of levels that move an end of their cells, fall under tolerance.
-It hands consecutive levels to quadrature as one batch, each row at its own
-level's time, and ends a batch where the stop could fire, so it sums the
-levels, and gets the values and errors, of a loop that sums one at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ import numpy as np
 
 from .dyadic import AveragePyramid, DyadicPath, _add_tents, _cells_within, _grid_span
 from .errors import BadExponents, BadInterval, LevelOutOfRange, NonFinite
-from .quadrature import _QUAD_TOL, _SLICE, _PanelGrid, refine_batch
+from .quadrature import _QUAD_TOL, _PanelGrid, refine_batch
 
 _DEPENDS_ON = ("both", "t_only", "x_only")
 
@@ -186,54 +183,16 @@ def _skeleton_sum(sk: _Skeleton, field: ScalarField, tol: float,
     """
     if field.depends_on == "t_only":
         terms = field.value_at_times(sk.times)[sk.offset] * sk.rise
-    elif sk.n_blocks == 1:
-        first, step = sk.first, 2.0 ** -sk.k
-        terms = _vertical_terms(field, sk.lo, sk.hi, tol, lambda rows: (first + rows) * step, grid)
     else:
-        t_abs = (sk.first + sk.offset) * 2.0 ** -sk.k
-        terms = _vertical_terms(field, sk.lo, sk.hi, tol, t_abs.__getitem__, grid)
+        first, step = sk.first, 2.0 ** -sk.k
+        t_abs = None if sk.n_blocks == 1 else (first + sk.offset) * step
+
+        def eval_xs(owner, x):
+            t = (first + owner) * step if t_abs is None else t_abs[owner]
+            return np.asarray(field.evaluate(t[:, None], x), dtype=float)
+
+        terms = refine_batch(eval_xs, sk.lo, sk.hi, tol, grid=grid)
     return terms.reshape(sk.n_blocks, sk.span + 1).sum(axis=1)
-
-
-def _vertical_terms(field: ScalarField, lo: np.ndarray, hi: np.ndarray, tol: float,
-                    time_of, grid: _PanelGrid | None = None) -> np.ndarray:
-    """The integral of f(t, x) dx from lo[r] to hi[r] for every row r, in one
-    quadrature batch; ``time_of(rows)`` gives the rows' times t."""
-
-    def eval_xs(owner, x):
-        return np.asarray(field.evaluate(time_of(owner)[:, None], x), dtype=float)
-
-    return refine_batch(eval_xs, lo, hi, tol, grid=grid)
-
-
-def _level_sums(sks: list[_Skeleton], field: ScalarField, tol: float) -> list[float]:
-    """The closed sums of the one-block skeletons ``sks`` of ``integrate``'s levels, in order.
-
-    Several skeletons, at most ``_SLICE`` rows in all, go into one
-    quadrature batch, each row at its own level's time, gathered from one
-    array of the batch's row times (32 KiB at most).  Each value is the sum
-    of its own rows, as ``_skeleton_sum`` gives it: every row's integral,
-    and so every value, is the same bit for bit.  Quadrature numbers the
-    intervals of a batch, and bounds its leaves, across levels, so a batch
-    that raises is summed again level by level: an error is the one that
-    the first failing level raises on its own.
-    """
-    if len(sks) > 1:
-        times = np.concatenate([sk.times for sk in sks])
-        times.flags.writeable = False
-        lo = np.concatenate([sk.lo for sk in sks])
-        hi = np.concatenate([sk.hi for sk in sks])
-        try:
-            if field.depends_on == "t_only":
-                terms = field.value_at_times(times) * (hi - lo)
-            else:
-                terms = _vertical_terms(field, lo, hi, tol, times.__getitem__)
-        except Exception:   # a field may raise anything: the first failing level raises it again
-            pass
-        else:
-            ends = np.cumsum([sk.lo.size for sk in sks])
-            return [float(part.sum()) for part in np.split(terms, ends[:-1])]
-    return [float(_skeleton_sum(sk, field, tol)[0]) for sk in sks]
 
 
 def staircase_integral(
@@ -292,13 +251,6 @@ def integrate(
     previous level's, or reach a and b exactly: on equal cells a field linear
     in t gives equal values whatever the limit.  The result carries the
     per-level history.
-
-    Consecutive levels are summed in batches of at most ``_SLICE`` verticals
-    (a level with more is a batch of its own).  Which levels count depends
-    only on their cells, so a batch ends at the first level where the stop
-    could fire: the second counting level while no difference is under
-    ``tol``, the first after one is.  No level past the stop is summed, and
-    the values and errors are those of summing one level at a time.
     """
     cfg = cfg or ConvergenceConfig()
     if not (0.0 <= a < b <= 1.0):
@@ -314,38 +266,19 @@ def integrate(
     hits = 0
     converged = False
     ends = None
-    batch = []      # the skeletons of the levels summed next
-    counts = []     # whether each of them counts toward the stop
-
-    def sum_batch():
-        nonlocal hits, converged
-        for sk, value, counted in zip(batch, _level_sums(batch, field, cfg.quad_tol), counts):
-            values.append(value)
-            levels.append(sk.k)
-            if counted:
-                hits = hits + 1 if abs(values[-1] - values[-2]) < cfg.tol else 0
-                converged = hits >= 2
-        batch.clear()
-        counts.clear()
-
     for k in range(max(cfg.min_level, 1), K - 1):
         rng = index_range(a, b, k)
         if rng is None:
             continue
-        span = rng[1] - rng[0] + 1
-        if batch and sum(s.span + 1 for s in batch) + span + 1 > _SLICE:
-            # summed before this level's heights exist: held through the batch's
-            # quadrature, they moved where glibc trims the heap, and 111 pages
-            # per K = 18 call faulted in again
-            sum_batch()
-        batch.append(_skeleton(pyramid.level(k), k, rng[0], span, g_ab))
+        sk = _skeleton(pyramid.level(k), k, rng[0], rng[1] - rng[0] + 1, g_ab)
+        values.append(float(_skeleton_sum(sk, field, cfg.quad_tol)[0]))
+        levels.append(k)
         prev, ends = ends, (rng[0] * 2.0 ** -k, (rng[1] + 1) * 2.0 ** -k)
-        counts.append(len(values) + len(batch) >= 2 and (ends != prev or ends == (a, b)))
-        if hits + sum(counts) >= 2:
-            sum_batch()
-            if converged:
+        if len(values) >= 2 and (ends != prev or ends == (a, b)):
+            hits = hits + 1 if abs(values[-1] - values[-2]) < cfg.tol else 0
+            if hits >= 2:
+                converged = True
                 break
-    sum_batch()
     if not values:
         raise BadInterval(f"no staircase level up to {K - 2} fits inside [{a}, {b}]")
     return IntegralResult(

@@ -96,7 +96,7 @@ BISECTING = rp.ScalarField(lambda t, x: t * np.abs(x - 0.1) ** 0.3)
 
 
 @st.composite
-def batch_cases(draw):
+def integrate_cases(draw):
     """A Brownian path at K 6..14, an [a, b] on a dyadic grid or anywhere, a
     field and a tolerance."""
     K = draw(st.integers(6, 14))
@@ -171,10 +171,10 @@ class TestIntegrateLevels:
 
     @settings(max_examples=60, deadline=None)
     @example((rp.gen_brownian(12, 3), 0.0, 1.0, BISECTING, 1e-8))
-    @given(batch_cases())
-    def test_batched_rows_see_their_own_levels_times(self, case):
-        # levels summed in one batch hand quadrature the rows, first panels
-        # and bisected leaves alike, that summing each level on its own does
+    @given(integrate_cases())
+    def test_every_row_sees_its_own_levels_time(self, case):
+        # integrate hands quadrature the rows, first panels and bisected leaves
+        # alike, that a closed staircase sum of each level on its own does
         path, a, b, field, tol = case
         res = rp.integrate(field, path, a, b, rp.ConvergenceConfig(tol=tol))
         ends = (float(path.eval(a)), float(path.eval(b)))
@@ -187,16 +187,16 @@ class TestIntegrateLevels:
             for k in levels])
         assert got.tobytes() == want.tobytes()
 
-    def test_a_failing_batch_raises_its_first_failing_levels_error(self):
-        # NaN only at the odd multiples of 2**-6: levels 5 and 6 share a batch,
-        # which numbers the bad vertical 34, and level 6 alone names it 1
+    def test_a_failing_level_names_its_own_interval(self):
+        # NaN only at the odd multiples of 2**-6: level 6 is the first to meet
+        # one, at its own vertical 1, and the error numbers it within that level
         field = rp.ScalarField(lambda t, x: np.where((t * 2**6) % 2 == 1, np.nan, t * x))
         with pytest.raises(rp.NonFinite, match="on interval 1: "):
             rp.integrate(field, rp.gen_brownian(12, 3), 0.0, 1.0, rp.ConvergenceConfig(tol=1e-12))
 
     def test_no_level_past_the_stop_is_summed(self):
         # levels 2 to 4 stop the loop; NaN at the odd multiples of 2**-9 would
-        # raise if a batch ran on to level 9
+        # raise if it ran on to level 9
         field = rp.ScalarField(lambda t, x: np.where((t * 2**9) % 2 == 1, np.nan, x))
         res = rp.integrate(field, rp.gen_analytic("linear", 12), 0.0, 1.0)
         assert (res.converged, res.levels, res.value) == (True, (2, 4), 0.5)
