@@ -5,10 +5,13 @@ staircase through the points (t_{k,n}, h_{k,n}); the line integral of
 f(t, x) dx over that staircase is a sum of one-dimensional integrals over the
 vertical segments.  One kernel sums them at one level for a run of equal
 blocks of cells, each block closed by verticals to given end values.  It
-comes in two parts: a skeleton, which holds the verticals' end heights and
-depends only on the path, the level and the blocks, and a sum, which
-evaluates one field on a skeleton.  In one block a vertical's time follows
-from its row, so a one-block quadrature sum builds no array of times.
+comes in two parts: a skeleton, which depends only on the path, the level
+and the blocks, and a sum, which evaluates one field on a skeleton.  The
+skeleton holds the verticals' end heights as one flat array in which
+adjacent blocks share their end value, so the verticals' lower and upper
+ends are two views of it, and it spreads values at the distinct times to the
+verticals by block copies.  In one block a vertical's time follows from its
+row, so a one-block quadrature sum builds no array of times.
 ``staircase_integral`` builds and sums a one-block skeleton and
 ``cumulative_increments`` (behind ``indefinite_integral``) a many-block one;
 the Picard operator builds its window's skeletons once and sums every
@@ -117,12 +120,14 @@ class _Skeleton:
     Block i covers cells first + i*span .. first + (i+1)*span - 1 of the
     level-k averages; its staircase rises from the block's start value to the
     block's first average, runs through its averages and ends at the block's
-    end value: span + 1 verticals, from ``lo`` to ``hi``.  Vertical j of
-    block i is row i*(span + 1) + j, at the time (first + offset) * 2**-k
-    with offset = i*span + j.  ``offset`` is built on first use: a one-block
-    skeleton, whose offset is its row, needs it only for a t_only sum.  None
-    of it depends on the integrand, so it can be built once and summed for
-    any number of fields.
+    end value: span + 1 verticals, from ``lo`` to ``hi``.  Adjacent blocks
+    share their end value, so the heights are one flat array of
+    n_blocks*(span + 1) + 1 values with the end values at every
+    (span + 1)-th slot, and ``lo`` and ``hi`` are its views [:-1] and [1:].
+    Vertical j of block i is row i*(span + 1) + j, at the time
+    ``times[i*span + j]``; ``by_row`` spreads values at the times to the
+    rows.  None of it depends on the integrand, so it can be built once and
+    summed for any number of fields.
     """
 
     k: int
@@ -136,11 +141,6 @@ class _Skeleton:
         return self.lo.size // (self.span + 1)
 
     @functools.cached_property
-    def offset(self) -> np.ndarray:
-        """i*span + j for every row: the index of its time in ``times``."""
-        return (self.span * np.arange(self.n_blocks)[:, None] + np.arange(self.span + 1)).ravel()
-
-    @functools.cached_property
     def times(self) -> np.ndarray:
         """The n_blocks*span + 1 distinct times, in order; read-only, as fields get them."""
         times = (self.first + np.arange(self.n_blocks * self.span + 1)) * 2.0 ** -self.k
@@ -151,16 +151,26 @@ class _Skeleton:
     def rise(self) -> np.ndarray:
         return self.hi - self.lo
 
+    def by_row(self, at_times: np.ndarray) -> np.ndarray:
+        """Values at the distinct ``times`` spread to the (n_blocks, span + 1)
+        rows, ``at_times[i*span + j]`` in row i, column j: two block copies,
+        of every value but the last and of the block ends.  A span-0 block,
+        the one vertical between two averages, ends at its only time."""
+        rows = np.empty((self.n_blocks, self.span + 1))
+        rows[:, :-1] = at_times[:-1].reshape(self.n_blocks, self.span)
+        rows[:, -1] = at_times[self.span :: max(self.span, 1)]
+        return rows
+
 
 def _skeleton(h: np.ndarray, k: int, first: int, span: int, g: np.ndarray) -> _Skeleton:
     """Skeleton of the blocks of ``span`` level-k cells of the averages ``h``
     from cell ``first`` on, closed to the len(g) - 1 blocks' end values ``g``."""
     n_blocks = g.size - 1
-    heights = np.empty((n_blocks, span + 2))
-    heights[:, 0] = g[:-1]
-    heights[:, 1:-1] = h[first : first + n_blocks * span].reshape(n_blocks, span)
-    heights[:, -1] = g[1:]
-    return _Skeleton(k, first, span, heights[:, :-1].ravel(), heights[:, 1:].ravel())
+    heights = np.empty(n_blocks * (span + 1) + 1)
+    heights[:: span + 1] = g
+    blocks = heights[:-1].reshape(n_blocks, span + 1)     # a view; row i starts at g[i]
+    blocks[:, 1:] = h[first : first + n_blocks * span].reshape(n_blocks, span)
+    return _Skeleton(k, first, span, heights[:-1], heights[1:])
 
 
 def _skeleton_sum(sk: _Skeleton, field: ScalarField, tol: float,
@@ -170,22 +180,24 @@ def _skeleton_sum(sk: _Skeleton, field: ScalarField, tol: float,
     All verticals go into one quadrature batch, each integrating f(t, x) at
     its own time t for x from its ``lo`` to its ``hi``, or, for a t_only
     field, one product with its values at the distinct times, so the end
-    time that two adjacent blocks share is evaluated once.  A one-block sum
-    computes the times of the rows quadrature hands over from the rows, and
-    builds no array of every row's time: at level 16 on [0, 1] such an
-    array takes 512 KiB, and a few of them take the transient heap of
-    ``integrate`` past the size that glibc gives back to the system on free,
-    to fault it in again on the next call.  A many-block sum gathers its
-    times from one such array, built per sum: in a Picard sweep the gather
-    costs less than the arithmetic per row would.  ``grid``, when given, is
+    time that two adjacent blocks share is evaluated once and spread to its
+    rows by ``by_row``.  A one-block sum computes the times of the rows
+    quadrature hands over from the rows, and builds no array of every row's
+    time: at level 16 on [0, 1] such an array takes 512 KiB, and a few of
+    them take the transient heap of ``integrate`` past the size that glibc
+    gives back to the system on free, to fault it in again on the next call.
+    A many-block sum gathers its rows' times from one such array,
+    ``by_row(times)``, built per sum: in a Picard sweep the gather costs less
+    than the arithmetic per row would.  ``grid``, when given, is
     ``_panel_grid(sk.lo, sk.hi)``, kept by a caller that sums many fields on
     one skeleton.  Block sums run in a fixed order.
     """
     if field.depends_on == "t_only":
-        terms = field.value_at_times(sk.times)[sk.offset] * sk.rise
+        terms = sk.by_row(field.value_at_times(sk.times))
+        terms *= sk.rise.reshape(terms.shape)
     else:
         first, step = sk.first, 2.0 ** -sk.k
-        t_abs = None if sk.n_blocks == 1 else (first + sk.offset) * step
+        t_abs = None if sk.n_blocks == 1 else sk.by_row(sk.times).ravel()
 
         def eval_xs(owner, x):
             t = (first + owner) * step if t_abs is None else t_abs[owner]
@@ -230,9 +242,10 @@ def staircase_integral(
 def _check_field_finite(field: ScalarField, path: DyadicPath) -> None:
     c, d = path.range()
     pad = 0.01 * (d - c) if d > c else 0.01 * max(1.0, abs(c))
-    tt, xx = np.meshgrid(np.linspace(0.0, 1.0, 33), np.linspace(c - pad, d + pad, 33))
+    t = np.linspace(0.0, 1.0, 33)
+    x = np.linspace(c - pad, d + pad, 33)[:, None]     # broadcasts against t to the 33 x 33 grid
     with np.errstate(all="ignore"):    # a non-finite value is the finding, not a warning
-        probe = np.asarray(field.evaluate(tt, xx), dtype=float)
+        probe = np.asarray(field.evaluate(t, x), dtype=float)
     if not np.isfinite(probe).all():
         raise NonFinite("field is not finite on the strip enclosing the path range")
 

@@ -26,7 +26,7 @@ import numpy as np
 from .diagnostics import existence_report
 from .dyadic import DyadicPath, _grid_span, holder_seminorm
 from .errors import (BadExponents, BadInterval, LengthMismatch, LevelOutOfRange,
-                     NonFiniteIterate, SchemaError, WindowUnderflow)
+                     NonFinite, NonFiniteIterate, SchemaError, WindowUnderflow)
 from .integrator import ScalarField, _increment_skeleton, _skeleton_sum
 # Sweeps no longer call it, but bench/selftest.py looks it up on this module.
 from .integrator import cumulative_increments  # noqa: F401
@@ -100,6 +100,8 @@ class OdeProblem:
         object.__setattr__(self, "y0", np.atleast_1d(np.asarray(self.y0, dtype=float)))
         if len(self.drivers) != self.F.d or self.y0.size != self.F.m:
             raise LengthMismatch("dimension mismatch between F, drivers, and y0")
+        if not np.isfinite(self.y0).all():
+            raise NonFinite("y0 must be finite")
         if not 0.0 < self.beta <= 1.0:
             raise BadExponents("beta must lie in (0, 1]")
         if not 0.0 < self.horizon <= 1.0:

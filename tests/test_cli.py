@@ -572,6 +572,19 @@ class TestCliCommands:
         assert json.loads(capsys.readouterr().out) == {
             "error": "validation", "detail": "supported --F values: linear, constant"}
 
+    @pytest.mark.parametrize("y0", ["nan", "inf", "-inf"])
+    def test_solve_ode_non_finite_y0_exits_2(self, tmp_path, capsys, y0):
+        src = tmp_path / "b.csv"
+        main(["gen-path", "--kind", "brownian", "--K", "10", "--seed", "1", "--out", str(src)])
+        capsys.readouterr()
+        code = main(["solve-ode", "--drivers", str(src), f"--y0={y0}",
+                     "--out", str(tmp_path / "y.csv")])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out) == {"error": "validation", "detail": "y0 must be finite"}
+        assert "Traceback" not in err
+        assert not (tmp_path / "y.csv").exists()
+
     def test_solve_ode_not_converged_exit_code(self, tmp_path, capsys, monkeypatch):
         src = tmp_path / "x.csv"
         main(["gen-path", "--kind", "linear", "--K", "12", "--out", str(src)])

@@ -123,6 +123,16 @@ class TestSolve:
         with pytest.raises(rp.BadExponents, match="beta must lie in"):
             linear_problem(K=8, beta=beta)
 
+    @pytest.mark.parametrize("y0", [np.nan, np.inf, -np.inf])
+    def test_non_finite_y0_raises_before_any_sweep(self, y0):
+        # a NaN or infinite start is an input fault, not a sweep that fails
+        with mock.patch.object(ode, "picard_operator", wraps=ode.picard_operator) as sweep:
+            with pytest.raises(rp.NonFinite, match="y0 must be finite"):
+                problem = rp.OdeProblem(F=rp.MatrixField.linear_in_y(),
+                                        drivers=[rp.gen_brownian(8, 1)], y0=[y0], beta=0.5)
+                rp.solve(problem, rp.SolverConfig(grid_level=4, check_drivers=False))
+        sweep.assert_not_called()
+
     def test_non_finite_sweep_is_a_non_finite_iterate(self):
         F = rp.MatrixField.scalar(lambda t, y, x: np.full_like(t, np.nan))
         problem = rp.OdeProblem(F=F, drivers=[rp.gen_analytic("linear", 8)],
