@@ -282,7 +282,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("solve-ode", help="Picard solve of dy = F(t, y, x) dx")
     p.add_argument("--drivers", required=True, help="comma-separated path CSVs")
     p.add_argument("--F", default="linear")
-    p.add_argument("--y0", default="1.0")
+    p.add_argument("--y0", default="1.0", help="comma-separated start values: --y0=-1,2")
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--tol", type=float, default=SolverConfig.tol)
     p.add_argument("--grid-level", type=int, default=None)

@@ -129,9 +129,14 @@ def gap_functional(
         c_lo, c_hi = _cells_within(a, b, k)
         if c_hi < c_lo:
             continue
-        prefix = pyramid.gap_prefix(k)
+        prefix = _gap_prefix(pyramid, k)
         total += 2.0 ** (-(k + 1) * beta + 1.0) * (prefix[c_hi + 1] - prefix[c_lo])
     return total
+
+
+def _gap_prefix(pyramid: AveragePyramid, k: int) -> np.ndarray:
+    """Prefix sums of |child_gap(k)| with a leading zero (length 2**k + 1)."""
+    return np.concatenate([[0.0], np.cumsum(np.abs(pyramid.child_gap(k)))])
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,26 +156,31 @@ def scaling_norm(
     """Estimate the interval-scaling norm by scanning aligned dyadic cells
     [i*2**-j, (i+1)*2**-j] for every j <= scan_depth (the full interval is the
     j = 0 candidate).  Only dyadic-aligned intervals are scanned, so the value
-    is a lower bound for the true sup over all intervals."""
+    is a lower bound for the true sup over all intervals.
+
+    Each cell gets ``gap_functional``'s value bit for bit, from one gap prefix
+    per level and call.  The first strictly greater value wins, by depth and
+    then left to right; a NaN, 0/0 once width**(beta+gamma) underflows, never does.
+    """
     if beta <= 0 or gamma <= 0:
         raise BadExponents("beta and gamma must be positive")
-    best = 0.0
-    arg = (0.0, 1.0)
-    for j in range(0, min(scan_depth, pyramid.K - 2) + 1):
+    sums = [np.zeros(1 << j) for j in range(min(scan_depth, pyramid.K - 2) + 1)]
+    if sums and not beta < 1.0:
+        raise BadExponents("beta must lie in (0, 1)")
+    for k in range(2, pyramid.K - 1):    # depth j sums levels j + 2 = base_level + 1 .. K - 2
+        prefix = _gap_prefix(pyramid, k)
+        for j in range(min(len(sums), k - 1)):
+            sums[j] += 2.0 ** (-(k + 1) * beta + 1.0) * np.diff(prefix[:: 1 << (k - j)])
+    best, arg = 0.0, (0.0, 1.0)
+    for j, mu in enumerate(sums):
         width = 2.0 ** -j
-        for i in range(1 << j):
-            a, b = i * width, (i + 1) * width
-            mu = gap_functional(pyramid, a, b, beta)
-            val = mu / width ** (beta + gamma)
-            if val > best:
-                best, arg = val, (a, b)
-    return ScalingNormEstimate(
-        beta=beta,
-        gamma=gamma,
-        value=best,
-        argmax_interval=arg,
-        scan_depth=scan_depth,
-    )
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vals = mu / width ** (beta + gamma)
+        top = np.fmax.reduce(vals)   # NaN only when every value is
+        if top > best:
+            i = int(np.argmax(vals == top))
+            best, arg = vals[i], (i * width, (i + 1) * width)
+    return ScalingNormEstimate(beta, gamma, best, arg, scan_depth)
 
 
 def operator_tail_constant(pyramid: AveragePyramid, beta: float) -> float:

@@ -126,14 +126,13 @@ class AveragePyramid:
     the last bit by construction.
     """
 
-    __slots__ = ("K", "_levels", "_prefix")
+    __slots__ = ("K", "_levels")
 
     def __init__(self, levels: list[np.ndarray], K: int):
         self.K = K
         for arr in levels:
             arr.flags.writeable = False
         self._levels = levels
-        self._prefix: dict[int, np.ndarray] = {}
 
     def level(self, k: int) -> np.ndarray:
         """h[k], an array of 2**k cell averages; 0 <= k <= K-1."""
@@ -155,14 +154,6 @@ class AveragePyramid:
                 f"a level-{k + 1} sibling gap h[{k + 1}][2n] - h[{k + 1}][2n+1] "
                 "overflows the float range"
             ) from None
-
-    def gap_prefix(self, k: int) -> np.ndarray:
-        """Prefix sums of |child_gap(k)| with a leading zero (length 2**k + 1)."""
-        if k not in self._prefix:
-            p = np.concatenate([[0.0], np.cumsum(np.abs(self.child_gap(k)))])
-            p.flags.writeable = False
-            self._prefix[k] = p
-        return self._prefix[k]
 
 
 def average_pyramid(path: DyadicPath) -> AveragePyramid:

@@ -34,6 +34,8 @@ from .quadrature import _QUAD_TOL, _PanelGrid, refine_batch
 
 _DEPENDS_ON = ("both", "t_only", "x_only")
 
+_STATE_ONLY_TOL = 1e-13   # the absolute quadrature tolerance of integrate_state_only
+
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -213,7 +215,6 @@ def staircase_integral(
     a: float,
     b: float,
     k: int,
-    tol: float = _QUAD_TOL,
     endpoint_values: tuple[float, float] | None = None,
 ) -> float:
     """Level-k staircase line integral of f(t, x) dx over [a, b].
@@ -222,7 +223,6 @@ def staircase_integral(
     interior vertical segments.  Given the endpoint values
     (g(a), g(b)), the closing verticals join the staircase to them, which
     removes the first-order endpoint truncation; ``integrate`` uses that form.
-    ``tol`` is the absolute quadrature tolerance per vertical segment.
     """
     if k > pyramid.K - 1:
         raise LevelOutOfRange(f"level {k} needs path resolution > {k}")
@@ -236,7 +236,7 @@ def staircase_integral(
         # evaluated only on the defining sum's own verticals.
         n_lo, n_hi, endpoint_values = n_lo + 1, n_hi - 1, (h[n_lo], h[n_hi])
     sk = _skeleton(h, k, n_lo, n_hi - n_lo + 1, np.array(endpoint_values, dtype=float))
-    return float(_skeleton_sum(sk, field, tol)[0])
+    return float(_skeleton_sum(sk, field, _QUAD_TOL)[0])
 
 
 def _check_field_finite(field: ScalarField, path: DyadicPath) -> None:
@@ -302,11 +302,9 @@ def integrate(
     )
 
 
-def integrate_state_only(f, path: DyadicPath, a: float, b: float,
-                         tol: float = 1e-13) -> float:
+def integrate_state_only(f, path: DyadicPath, a: float, b: float) -> float:
     """Exact reduction for integrands f(x): the definite integral of f between
-    g(a) and g(b), evaluated by adaptive quadrature to the absolute ``tol``
-    (no staircase limit)."""
+    g(a) and g(b), by adaptive quadrature to ``_STATE_ONLY_TOL`` (no staircase limit)."""
     if not (0.0 <= a < b <= 1.0):
         raise BadInterval(f"bad interval [{a}, {b}]")
     ga, gb = float(path.eval(a)), float(path.eval(b))
@@ -316,7 +314,7 @@ def integrate_state_only(f, path: DyadicPath, a: float, b: float,
     def eval_xs(_owner, x):
         return np.asarray(f(x), dtype=float)
 
-    return float(refine_batch(eval_xs, [ga], [gb], tol)[0])
+    return float(refine_batch(eval_xs, [ga], [gb], _STATE_ONLY_TOL)[0])
 
 
 def adversarial_integrand(

@@ -585,6 +585,43 @@ class TestCliCommands:
         assert "Traceback" not in err
         assert not (tmp_path / "y.csv").exists()
 
+    def test_solve_ode_takes_a_negative_y0_attached_with_equals(self, tmp_path, capsys):
+        src = tmp_path / "x.csv"
+        main(["gen-path", "--kind", "linear", "--K", "10", "--out", str(src)])
+        out = tmp_path / "y.csv"
+        code = main(["solve-ode", "--drivers", str(src), "--y0=-1e-3", "--beta", "0.9",
+                     "--out", str(out)])
+        assert code == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows[0, 1] == -1e-3
+        assert abs(rows[-1, 1] / -1e-3 - np.e) < 1e-4    # y = y0 exp(x), x(1) = 1
+        # two start values reach the dimension check, which both one-component --F fail
+        capsys.readouterr()
+        code = main(["solve-ode", "--drivers", f"{src},{src}", "--y0=-1,2",
+                     "--out", str(tmp_path / "y2.csv")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "validation", "detail": "dimension mismatch between F, drivers, and y0"}
+        args = cli.build_parser()[0].parse_args(
+            ["solve-ode", "--drivers", f"{src},{src}", "--y0=-1,2", "--out", "y.csv"])
+        assert args.y0 == "-1,2"
+
+    @pytest.mark.parametrize("y0", ["-1,2", "-1e-3"])
+    def test_solve_ode_detached_negative_y0_is_a_usage_error(self, tmp_path, y0):
+        src = tmp_path / "x.csv"
+        main(["gen-path", "--kind", "linear", "--K", "8", "--out", str(src)])
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rp.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "roughpath.cli", "solve-ode", "--drivers", str(src),
+             "--y0", y0, "--out", str(tmp_path / "y.csv")],
+            capture_output=True, env=env, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: roughpath solve-ode")
+        assert "argument --y0: expected one argument" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        assert not (tmp_path / "y.csv").exists()
+
     def test_solve_ode_not_converged_exit_code(self, tmp_path, capsys, monkeypatch):
         src = tmp_path / "x.csv"
         main(["gen-path", "--kind", "linear", "--K", "12", "--out", str(src)])

@@ -1,5 +1,7 @@
 import concurrent.futures
+import functools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -175,6 +177,76 @@ class TestScalingNorm:
         a = rp.scaling_norm(path.pyramid(), 0.6, 0.3, scan_depth=3).value
         b = rp.scaling_norm(scaled.pyramid(), 0.6, 0.3, scan_depth=3).value
         assert b == pytest.approx(2.5 * a, rel=1e-12)
+
+
+@functools.cache
+def _scan_pyramid(kind, K, seed):
+    if kind == "brownian":
+        return rp.gen_brownian(K, seed).pyramid()
+    if kind == "oscillatory":
+        return rp.gen_oscillatory(0.3, 0.3, float(seed % 3), 3, K).pyramid()
+    return rp.gen_counterexample(0.5, 0.3, K).pyramid()
+
+
+def _brute_scaling_norm(pyr, beta, gamma, scan_depth):
+    """The interval loop: one gap_functional per aligned cell, by depth, then left to right."""
+    best, arg = 0.0, (0.0, 1.0)
+    for j in range(min(scan_depth, pyr.K - 2) + 1):
+        width = 2.0 ** -j
+        for i in range(1 << j):
+            a, b = i * width, (i + 1) * width
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                # a cell with no level to sum gives a float 0.0; divide as numpy does
+                val = np.float64(rp.gap_functional(pyr, a, b, beta)) / width ** (beta + gamma)
+            if val > best:
+                best, arg = val, (a, b)
+    return best, arg
+
+
+class TestScalingNormScan:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.one_of(
+            st.tuples(st.just("brownian"), st.integers(2, 10), st.integers(0, 50)),
+            st.tuples(st.just("oscillatory"), st.integers(10, 11), st.integers(0, 2)),
+            st.tuples(st.just("counterexample"), st.integers(10, 11), st.just(0)),
+        ),
+        beta=st.floats(0.01, 0.99),
+        # width**(beta + gamma) underflows to 0 from depth 1 (gamma = 2000) or 3 (400)
+        gamma=st.one_of(st.floats(0.01, 5.0), st.sampled_from([150.0, 400.0, 2000.0])),
+        data=st.data(),
+    )
+    def test_equals_the_interval_loop(self, case, beta, gamma, data):
+        pyr = _scan_pyramid(*case)
+        depth = data.draw(st.integers(0, pyr.K - 2), label="scan_depth")
+        est = rp.scaling_norm(pyr, beta, gamma, scan_depth=depth)
+        value, arg = _brute_scaling_norm(pyr, beta, gamma, depth)
+        assert float(est.value).hex() == float(value).hex()
+        assert est.argmax_interval == arg
+
+    def test_underflow_never_picks_a_nan(self):
+        # with gamma = 2000, width**(beta + gamma) underflows to 0 from depth 1 on:
+        # a cell with a positive sum scores inf and the first such cell wins, while
+        # a cell whose sum is 0 (every cell of a constant path) scores NaN and never wins
+        for pyr in (rp.gen_brownian(8, 3).pyramid(), rp.gen_analytic("linear", 8).pyramid()):
+            est = rp.scaling_norm(pyr, 0.5, 2000.0, scan_depth=6)
+            assert est.value == math.inf and est.argmax_interval == (0.0, 0.5)
+        est = rp.scaling_norm(constant_pyramid(K=8), 0.5, 2000.0, scan_depth=6)
+        assert est.value == 0.0 and est.argmax_interval == (0.0, 1.0)
+
+    def test_holds_nothing_after_the_call(self):
+        pyr = rp.gen_brownian(16, 5).pyramid()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            est = rp.scaling_norm(pyr, 0.6, 0.3)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert est.value > 0
+        # one level-14 prefix is 128 KiB: no prefix may outlive the call
+        assert held < 16 * 1024
+        assert not hasattr(pyr, "__dict__") and type(pyr).__slots__ == ("K", "_levels")
 
 
 class TestOperatorTailConstant:
