@@ -40,7 +40,7 @@ print("  staircase route       :", cross.value, "(converged:", cross.converged, 
 # staircase integral at level k equals the weighted gap sums exactly, so a
 # divergent diagnostic produces an actual divergent integrand family.
 f_path, predicted = rp.adversarial_integrand(bm.pyramid(), beta=0.45, k_max=6)
-got = rp.staircase_integral(rp.ScalarField.from_path(f_path), bm.pyramid(), 0.0, 1.0, 6)
+got = rp.staircase_integral(rp.ScalarField.t_only(f_path.eval), bm.pyramid(), 0.0, 1.0, 6)
 print("\nadversarial identity: staircase =", got, "predicted =", predicted)
 
 # Indefinite integral: a continuous curve accumulated over grid increments.

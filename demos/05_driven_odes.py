@@ -19,7 +19,7 @@ prob = rp.OdeProblem(
     beta=0.9,
 )
 sol = rp.solve(prob, rp.SolverConfig(tol=1e-10, grid_level=12))
-print("dy = y dx, x = t:  sup |y - e^t| =", np.abs(sol.component() - np.exp(sol.t)).max())
+print("dy = y dx, x = t:  sup |y - e^t| =", np.abs(sol.y[0] - np.exp(sol.t)).max())
 print("  windows:", [(w["start"], w["end"], w["iterations"]) for w in sol.windows],
       "residual:", sol.residual)
 
@@ -31,7 +31,7 @@ rough = rp.OdeProblem(
     F=rp.MatrixField.linear_in_y(), drivers=[driver], y0=np.array([1.0]), beta=0.45
 )
 sol2 = rp.solve(rough, rp.SolverConfig(tol=1e-10, grid_level=12, check_drivers=False))
-err = np.abs(sol2.component() - np.exp(driver.eval(sol2.t))).max()
+err = np.abs(sol2.y[0] - np.exp(driver.eval(sol2.t))).max()
 print("\ndy = y dx, oscillatory driver:  sup |y - e^x| =", err)
 
 # Continuity of the inputs-to-solution map: perturb the driver, watch the

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicPath, _cells_within
-from .errors import BadInterval, MissingDerivative
+from .errors import BadInterval, LevelOutOfRange, MissingDerivative
 from .integrator import ScalarField, integrate_state_only
 
 # A fixed rule per path cell with no error estimate; changing it would move the
@@ -55,7 +55,7 @@ def _cells(path: DyadicPath, s: float, level: int):
     """
     K = path.resolution_level
     if not 0 <= level <= K:
-        raise BadInterval("discretization level must lie in 0 .. path resolution")
+        raise LevelOutOfRange("discretization level must lie in 0 .. path resolution")
     if not 0.0 < s <= 1.0:
         raise BadInterval("s must lie in (0, 1]")
     g = path.samples[:: 1 << (K - level)]

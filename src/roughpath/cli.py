@@ -59,8 +59,9 @@ def _parse_with_config(argv, args):
 
     argparse converts a string default with its flag's own ``type`` when the
     flag is absent, so config values are checked like flags and an explicit
-    flag still wins.  The defaults go on a parser built for this call alone,
-    so they never reach a later ``main`` call.
+    flag still wins; it does not check a default against the flag's
+    ``choices``, so that check is made here.  The defaults go on a parser
+    built for this call alone, so they never reach a later ``main`` call.
     """
     parser, commands = build_parser()
     known = set(vars(args)) - {"command", "config", "fn"}
@@ -73,6 +74,9 @@ def _parse_with_config(argv, args):
                 parser.error(f"config key {key!r} takes true or false")
             value = value == "true"
         target = parser if dest == "threads" else commands[args.command]
+        choices = next(a.choices for a in target._actions if a.dest == dest)
+        if choices is not None and value not in choices:
+            parser.error(f"config key {key!r} takes one of: {', '.join(choices)}")
         target.set_defaults(**{dest: value})
     return parser.parse_args(argv)
 
@@ -175,15 +179,9 @@ def _wiener_mc(args):
 
 
 def _solve_ode(args):
-    drivers = [read_path_csv(p) for p in args.drivers.split(",")]
-    if args.F == "linear":
-        F = MatrixField.linear_in_y()
-    elif args.F == "constant":
-        F = MatrixField.constant(1.0)
-    else:
-        raise RoughPathError("supported --F values: linear, constant")
-    y0 = np.array([float(v) for v in args.y0.split(",")])
-    problem = OdeProblem(F=F, drivers=drivers, y0=y0, beta=args.beta)
+    driver = read_path_csv(args.drivers)
+    F = MatrixField.linear_in_y() if args.F == "linear" else MatrixField.constant(1.0)
+    problem = OdeProblem(F=F, drivers=[driver], y0=np.array([args.y0]), beta=args.beta)
     cfg = SolverConfig(tol=args.tol, grid_level=args.grid_level)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -280,9 +278,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(fn=_wiener_mc)
 
     p = sub.add_parser("solve-ode", help="Picard solve of dy = F(t, y, x) dx")
-    p.add_argument("--drivers", required=True, help="comma-separated path CSVs")
-    p.add_argument("--F", default="linear")
-    p.add_argument("--y0", default="1.0", help="comma-separated start values: --y0=-1,2")
+    p.add_argument("--drivers", required=True, help="driver path CSV")
+    p.add_argument("--F", choices=("linear", "constant"), default="linear",
+                   help="linear: dy = y dx; constant: dy = dx")
+    p.add_argument("--y0", type=float, default=1.0, help="start value; negative as --y0=-1e-3")
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--tol", type=float, default=SolverConfig.tol)
     p.add_argument("--grid-level", type=int, default=None)

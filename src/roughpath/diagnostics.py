@@ -112,20 +112,18 @@ def gap_functional(
     a: float,
     b: float,
     beta: float,
-    k_min: int | None = None,
 ) -> float:
     """Tail-weighted sum of sibling average gaps over [a, b].
 
     sum_{k > k0} 2**(-(k+1)beta + 1) * sum_{cells in [a,b]} |h[k+1][2c] - h[k+1][2c+1]|,
-    truncated at level K-2 (pass k_min to start elsewhere than k0 + 1).
+    truncated at level K-2.
     """
     if not (0.0 <= a < b <= 1.0):
         raise BadInterval(f"bad interval [{a}, {b}]")
     if not 0.0 < beta < 1.0:
         raise BadExponents("beta must lie in (0, 1)")
-    lo = base_level(a, b) + 1 if k_min is None else k_min
     total = 0.0
-    for k in range(max(lo, 0), pyramid.K - 1):
+    for k in range(base_level(a, b) + 1, pyramid.K - 1):
         c_lo, c_hi = _cells_within(a, b, k)
         if c_hi < c_lo:
             continue

@@ -170,7 +170,7 @@ def adversarial_identity() -> dict:
         pyr = path.pyramid()
         for k_max in (3, 5, 7):
             f_path, predicted = adversarial_integrand(pyr, 0.45, k_max)
-            got = staircase_integral(ScalarField.from_path(f_path), pyr, 0.0, 1.0, k_max)
+            got = staircase_integral(ScalarField.t_only(f_path.eval), pyr, 0.0, 1.0, k_max)
             rel = abs(got - predicted) / max(1e-300, abs(predicted))
             worst = max(worst, rel)
     return {"passed": worst < 1e-12, "max_rel_error": worst}
@@ -256,7 +256,7 @@ def ode_exactness() -> dict:
         beta=0.9,
     )
     sol = solve(linear, cfg)
-    err_exp = float(np.abs(sol.component() - np.exp(sol.t)).max())
+    err_exp = float(np.abs(sol.y[0] - np.exp(sol.t)).max())
 
     K_osc = 16
     driver = gen_oscillatory(0.45, 0.45, 0.0, 7, K_osc)
@@ -268,7 +268,7 @@ def ode_exactness() -> dict:
     )
     sol2 = solve(rough, SolverConfig(tol=1e-10, grid_level=12, check_drivers=False))
     exact2 = np.exp(driver.eval(sol2.t))
-    err_osc = float(np.abs(sol2.component() - exact2).max())
+    err_osc = float(np.abs(sol2.y[0] - exact2).max())
 
     green_gaps = []
     for field_name, path in (("tx", gen_analytic("linear", 16)),

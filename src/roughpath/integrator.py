@@ -68,11 +68,6 @@ class ScalarField:
             dt_partial=None if dt_partial is None else lift(dt_partial),
         )
 
-    @staticmethod
-    def from_path(path: DyadicPath) -> "ScalarField":
-        """Time-only field that interpolates a sampled path."""
-        return ScalarField.t_only(path.eval)
-
     def __post_init__(self):
         if self.depends_on not in _DEPENDS_ON:
             raise ValueError(f"unknown depends_on {self.depends_on!r}; "

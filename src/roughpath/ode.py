@@ -131,9 +131,6 @@ class OdeSolution:
     residual: float
     converged: bool                    # residual <= tol
 
-    def component(self, i: int = 0) -> np.ndarray:
-        return self.y[i]
-
 
 def picard_operator(
     problem: OdeProblem,

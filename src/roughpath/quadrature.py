@@ -125,19 +125,17 @@ def refine_batch(eval_xs, lo, hi, tol: float = _QUAD_TOL, *, grid: _PanelGrid | 
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     total = np.zeros(lo.size)
-    run = _SLICE if grid is None else _GRID_RUN
     # a non-finite integrand or panel sum raises NonFinite below; numpy's
     # overflow and invalid-value warnings would only print it first
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, lo.size, _SLICE):
             rows = slice(first, first + _SLICE)
             panels = None if grid is None else grid.rows(rows)
-            total[rows] = _refine_slice(eval_xs, lo[rows], hi[rows], first, tol, panels, run)
+            total[rows] = _refine_slice(eval_xs, lo[rows], hi[rows], first, tol, panels)
     return total
 
 
-def _refine_slice(eval_xs, lo, hi, first: int, tol: float, panels: _PanelGrid | None,
-                  run: int):
+def _refine_slice(eval_xs, lo, hi, first: int, tol: float, panels: _PanelGrid | None):
     """refine_batch for the intervals first .. first + lo.size - 1.
 
     ``panels`` holds their first panels, or is None to build them from
@@ -145,7 +143,7 @@ def _refine_slice(eval_xs, lo, hi, first: int, tol: float, panels: _PanelGrid | 
     so a slice holding one goes on into the loop, which names the first bad
     interval.
     """
-    (kronrod, gauss), mid = _first_panels(eval_xs, first, lo, hi, panels, run)
+    (kronrod, gauss), mid = _first_panels(eval_xs, first, lo, hi, panels)
     if (np.abs(kronrod - gauss) <= tol).all():
         return kronrod + 0.0   # a -0.0 sum reads +0.0, as when added into zeros
     total = np.zeros(lo.size)
@@ -177,19 +175,19 @@ def _refine_slice(eval_xs, lo, hi, first: int, tol: float, panels: _PanelGrid | 
     )
 
 
-def _first_panels(eval_xs, first: int, lo, hi, panels: _PanelGrid | None, run: int):
-    """``_panel`` on the slice's first panels, ``run`` rows per call.
-
-    A grid built here from ``lo`` and ``hi`` is freed on return, before any
-    bisection, as the panels of ``_panel`` are.
+def _first_panels(eval_xs, first: int, lo, hi, panels: _PanelGrid | None):
+    """``_panel`` on the slice's first panels, in runs of ``_GRID_RUN`` rows
+    of a given grid or in one call on a grid built here from ``lo`` and
+    ``hi``, which is freed on return, before any bisection.
     """
-    panels = _panel_grid(lo, hi) if panels is None else panels
+    built = panels is None
+    panels = _panel_grid(lo, hi) if built else panels
     owner = np.arange(first, first + lo.size)
-    if lo.size <= run:
+    if built or lo.size <= _GRID_RUN:
         return _panel(eval_xs, owner, panels)
     sums = []
-    for start in range(0, lo.size, run):
-        rows = slice(start, start + run)
+    for start in range(0, lo.size, _GRID_RUN):
+        rows = slice(start, start + _GRID_RUN)
         sums.append(_panel(eval_xs, owner[rows], panels.rows(rows))[0])
     return np.concatenate(sums, axis=1), panels.mid
 

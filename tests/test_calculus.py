@@ -300,7 +300,7 @@ class TestItoReference:
     @pytest.mark.parametrize("level", [-1, 9])
     def test_bad_level(self, level):
         # the cell walk takes levels 0 .. K
-        with pytest.raises(rp.BadInterval, match="discretization level"):
+        with pytest.raises(rp.LevelOutOfRange, match="discretization level"):
             rp.ito_reference(np.sin, rp.gen_analytic("linear", 8), 1.0, level=level)
 
     @pytest.mark.parametrize("s", [0.0, -0.25, 1.5])

@@ -562,15 +562,38 @@ class TestCliCommands:
         x = read_path_csv(src)
         assert np.abs(rows[:, 1] - (2.0 + x.eval(rows[:, 0]) - x.eval(0.0))).max() < 1e-9
 
+    @staticmethod
+    def _solve_ode_usage_error(tmp_path, capsys, flag: str) -> str:
+        """Run solve-ode with ``flag`` on a driver file that does not exist, so
+        only a parser that refuses the flag first gives a usage error; return stderr."""
+        out = tmp_path / "y.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-ode", "--drivers", str(tmp_path / "missing.csv"), flag,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        stdout, stderr = capsys.readouterr()
+        assert stderr.startswith("usage: roughpath solve-ode")
+        assert "Traceback" not in stderr and stdout == ""
+        assert not out.exists()
+        return stderr
+
     def test_solve_ode_unknown_field_exits_2(self, tmp_path, capsys):
-        src = tmp_path / "x.csv"
-        main(["gen-path", "--kind", "linear", "--K", "8", "--out", str(src)])
-        capsys.readouterr()
-        code = main(["solve-ode", "--drivers", str(src), "--F", "cubic",
-                     "--out", str(tmp_path / "y.csv")])
+        stderr = self._solve_ode_usage_error(tmp_path, capsys, "--F=bogus")
+        assert "argument --F: invalid choice: 'bogus'" in stderr
+
+    def test_solve_ode_two_start_values_exit_2(self, tmp_path, capsys):
+        stderr = self._solve_ode_usage_error(tmp_path, capsys, "--y0=1,2")
+        assert "argument --y0: invalid float value: '1,2'" in stderr
+
+    def test_solve_ode_reads_one_driver_file(self, tmp_path, capsys, monkeypatch):
+        # a comma-joined list is one file name, which does not exist
+        monkeypatch.chdir(tmp_path)
+        write_path_csv(rp.gen_analytic("linear", 8), tmp_path / "l.csv")
+        code = main(["solve-ode", "--drivers", "l.csv,l.csv", "--out", "y.csv"])
         assert code == 2
-        assert json.loads(capsys.readouterr().out) == {
-            "error": "validation", "detail": "supported --F values: linear, constant"}
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "validation" and "'l.csv,l.csv'" in payload["detail"]
+        assert not (tmp_path / "y.csv").exists()
 
     @pytest.mark.parametrize("y0", ["nan", "inf", "-inf"])
     def test_solve_ode_non_finite_y0_exits_2(self, tmp_path, capsys, y0):
@@ -595,16 +618,9 @@ class TestCliCommands:
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         assert rows[0, 1] == -1e-3
         assert abs(rows[-1, 1] / -1e-3 - np.e) < 1e-4    # y = y0 exp(x), x(1) = 1
-        # two start values reach the dimension check, which both one-component --F fail
-        capsys.readouterr()
-        code = main(["solve-ode", "--drivers", f"{src},{src}", "--y0=-1,2",
-                     "--out", str(tmp_path / "y2.csv")])
-        assert code == 2
-        assert json.loads(capsys.readouterr().out) == {
-            "error": "validation", "detail": "dimension mismatch between F, drivers, and y0"}
         args = cli.build_parser()[0].parse_args(
-            ["solve-ode", "--drivers", f"{src},{src}", "--y0=-1,2", "--out", "y.csv"])
-        assert args.y0 == "-1,2"
+            ["solve-ode", "--drivers", str(src), "--y0=-1e-3", "--out", "y.csv"])
+        assert args.y0 == -1e-3
 
     @pytest.mark.parametrize("y0", ["-1,2", "-1e-3"])
     def test_solve_ode_detached_negative_y0_is_a_usage_error(self, tmp_path, y0):
@@ -711,6 +727,7 @@ class TestCliCommands:
     @pytest.mark.parametrize("line, argv", [
         ("grid_level = eight", ["solve-ode", "--drivers", "{src}", "--out", "{out}"]),
         ("tol = small", ["solve-ode", "--drivers", "{src}", "--out", "{out}"]),
+        ("F = bogus", ["solve-ode", "--drivers", "{src}", "--out", "{out}"]),
         ("json = maybe", ["diagnose", "--path", "{src}", "--beta", "0.6"]),
     ])
     def test_config_bad_value_is_a_usage_error(self, tmp_path, capsys, line, argv):

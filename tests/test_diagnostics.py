@@ -134,8 +134,9 @@ class TestGapFunctional:
 
     def test_interval_monotone(self):
         pyr = rp.gen_brownian(12, 9).pyramid()
-        inner = rp.gap_functional(pyr, 0.25, 0.5, 0.6, k_min=4)
-        outer = rp.gap_functional(pyr, 0.0, 1.0, 0.6, k_min=4)
+        # the outer sum starts at a coarser level, over a superset of cells
+        inner = rp.gap_functional(pyr, 0.25, 0.5, 0.6)
+        outer = rp.gap_functional(pyr, 0.0, 1.0, 0.6)
         assert inner <= outer
 
     def test_bad_interval(self):

@@ -350,7 +350,7 @@ class TestAdversarialIntegrand:
             pyr = rp.gen_brownian(11, seed).pyramid()
             f_path, predicted = rp.adversarial_integrand(pyr, 0.5, 3)
             got = rp.staircase_integral(
-                rp.ScalarField.from_path(f_path), pyr, 0.0, 1.0, 3
+                rp.ScalarField.t_only(f_path.eval), pyr, 0.0, 1.0, 3
             )
             assert got == pytest.approx(predicted, rel=1e-12)
 
@@ -700,7 +700,7 @@ class TestDependsOn:
         kinds += [rp.field_from_expression(e).depends_on for e in ("t*x", "t+1", "x**2", "2")]
         kinds += [rp.ScalarField.t_only(np.cos, dt_partial=np.sin).depends_on,
                   rp.ScalarField.x_only(np.cos).depends_on,
-                  rp.ScalarField.from_path(rp.gen_brownian(4, 0)).depends_on]
+                  rp.ScalarField.t_only(rp.gen_brownian(4, 0).eval).depends_on]
         driver = rp.gen_brownian(6, 1)
         for reads_driver in (False, True):
             comp = ode.FieldComponent(lambda t, y, x: y[0] * x[0], reads_driver)

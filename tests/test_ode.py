@@ -170,11 +170,11 @@ class TestSolve:
         assert sol.windows[0]["start"] == 0.0
         assert sol.windows[-1]["end"] == 0.625
         assert sol.converged
-        assert np.abs(sol.component() - np.exp(sol.t)).max() < 1e-4
+        assert np.abs(sol.y[0] - np.exp(sol.t)).max() < 1e-4
 
     def test_exponential_solution(self):
         sol = rp.solve(linear_problem(K=16), rp.SolverConfig(tol=1e-10, grid_level=12))
-        assert np.abs(sol.component() - np.exp(sol.t)).max() < 1e-6
+        assert np.abs(sol.y[0] - np.exp(sol.t)).max() < 1e-6
         assert sol.converged
         assert all(w["contraction_ratio"] < 1.0 for w in sol.windows)
 
@@ -207,7 +207,7 @@ class TestSolve:
         )
         sol = rp.solve(prob, rp.SolverConfig(tol=1e-10, grid_level=10, check_drivers=False))
         exact = np.exp(driver.eval(sol.t))
-        assert np.abs(sol.component() - exact).max() < 1e-4
+        assert np.abs(sol.y[0] - exact).max() < 1e-4
 
     def test_driver_shift_invariance(self):
         driver = rp.gen_brownian(12, 21)
@@ -252,7 +252,7 @@ class TestSolve:
             [rp.integrate_state_only(lambda x: x, driver, 0.0, t) if t > 0 else 0.0
              for t in sol.t]
         )
-        assert np.abs(sol.component() - expect).max() < 1e-8
+        assert np.abs(sol.y[0] - expect).max() < 1e-8
 
     def test_state_dependent_driver_field(self):
         # F(t, y, x) = x needs the generic inner-quadrature route:
@@ -270,7 +270,7 @@ class TestSolve:
         )
         sol = rp.solve(prob, rp.SolverConfig(tol=1e-9, grid_level=10))
         exact = 1.0 + 0.5 * driver.eval(sol.t) ** 2
-        assert np.abs(sol.component() - exact).max() < 1e-6
+        assert np.abs(sol.y[0] - exact).max() < 1e-6
 
     def test_driver_field_value_spreads_to_the_quadrature_grid(self):
         # y[0] keeps the (rows, 1) shape of the frozen iterate on the inner
@@ -327,7 +327,7 @@ class TestMultiDriver:
         x_sum = sum(d.eval(sol.t) - d.eval(0.0) for d in drivers)
         exact = np.exp(x_sum)
         # relative: the gap is the level-10 interpolation of the iterate
-        assert np.abs(sol.component() / exact - 1.0).max() < 1e-6
+        assert np.abs(sol.y[0] / exact - 1.0).max() < 1e-6
         assert sol.converged
 
     def test_components_read_the_other_driver(self, K1, K2):
@@ -345,8 +345,8 @@ class TestMultiDriver:
         )
         sol = rp.solve(prob, rp.SolverConfig(tol=1e-9, grid_level=10))
         t = sol.t
-        assert np.abs(sol.component(0) - (1.0 - np.cos(t))).max() < 1e-6
-        assert np.abs(sol.component(1) - (np.sin(2 * t) / 8 - t * np.cos(2 * t) / 4)).max() < 1e-6
+        assert np.abs(sol.y[0] - (1.0 - np.cos(t))).max() < 1e-6
+        assert np.abs(sol.y[1] - (np.sin(2 * t) / 8 - t * np.cos(2 * t) / 4)).max() < 1e-6
         assert sol.converged
 
 
@@ -665,7 +665,7 @@ def test_rough_driver_error_falls_with_grid_level(alpha):
     for L in (9, 11):
         sol = rp.solve(problem, rp.SolverConfig(tol=1e-10, grid_level=L, check_drivers=False))
         exact = np.exp(driver.eval(sol.t) - driver.eval(0.0))
-        errors.append(np.abs(sol.component() - exact).max())
+        errors.append(np.abs(sol.y[0] - exact).max())
     assert errors[1] * 4.0 <= errors[0]
 
 

@@ -154,8 +154,18 @@ def cli_corpus() -> None:
     _cli("solve-ode/brownian", ["solve-ode", "--drivers", "bm.csv", "--out", "yb.csv"], ("yb.csv",))
     _cli("solve-ode/constant", ["solve-ode", "--drivers", "bm.csv", "--F", "constant",
                                 "--y0", "2", "--grid-level", "6", "--out", "yc.csv"], ("yc.csv",))
-    _cli("solve-ode/mismatch", ["solve-ode", "--drivers", "lin.csv,lin.csv", "--y0=-1,2",
-                                "--out", "y2.csv"], ("y2.csv",))
+    _cli("solve-ode/sine", ["solve-ode", "--drivers", "sine.csv", "--y0", "0.5",
+                            "--grid-level", "6", "--out", "ys.csv"], ("ys.csv",))
+    _cli("solve-ode/constant-negative", ["solve-ode", "--drivers", "osc.csv", "--F", "constant",
+                                         "--y0=-2.5", "--out", "yn.csv"], ("yn.csv",))
+    _cli("solve-ode/nan", ["solve-ode", "--drivers", "lin.csv", "--y0", "nan",
+                           "--out", "y0.csv"], ("y0.csv",))
+    _cli("solve-ode/two-drivers", ["solve-ode", "--drivers", "lin.csv,lin.csv",
+                                   "--out", "y2.csv"], ("y2.csv",))
+    _cli("solve-ode/two-y0", ["solve-ode", "--drivers", "lin.csv", "--y0=-1,2",
+                              "--out", "y2.csv"], ("y2.csv",))
+    _cli("solve-ode/bogus-F", ["solve-ode", "--drivers", "lin.csv", "--F", "bogus",
+                               "--out", "y2.csv"], ("y2.csv",))
     _cli("reproduce", ["reproduce", "pyramid-exactness"])
 
 
@@ -174,9 +184,8 @@ def diagnostics_corpus() -> None:
     for name in ("bm12_1", "osc", "cex", "sine", "bm4_2"):
         for a, b in intervals:
             for beta in (0.3, 0.7):
-                for k_min in (None, 0, 3):
-                    _emit(f"gap_functional/{name}/{a}/{b}/{beta}/{k_min}",
-                          _outcome(rp.gap_functional, pyramids[name], a, b, beta, k_min))
+                _emit(f"gap_functional/{name}/{a}/{b}/{beta}",
+                      _outcome(rp.gap_functional, pyramids[name], a, b, beta))
     # gammas from 150 up make width**(beta + gamma) underflow at the finer depths
     for name, pyr in pyramids.items():
         for beta in (0.05, 0.45, 0.95):
