@@ -18,7 +18,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dyadic import AveragePyramid, _cells_within, _empty_levels, _mean_levels, _require_finite
+from .dyadic import (AveragePyramid, _all_child_gaps, _cells_within, _mean_levels,
+                     _require_finite)
 from .errors import BadExponents, BadInterval, LevelOutOfRange
 from .generators import _check_brownian_args, _fill_brownian
 
@@ -86,11 +87,21 @@ def _trend_verdict(terms: np.ndarray) -> str:
 
 
 def existence_report(pyramid: AveragePyramid, beta: float) -> DiagnosticsReport:
-    """Partial sums of 2**(k(1-beta)) |B_{k-1}| over every resolvable level."""
+    """Partial sums of 2**(k(1-beta)) |B_{k-1}| over every resolvable level.
+
+    Every level's sibling gaps come from one subtraction over the pyramid's
+    block, and |B_{k-1}| sums level k-1's contiguous run of them, so each area
+    equals ``levy_area(pyramid, k - 1)`` bit for bit; an overflowing gap raises
+    ``NonFinite`` naming the lowest level it reaches.
+    """
     if not 0.0 < beta < 1.0:
         raise BadExponents("beta must lie in (0, 1)")
     ks = np.arange(1, pyramid.K)
-    areas = np.array([levy_area(pyramid, k - 1) for k in ks])
+    gaps = _all_child_gaps(pyramid)
+    np.abs(gaps, out=gaps)   # in place: one transient of 2**(K-1) - 1 values, not two
+    # level k - 1's gaps sit at [2**(k-1) - 1, 2**k - 1)
+    areas = np.array([2.0 ** -k * gaps[(1 << (k - 1)) - 1 : (1 << k) - 1].sum()
+                      for k in range(1, pyramid.K)])
     terms = 2.0 ** (ks * (1.0 - beta)) * areas
     return DiagnosticsReport(
         beta=beta,
@@ -127,14 +138,19 @@ def gap_functional(
         c_lo, c_hi = _cells_within(a, b, k)
         if c_hi < c_lo:
             continue
-        prefix = _gap_prefix(pyramid, k)
+        prefix = _gap_prefix(pyramid, k, c_hi + 1)
         total += 2.0 ** (-(k + 1) * beta + 1.0) * (prefix[c_hi + 1] - prefix[c_lo])
     return total
 
 
-def _gap_prefix(pyramid: AveragePyramid, k: int) -> np.ndarray:
-    """Prefix sums of |child_gap(k)| with a leading zero (length 2**k + 1)."""
-    return np.concatenate([[0.0], np.cumsum(np.abs(pyramid.child_gap(k)))])
+def _gap_prefix(pyramid: AveragePyramid, k: int, stop: int | None = None) -> np.ndarray:
+    """Prefix sums of |child_gap(k)[:stop]| with a leading zero.
+
+    ``np.cumsum`` adds in order, so a prefix cut at ``stop`` holds the whole
+    level's first stop + 1 entries bit for bit.  The gaps are taken over the
+    whole level, so an overflow anywhere in it still raises.
+    """
+    return np.concatenate([[0.0], np.cumsum(np.abs(pyramid.child_gap(k)[:stop]))])
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,13 +304,13 @@ def _wiener_rows(k_list: list[int], K: int, seeds: range) -> list[list[float]]:
     """
     w = np.empty((1 << K) + 1)
     z = np.empty(1 << (K - 1))
-    levels = _empty_levels(K)
+    block = np.empty((1 << K) - 1)
     rows = []
     for s in seeds:
         _fill_brownian(w, s, z)
         _require_finite(w)
-        _mean_levels(w, levels, z)
-        # views: the pyramid marks what it holds read-only, the workspace stays writeable
-        pyr = AveragePyramid([level[:] for level in levels], K)
+        _mean_levels(w, block, z)
+        # a view: the pyramid marks what it holds read-only, the workspace stays writeable
+        pyr = AveragePyramid(block[:], K)
         rows.append([wiener_statistic(pyr, k) for k in k_list])
     return rows

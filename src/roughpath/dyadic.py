@@ -123,22 +123,23 @@ class AveragePyramid:
     Level K-1 is the exact average of the piecewise-linear path over each
     level-(K-1) cell (trapezoid of three samples); coarser levels are exact
     pairwise means of their children, so the parent-mean identity holds to
-    the last bit by construction.
+    the last bit by construction.  All levels live in one read-only block of
+    2**K - 1 values, level k at [2**k - 1, 2**(k+1) - 1), and ``level(k)`` is
+    a view of it.
     """
 
-    __slots__ = ("K", "_levels")
+    __slots__ = ("K", "_block")
 
-    def __init__(self, levels: list[np.ndarray], K: int):
+    def __init__(self, block: np.ndarray, K: int):
         self.K = K
-        for arr in levels:
-            arr.flags.writeable = False
-        self._levels = levels
+        block.flags.writeable = False
+        self._block = block
 
     def level(self, k: int) -> np.ndarray:
         """h[k], an array of 2**k cell averages; 0 <= k <= K-1."""
         if not 0 <= k < self.K:
             raise LevelOutOfRange(f"level {k} not in [0, {self.K - 1}]")
-        return self._levels[k]
+        return self._block[(1 << k) - 1 : (2 << k) - 1]
 
     def child_gap(self, k: int) -> np.ndarray:
         """Signed sibling gaps h[k+1][2n] - h[k+1][2n+1], one per level-k cell, a fresh array."""
@@ -150,28 +151,42 @@ class AveragePyramid:
             with np.errstate(over="raise"):
                 return child[0::2] - child[1::2]
         except FloatingPointError:
-            raise NonFinite(
-                f"a level-{k + 1} sibling gap h[{k + 1}][2n] - h[{k + 1}][2n+1] "
-                "overflows the float range"
-            ) from None
+            raise _gap_overflow(k) from None
+
+
+def _gap_overflow(k: int) -> NonFinite:
+    return NonFinite(f"a level-{k + 1} sibling gap h[{k + 1}][2n] - h[{k + 1}][2n+1] "
+                     "overflows the float range")
+
+
+def _all_child_gaps(pyramid: AveragePyramid) -> np.ndarray:
+    """``child_gap(k)`` for every k = 0 .. K-2 from one subtraction, a fresh
+    array laid out like the block: level k's gaps at [2**k - 1, 2**(k+1) - 1),
+    since level k+1's siblings sit at block indices 2m + 1 and 2m + 2 for m in
+    that range.  An overflow raises as ``child_gap(k)`` does for the lowest k
+    it reaches."""
+    block = pyramid._block
+    try:
+        with np.errstate(over="raise"):
+            return block[1::2] - block[2::2]
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            gaps = block[1::2] - block[2::2]
+        first = int(np.flatnonzero(np.isinf(gaps))[0])
+        raise _gap_overflow((first + 1).bit_length() - 1) from None
 
 
 def average_pyramid(path: DyadicPath) -> AveragePyramid:
     """Exact average pyramid of the path's piecewise-linear interpolant."""
     K = path.resolution_level
-    levels = _empty_levels(K)
-    _mean_levels(path.samples, levels, np.empty(1 << (K - 1)))
-    return AveragePyramid(levels, K)
-
-
-def _empty_levels(K: int) -> list[np.ndarray]:
-    """Levels 0 .. K-1 of 2**k values each, as views of one block of 2**K - 1."""
     block = np.empty((1 << K) - 1)
-    return [block[(1 << k) - 1 : (2 << k) - 1] for k in range(K)]
+    _mean_levels(path.samples, block, np.empty(1 << (K - 1)))
+    return AveragePyramid(block, K)
 
 
-def _mean_levels(s: np.ndarray, levels: list[np.ndarray], scratch: np.ndarray) -> None:
-    """Write the pyramid of the samples ``s`` into ``levels[k]`` (2**k values each).
+def _mean_levels(s: np.ndarray, block: np.ndarray, scratch: np.ndarray) -> None:
+    """Write the pyramid of the samples ``s`` into ``block``, level k at
+    [2**k - 1, 2**(k+1) - 1) as ``AveragePyramid`` reads it.
 
     ``scratch`` holds 2**(K-1) values.  Level K-1 is the mean of the two
     level-K cell averages mean(s[2i], s[2i+1]) and mean(s[2i+1], s[2i+2]),
@@ -183,6 +198,8 @@ def _mean_levels(s: np.ndarray, levels: list[np.ndarray], scratch: np.ndarray) -
     sum overflows and the halving is exact, so every other pyramid keeps the
     one-rounding form.
     """
+    K = (block.size + 1).bit_length() - 1
+    levels = [block[(1 << k) - 1 : (2 << k) - 1] for k in range(K)]
     with np.errstate(over="ignore", invalid="ignore"):
         _pairwise_means(s, levels, scratch, _sum_then_halve)
     if not np.isfinite(levels[0][0]):

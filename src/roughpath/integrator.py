@@ -36,6 +36,9 @@ _DEPENDS_ON = ("both", "t_only", "x_only")
 
 _STATE_ONLY_TOL = 1e-13   # the absolute quadrature tolerance of integrate_state_only
 
+_ZERO = np.zeros(1)        # the buffer of value_at_times' x
+_ZERO.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -74,8 +77,13 @@ class ScalarField:
                              f"expected one of {', '.join(map(repr, _DEPENDS_ON))}")
 
     def value_at_times(self, t: np.ndarray) -> np.ndarray:
-        """f at the times ``t`` with x = 0, which a t_only field ignores."""
-        return np.asarray(self.evaluate(t, np.broadcast_to(0.0, t.shape)), dtype=float)
+        """f at the times ``t`` with x = 0, which a t_only field ignores.
+
+        x is a read-only view of t's shape with zero strides over one stored
+        zero: built in O(1), where ``np.zeros`` would fill an array as long as t.
+        """
+        x = np.ndarray(t.shape, float, _ZERO, 0, (0,) * t.ndim)
+        return np.asarray(self.evaluate(t, x), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -370,15 +378,21 @@ def _increment_skeleton(path: DyadicPath, a: float, b: float, grid_level: int) -
     """The skeleton of ``cumulative_increments``: one block per grid cell of [a, b].
 
     The blocks close to the path's values at the grid points, read straight
-    from the samples: ``eval`` returns the sample itself at a grid point.
+    from the samples.
     """
     K = path.resolution_level
     G = grid_level
     if not 0 <= G <= K - 2:
         raise LevelOutOfRange(f"grid_level {G} not in [0, {K - 2}]")
     ia, ib = _grid_span(a, b, G)
-    stride = 1 << (K - G)
-    g_at = path.samples[ia * stride : ib * stride + 1 : stride]
     k = max(K - 2, G + 1)
     span = 1 << (k - G)                   # cells per increment
-    return _skeleton(path.pyramid().level(k), k, ia * span, span, g_at)
+    return _skeleton(path.pyramid().level(k), k, ia * span, span, _grid_values(path, G, ia, ib))
+
+
+def _grid_values(path: DyadicPath, k: int, i0: int, i1: int) -> np.ndarray:
+    """The path at the level-k grid points i0 .. i1, a strided view of its
+    samples, for k up to its resolution: ``eval`` returns the sample itself
+    at a grid point."""
+    stride = 1 << (path.resolution_level - k)
+    return path.samples[i0 * stride : i1 * stride + 1 : stride]

@@ -9,11 +9,14 @@ contraction and chained; failure halves a window's cell count.
 
 On a window the staircase verticals depend only on the drivers, the window
 and the grid level, never on the iterate.  So each driver's skeleton, and
-every driver's values at its times, are built once per window, kept on the
-problem, and shared by all its sweeps and the residual check; so is the
-first quadrature panel of every vertical that a component reading its driver
+every driver's values at its times, read by stride from the samples of every
+driver resolved that finely, are built once per window, kept on the problem,
+and shared by all its sweeps and the residual check; so is the first
+quadrature panel of every vertical that a component reading its driver
 integrates over.  A sweep hands every component to the one staircase kernel
-as a field and evaluates only F.
+as a field and evaluates only F, on arguments it builds without copies or
+broadcasts: the iterate interpolated into one array, and F's value passed on
+as is when it already has the shape the kernel asks for.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .diagnostics import existence_report
 from .dyadic import DyadicPath, _grid_span, holder_seminorm
 from .errors import (BadExponents, BadInterval, LengthMismatch, LevelOutOfRange,
                      NonFinite, NonFiniteIterate, SchemaError, WindowUnderflow)
-from .integrator import ScalarField, _increment_skeleton, _skeleton_sum
+from .integrator import ScalarField, _grid_values, _increment_skeleton, _skeleton_sum
 # Sweeps no longer call it, but bench/selftest.py looks it up on this module.
 from .integrator import cumulative_increments  # noqa: F401
 from .quadrature import _QUAD_TOL, _panel_grid
@@ -155,7 +158,10 @@ def picard_operator(
         raise LengthMismatch("iterate shape does not match the window grid")
 
     def y_at(t):
-        return np.stack([np.interp(t, t_grid, row) for row in y_current])
+        y = np.empty((problem.F.m, *t.shape))
+        for i, row in enumerate(y_current):
+            y[i] = np.interp(t, t_grid, row)
+        return y
 
     out = np.repeat(y_start[:, None], t_grid.size, axis=1)
     for j, (sk, x_at, grid) in enumerate(_window_plan(problem, a, b, grid_level)):
@@ -172,8 +178,11 @@ def _window_plan(problem: OdeProblem, a: float, b: float, grid_level: int) -> li
 
     ``x_at`` holds every driver's values at the skeleton's times, shape
     (d, len(times)), read-only since F receives it; it is None when column j
-    has no time-only component.  ``grid`` is the first-panel quadrature grid
-    of the skeleton's verticals, read-only; it is None when no component of
+    has no time-only component.  The times sit on the skeleton's level-k
+    grid, so a driver resolved to level k or finer is read from its samples
+    by stride, and only a coarser one, in a system of mixed resolutions, is
+    interpolated by ``eval``.  ``grid`` is the first-panel quadrature grid of
+    the skeleton's verticals, read-only; it is None when no component of
     column j reads x_j.
     """
     key = (a, b, grid_level)
@@ -184,7 +193,11 @@ def _window_plan(problem: OdeProblem, a: float, b: float, grid_level: int) -> li
             column = [row[j].depends_on_driver for row in problem.F.components]
             x_at = grid = None
             if not all(column):
-                x_at = np.stack([d.eval(sk.times) for d in problem.drivers])
+                n = sk.n_blocks * sk.span
+                x_at = np.empty((len(problem.drivers), n + 1))
+                for q, d in enumerate(problem.drivers):
+                    x_at[q] = (_grid_values(d, sk.k, sk.first, sk.first + n)
+                               if d.resolution_level >= sk.k else d.eval(sk.times))
                 x_at.flags.writeable = False
             if any(column):
                 grid = _panel_grid(sk.lo, sk.hi)
@@ -218,7 +231,8 @@ def _composed_field(comp: FieldComponent, j: int, y_at, drivers, x_at) -> Scalar
         else:
             xx = np.stack([x if q == j else np.broadcast_to(d.eval(t), x.shape)
                            for q, d in enumerate(drivers)])
-        return np.broadcast_to(comp.evaluate(t, y_at(t), xx), x.shape)
+        value = comp.evaluate(t, y_at(t), xx)
+        return value if np.shape(value) == x.shape else np.broadcast_to(value, x.shape)
 
     return ScalarField(evaluate=f_tx, depends_on="both")
 

@@ -2,6 +2,7 @@ import concurrent.futures
 import functools
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -48,7 +49,60 @@ class TestLevyArea:
             rp.levy_area(pyr, 5)
 
 
+@st.composite
+def report_pyramids(draw):
+    """Pyramids of Brownian paths at K 2..14 and of oscillatory, counterexample
+    and analytic paths."""
+    kind = draw(st.sampled_from(("brownian", "oscillatory", "counterexample", "analytic")))
+    if kind == "brownian":
+        path = rp.gen_brownian(draw(st.integers(2, 14)), draw(st.integers(0, 2**32)))
+    elif kind == "oscillatory":
+        path = rp.gen_oscillatory(draw(st.sampled_from((0.2, 0.3, 0.45))), 0.3,
+                                  draw(st.sampled_from((0.0, 0.5, 1.0))),
+                                  draw(st.integers(1, 3)), draw(st.integers(10, 14)))
+    elif kind == "counterexample":
+        path = rp.gen_counterexample(draw(st.sampled_from((0.2, 0.3, 0.5))),
+                                     draw(st.sampled_from((0.2, 0.3))), draw(st.integers(12, 14)))
+    else:
+        path = rp.gen_analytic(draw(st.sampled_from(("linear", "square", "sine"))),
+                               draw(st.integers(2, 14)))
+    return path.pyramid()
+
+
 class TestExistenceReport:
+    @settings(max_examples=80, deadline=None)
+    @given(pyr=report_pyramids(), beta=st.floats(0.05, 0.95))
+    def test_matches_the_per_level_loop(self, pyr, beta):
+        # the one-pass report against one levy_area call per level, by float hex
+        report = rp.existence_report(pyr, beta)
+        ks = np.arange(1, pyr.K)
+        areas = np.array([rp.levy_area(pyr, k - 1) for k in ks])
+        terms = 2.0 ** (ks * (1.0 - beta)) * areas
+        assert report.levels.tolist() == ks.tolist()
+        for got, want in ((report.levy_areas, areas), (report.terms, terms),
+                          (report.partial_sums, np.cumsum(terms))):
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+    def test_overflow_names_the_lowest_level(self):
+        # B * [1, 1, 1, -1, -1, -1, -1, 1, 1] on [0, 1/4] overflows a level-4
+        # sibling gap, and stretched over [1/2, 1] a level-3 one; levels 1 and 2
+        # stay finite, and the report names level 3 without a warning
+        big = np.finfo(float).max
+        bump = [1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 1.0]
+        samples = big * np.concatenate([bump, np.ones(7), np.repeat(bump, 2)[1:]])
+        pyr = rp.DyadicPath(samples, 5).pyramid()
+        assert np.isfinite(pyr.child_gap(0)).all() and np.isfinite(pyr.child_gap(1)).all()
+        message = (r"^a level-3 sibling gap h\[3\]\[2n\] - h\[3\]\[2n\+1\] "
+                   r"overflows the float range$")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rp.NonFinite, match=message):
+                pyr.child_gap(2)
+            with pytest.raises(rp.NonFinite, match="level-4 sibling gap"):
+                pyr.child_gap(3)
+            with pytest.raises(rp.NonFinite, match=message):
+                rp.existence_report(pyr, 0.6)
+
     def test_linear_terms_and_verdict(self):
         pyr = rp.gen_analytic("linear", 12).pyramid()
         report = rp.existence_report(pyr, 0.5)
@@ -247,7 +301,7 @@ class TestScalingNormScan:
         assert est.value > 0
         # one level-14 prefix is 128 KiB: no prefix may outlive the call
         assert held < 16 * 1024
-        assert not hasattr(pyr, "__dict__") and type(pyr).__slots__ == ("K", "_levels")
+        assert not hasattr(pyr, "__dict__") and type(pyr).__slots__ == ("K", "_block")
 
 
 class TestOperatorTailConstant:

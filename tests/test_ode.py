@@ -598,6 +598,27 @@ class TestSweepsMatchTheReference:
         assert got.y.tobytes() == want.y.tobytes()
         assert got.residual.hex() == want.residual.hex()
 
+    def test_plan_reads_drivers_by_stride_or_eval(self):
+        # on grid level 4 the K = 8 driver's skeleton sits at level 6, which both
+        # drivers resolve, and the K = 12 driver's at level 10, finer than the
+        # K = 8 driver: the plan reads that one through eval, all others by stride
+        F = rp.MatrixField([[COMPONENTS[2](0.3, 0), COMPONENTS[3](-0.2, 1)]])
+        system = (F, [rp.gen_brownian(8, 5), rp.gen_brownian(12, 6)], np.array([1.0]))
+        problem = problem_of(system)
+        plan = ode._window_plan(problem, 0.0, 1.0, 4)
+        assert [sk.k for sk, _, _ in plan] == [6, 10]
+        for sk, x_at, _ in plan:
+            want = np.stack([d.eval(sk.times) for d in problem.drivers])
+            assert x_at.tobytes() == want.tobytes()
+        cfg = rp.SolverConfig(tol=1e-9, grid_level=4, check_drivers=False)
+        got = rp.solve(problem_of(system), cfg)
+        with mock.patch.object(ode, "picard_operator", reference_operator):
+            want = rp.solve(problem_of(system), cfg)
+        assert got.converged
+        assert got.windows == want.windows
+        assert got.y.tobytes() == want.y.tobytes()
+        assert got.residual.hex() == want.residual.hex()
+
     @settings(max_examples=40, deadline=None)
     @given(K=st.integers(4, 12), seed=st.integers(0, 2**32),
            name=st.sampled_from(sorted(GRID_FIELDS)), data=st.data())

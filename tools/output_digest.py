@@ -179,6 +179,18 @@ def diagnostics_corpus() -> None:
     for name, pyr in pyramids.items():
         for beta in (0.2, 0.5, 0.8):
             _emit(f"existence_report/{name}/{beta}", _outcome(rp.existence_report, pyr, beta))
+    # at K = 18, next to the paths above: the one-pass report, and gap prefixes
+    # cut at a narrow interval's right end, at the left, middle and right
+    bm18 = rp.gen_brownian(18, 1).pyramid()
+    _emit("existence_report/bm18_1/0.6", _outcome(rp.existence_report, bm18, 0.6))
+    width = 2.0 ** -10
+    for tag, a in (("left", 0.0), ("middle", 0.5), ("right", 1.0 - width)):
+        _emit(f"gap_functional/bm18_1/{tag}", _outcome(rp.gap_functional, bm18, a, a + width, 0.6))
+    # DBL_MAX samples whose lowest overflowing sibling gap is on level 3
+    bump = [1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 1.0]
+    big = np.finfo(float).max * np.concatenate([bump, np.ones(7), np.repeat(bump, 2)[1:]])
+    _emit("existence_report/overflow",
+          _outcome(rp.existence_report, rp.DyadicPath(big, 5).pyramid(), 0.6))
     intervals = [(0.0, 1.0), (0.25, 0.5), (0.5, 0.625), (0.1, 0.73), (0.3, 0.3 + 2.0 ** -6),
                  (0.0, 2.0 ** -9), (0.75, 1.0)]
     for name in ("bm12_1", "osc", "cex", "sine", "bm4_2"):
@@ -243,6 +255,17 @@ def integrator_corpus() -> None:
             _emit(f"solve/{name}/{grid_level}",
                   _outcome(rp.solve, problem, rp.SolverConfig(grid_level=grid_level,
                                                               check_drivers=False)))
+    # time-only components reading both drivers: at grid level 4 the K = 12
+    # driver's window plan reads the K = 8 driver through eval, all others by stride
+    two = rp.MatrixField([[
+        rp.FieldComponent(lambda t, y, x: 0.3 * y[0] * np.cos(x[0] + x[1])),
+        rp.FieldComponent(lambda t, y, x: -0.2 * (np.sin(3.0 * t) + x[1] * y[0] - x[0])),
+    ]])
+    problem = rp.OdeProblem(F=two, drivers=[rp.gen_brownian(8, 5), rp.gen_brownian(12, 6)],
+                            y0=np.array([1.0]), beta=0.5)
+    _emit("solve/two-drivers/4",
+          _outcome(rp.solve, problem, rp.SolverConfig(tol=1e-9, grid_level=4,
+                                                      check_drivers=False)))
 
 
 def reproduce_corpus() -> None:
