@@ -67,7 +67,6 @@ from .integrator import (
     adversarial_integrand,
     cumulative_increments,
     indefinite_integral,
-    index_range,
     integrate,
     integrate_state_only,
     staircase_integral,

@@ -18,8 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dyadic import (AveragePyramid, _all_child_gaps, _cells_within, _mean_levels,
-                     _require_finite)
+from .dyadic import AveragePyramid, _all_child_gaps, _cells_within, _mean_levels
 from .errors import BadExponents, BadInterval, LevelOutOfRange
 from .generators import _check_brownian_args, _fill_brownian
 
@@ -257,9 +256,10 @@ def wiener_ensemble(
     Paths use seeds seed, seed+1, ..., split into one contiguous chunk per
     worker thread; at most one worker runs per usable core.  Each worker
     builds its paths one after another in one workspace: 2**K + 1 samples,
-    a scratch of 2**(K-1) values and the 2**K - 1 averages of the pyramid,
-    about 5 MiB at K = 18.  Rows are joined in seed order and reduced in a
-    fixed order, so the report is bit-identical for any thread count.
+    a scratch of 2**(K-1) + 1 values and the 2**K - 1 averages of the
+    pyramid, about 5 MiB at K = 18.  Rows are joined in seed order and
+    reduced in a fixed order, so the report is bit-identical for any thread
+    count.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -300,16 +300,17 @@ def _wiener_rows(k_list: list[int], K: int, seeds: range) -> list[list[float]]:
     """Wiener statistics of the paths ``seeds``, built one by one in one workspace.
 
     Each path gets the checks a fresh ``gen_brownian(K, s).pyramid()`` gets:
-    finite samples and the DBL_MAX fallback of the pyramid.
+    finite samples and the DBL_MAX fallback of the pyramid, both in
+    ``_mean_levels``.  ``z`` is the bridge's second buffer and then the
+    pyramid's scratch.
     """
     w = np.empty((1 << K) + 1)
-    z = np.empty(1 << (K - 1))
+    z = np.empty((1 << (K - 1)) + 1)
     block = np.empty((1 << K) - 1)
     rows = []
     for s in seeds:
         _fill_brownian(w, s, z)
-        _require_finite(w)
-        _mean_levels(w, block, z)
+        _mean_levels(w, block, z[1:])
         # a view: the pyramid marks what it holds read-only, the workspace stays writeable
         pyr = AveragePyramid(block[:], K)
         rows.append([wiener_statistic(pyr, k) for k in k_list])

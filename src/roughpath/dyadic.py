@@ -197,12 +197,17 @@ def _mean_levels(s: np.ndarray, block: np.ndarray, scratch: np.ndarray) -> None:
     again as 0.5 * a + 0.5 * b, which cannot overflow.  Below that bound no
     sum overflows and the halving is exact, so every other pyramid keeps the
     one-rounding form.
+
+    A NaN or infinite sample also reaches level 0 as inf or nan, so the
+    samples are scanned for one (``NonFinite``) only when level 0 is not
+    finite, before the fallback, which runs outside ``np.errstate``.
     """
     K = (block.size + 1).bit_length() - 1
     levels = [block[(1 << k) - 1 : (2 << k) - 1] for k in range(K)]
     with np.errstate(over="ignore", invalid="ignore"):
         _pairwise_means(s, levels, scratch, _sum_then_halve)
     if not np.isfinite(levels[0][0]):
+        _require_finite(s)
         _pairwise_means(s, levels, scratch, _halve_then_sum)
 
 

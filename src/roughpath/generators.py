@@ -22,15 +22,16 @@ def gen_brownian(K: int, seed: int) -> DyadicPath:
     finite-dimensional laws, g(0) = 0, and refining K leaves the coarser
     values unchanged for a fixed seed.
 
-    Each level is filled in place through strided views of the sample array
-    (midpoints, left and right neighbours), with no index arrays.  The
-    arithmetic is 0.5 * (left + right) + 2**(-(j+1)/2) * z in that order, so
-    the samples for a given (K, seed) are those of the index-array form of
-    the same recursion, bit for bit.
+    The bridge builds each level as one contiguous array in the sample
+    array or in a scratch of 2**(K-1) + 1 values (see ``_fill_brownian``),
+    so a call holds 1.5 sample arrays at its peak.  The arithmetic is
+    0.5 * (left + right) + 2**(-(j+1)/2) * z in that order, so the samples
+    for a given (K, seed) are those of the index-array form of the same
+    recursion, bit for bit.
     """
     _check_brownian_args(K, seed)
     w = np.empty((1 << K) + 1)
-    _fill_brownian(w, seed, np.empty(1 << (K - 1)))
+    _fill_brownian(w, seed, np.empty((1 << (K - 1)) + 1))
     w.flags.writeable = False   # handed over without a copy
     return DyadicPath(w, K)
 
@@ -45,29 +46,56 @@ def _check_brownian_args(K: int, seed: int) -> None:
 def _fill_brownian(w: np.ndarray, seed: int, z: np.ndarray) -> None:
     """Write the bridge for ``seed`` into ``w`` (2**K + 1 samples) in place.
 
-    ``z`` is scratch of at least 2**(K-1) values: level j draws its normals
-    into ``z[:count]`` from the Philox stream keyed by (seed, j).
+    ``z`` is scratch of 2**(K-1) + 1 values.  Level j's 2**j + 1 values sit
+    at the front of ``w`` when K - j is even and of ``z`` when it is odd, so
+    each level is read whole from one buffer and written whole into the
+    other, ending with level K in ``w``.  Level j's m = 2**(j-1) normals and
+    midpoints are made contiguously in the last 2m slots of ``w``, which
+    hold no level for j < K, and the midpoints then go to the odd slots of
+    level j.  At j = K those 2m slots are w[1 : 2m + 1], inside the level
+    being written: the midpoints w[1 + i] move to w[2i + 1] in blocks
+    copied right to left, each clear of its own source, before the even
+    slots take level K - 1 from ``z``.
+
+    One Philox generator serves the call: before level j it is re-keyed to
+    (seed, j) with its counter zeroed and its buffer emptied, the state
+    ``Philox(key=(seed, j))`` starts from.
     """
     n = w.size - 1
     K = n.bit_length() - 1
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+    bits = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], np.uint64))
+    gen = np.random.Generator(bits)
+    fresh = bits.state
+    key = fresh["state"]["key"]
 
-    def normals(level: int, count: int) -> np.ndarray:
+    def draw(level: int, out: np.ndarray) -> None:
         key[1] = level
-        out = z[:count]
-        np.random.Generator(np.random.Philox(key=key)).standard_normal(out=out)
-        return out
+        bits.state = fresh
+        gen.standard_normal(out=out)
 
-    w[0] = 0.0
-    w[n] = normals(0, 1)[0]
+    bufs = (w, z)
+    start = bufs[K % 2]                         # level 0
+    start[0] = 0.0
+    draw(0, start[1:2])
     for j in range(1, K + 1):
-        step = 1 << (K - j)
-        mid = w[step:n:2 * step]
-        np.add(w[0 : n - step : 2 * step], w[2 * step :: 2 * step], out=mid)
-        mid *= 0.5
-        zj = normals(j, mid.size)
+        m = 1 << (j - 1)                        # level j-1 has m cells
+        prev = bufs[(K - j + 1) % 2][: m + 1]
+        cur = bufs[(K - j) % 2]
+        mid = w[n + 1 - 2 * m : n + 1 - m]
+        zj = w[n + 1 - m :]
+        draw(j, zj)
         zj *= 2.0 ** (-(j + 1) / 2)
+        np.add(prev[:-1], prev[1:], out=mid)
+        mid *= 0.5
         mid += zj
+        if j < K:
+            cur[1 : 2 * m : 2] = mid
+        else:                                   # mid is w[1 : m + 1]; mid[0] is in place
+            h = m
+            while h > 1:
+                h //= 2
+                w[2 * h + 1 : 4 * h : 2] = w[h + 1 : 2 * h + 1]
+        cur[0 : 2 * m + 1 : 2] = prev
 
 
 def oscillation_levels(alpha: float, A: float, m_max: int) -> list[int]:

@@ -101,7 +101,7 @@ class IntegralResult:
     converged: bool
 
 
-def index_range(a: float, b: float, k: int) -> tuple[int, int] | None:
+def _index_range(a: float, b: float, k: int) -> tuple[int, int] | None:
     """Level-k cell indices whose parent cell lies inside [a, b].
 
     Cell n is [n*2**-k, (n+1)*2**-k]; its parent is the level-(k-1) cell
@@ -229,7 +229,7 @@ def staircase_integral(
     """
     if k > pyramid.K - 1:
         raise LevelOutOfRange(f"level {k} needs path resolution > {k}")
-    rng = index_range(a, b, k)
+    rng = _index_range(a, b, k)
     if rng is None:
         raise BadInterval(f"no level-{k} parent cell fits inside [{a}, {b}]")
     n_lo, n_hi = rng
@@ -283,7 +283,7 @@ def integrate(
     converged = False
     ends = None
     for k in range(max(cfg.min_level, 1), K - 1):
-        rng = index_range(a, b, k)
+        rng = _index_range(a, b, k)
         if rng is None:
             continue
         sk = _skeleton(pyramid.level(k), k, rng[0], rng[1] - rng[0] + 1, g_ab)

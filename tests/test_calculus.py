@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import roughpath as rp
 from roughpath import calculus
 from roughpath.experiments import simpson_oracle
+from roughpath.integrator import _index_range
 
 
 def _gauss_legendre_8(digits: int):
@@ -159,7 +160,7 @@ def staircase_area_bound(path, s, k):
     """
     K = path.resolution_level
     step = 1 << (K - k)
-    n_end = rp.index_range(0.0, s, k)[1] + 1
+    n_end = _index_range(0.0, s, k)[1] + 1
     covered = path.samples[: n_end * step + 1]
     cells = np.lib.stride_tricks.sliding_window_view(covered, step + 1)[::step]
     area = float((cells.max(axis=1) - cells.min(axis=1)).sum()) * 2.0 ** -k
@@ -208,7 +209,7 @@ class TestGreenEvalFromAnyStart:
         # the grid, levels that end at the same cell can agree to rounding for
         # a field linear in t, and the loop then stops before the finest level.
         k = path.resolution_level - 2
-        if rp.index_range(0.0, s, k) is None:
+        if _index_range(0.0, s, k) is None:
             return
         direct = rp.integrate(field, path, 0.0, s, rp.ConvergenceConfig(min_level=k))
         assert direct.levels == (k, k)

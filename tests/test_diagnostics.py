@@ -439,6 +439,62 @@ class TestWienerEnsemble:
         assert sizes == ([cores] if cores > 1 else [])
         assert got == rp.wiener_ensemble([6], 4, 12, seed=1, threads=1)
 
+    @pytest.mark.parametrize("bad", [{0: math.nan}, {700: math.nan}, {1 << 12: math.nan},
+                                     {0: math.inf}, {700: math.inf}, {1 << 12: -math.inf},
+                                     {700: math.inf, 701: -math.inf}],
+                             ids=["nan-0", "nan-700", "nan-end", "inf-0", "inf-700", "-inf-end",
+                                  "inf-and-minus-inf"])
+    def test_non_finite_samples_raise_without_a_warning(self, monkeypatch, bad):
+        # finiteness is read from the pyramid's apex; the samples are scanned
+        # only when it is not finite, and before the DBL_MAX fallback, which
+        # runs outside np.errstate and would warn on inf - inf
+        fill = diagnostics._fill_brownian
+
+        def spoiled(w, seed, z):
+            fill(w, seed, z)
+            for at, value in bad.items():
+                w[at] = value
+
+        monkeypatch.setattr(diagnostics, "_fill_brownian", spoiled)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rp.NonFinite, match="^path samples must be finite$"):
+                rp.wiener_ensemble([2], 3, 12, seed=4)
+
+    def test_huge_finite_samples_take_the_fallback(self, monkeypatch):
+        # pair sums past DBL_MAX make the apex infinite, the scan finds every
+        # sample finite, and the pyramid is the halve-then-sum one a fresh
+        # path gets
+        fill = diagnostics._fill_brownian
+        scale = 0.75 * np.finfo(float).max
+
+        def huge(w, seed, z):
+            fill(w, seed, z)
+            w *= scale / np.abs(w).max()
+
+        want = rp.gen_brownian(12, 4).samples
+        want = rp.DyadicPath(want * (scale / np.abs(want).max()), 12)
+        with np.errstate(over="ignore"):
+            assert np.isinf(want.samples[1:] + want.samples[:-1]).any()
+        monkeypatch.setattr(diagnostics, "_fill_brownian", huge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rp.wiener_ensemble([2], 1, 12, seed=4)
+        assert got["levels"][0]["mean"] == rp.wiener_statistic(want.pyramid(), 2)
+
+    def test_one_path_workspace_holds_two_and_a_half_sample_arrays(self):
+        # the samples, the bridge's second buffer (then the pyramid's
+        # scratch) of 2**(K-1) + 1 values, and the 2**K - 1 averages
+        K = 16
+        rp.wiener_ensemble([4], 1, K, seed=3)
+        tracemalloc.start()
+        try:
+            rp.wiener_ensemble([4], 1, K, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.52 * ((1 << K) + 1) * 8
+
     def test_level_guard(self):
         with pytest.raises(rp.LevelOutOfRange):
             rp.wiener_ensemble([10], 2, 14, seed=1)

@@ -64,14 +64,30 @@ class TestBrownian:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.integers(1, 16),
+        st.integers(1, 18),
         st.one_of(st.integers(0, 1000), st.integers(2**32, 2**64 - 1)),
     )
     def test_matches_index_array_bridge(self, K, seed):
-        # the strided in-place fill draws the same streams and does the same
-        # arithmetic in the same order as the index-array form
+        # the contiguous level-by-level fill, with one generator re-keyed per
+        # level, draws the same streams and does the same arithmetic in the
+        # same order as the index-array form; K's parity decides which
+        # buffer holds which level
         got = rp.gen_brownian(K, seed).samples
         assert got.tobytes() == index_array_bridge(K, seed).tobytes()
+
+    def test_holds_one_and_a_half_sample_arrays(self):
+        # the samples and a scratch of 2**(K-1) + 1 values: the levels
+        # alternate between the two, and level j's normals and midpoints go
+        # to the back of the sample array, so no third buffer is needed
+        K = 16
+        rp.gen_brownian(K, 3)
+        tracemalloc.start()
+        try:
+            rp.gen_brownian(K, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.51 * ((1 << K) + 1) * 8
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):

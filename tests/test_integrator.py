@@ -8,37 +8,38 @@ from hypothesis import strategies as st
 
 import roughpath as rp
 from roughpath import integrator, ode
+from roughpath.integrator import _index_range
 from roughpath.experiments import riemann_stieltjes_oracle
 
 
 class TestIndexRange:
     def test_full_interval(self):
         # every level-3 cell has its parent inside [0, 1]
-        assert rp.index_range(0.0, 1.0, 3) == (0, 7)
+        assert _index_range(0.0, 1.0, 3) == (0, 7)
 
     def test_half_interval(self):
         # parents are the level-1 cells inside [0, 1/2]: only [0, 1/2] fits,
         # so cells 0 and 1 are admitted
-        assert rp.index_range(0.0, 0.5, 2) == (0, 1)
+        assert _index_range(0.0, 0.5, 2) == (0, 1)
 
     def test_refinement_recursion(self):
         # for aligned intervals: n_{k+1}(a) = 2 n_k(a), n_{k+1}(b) = 2 n_k(b) + 1
         for (a, b) in ((0.0, 1.0), (0.25, 0.75), (0.5, 0.625)):
             for k in range(4, 8):
-                lo, hi = rp.index_range(a, b, k)
-                lo2, hi2 = rp.index_range(a, b, k + 1)
+                lo, hi = _index_range(a, b, k)
+                lo2, hi2 = _index_range(a, b, k + 1)
                 assert lo2 == 2 * lo and hi2 == 2 * hi + 1
 
     def test_empty_range_flag(self):
-        assert rp.index_range(0.3, 0.3 + 2.0**-6, 4) is None
+        assert _index_range(0.3, 0.3 + 2.0**-6, 4) is None
 
     def test_bad_interval(self):
         with pytest.raises(rp.BadInterval):
-            rp.index_range(0.7, 0.2, 3)
+            _index_range(0.7, 0.2, 3)
 
     def test_level_below_one(self):
         with pytest.raises(rp.LevelOutOfRange, match="k >= 1"):
-            rp.index_range(0.0, 1.0, 0)
+            _index_range(0.0, 1.0, 0)
 
 
 class TestStaircaseIntegral:
@@ -46,7 +47,7 @@ class TestStaircaseIntegral:
         field = rp.ScalarField.t_only(lambda t: np.ones_like(t))
         pyr = rp.gen_brownian(10, 3).pyramid()
         for k in (2, 5, 8):
-            lo, hi = rp.index_range(0.0, 1.0, k)
+            lo, hi = _index_range(0.0, 1.0, k)
             v = rp.staircase_integral(field, pyr, 0.0, 1.0, k)
             h = pyr.level(k)
             assert v == pytest.approx(h[hi] - h[lo], abs=1e-14)
@@ -62,7 +63,7 @@ class TestStaircaseIntegral:
         pyr = rp.gen_brownian(10, 8).pyramid()
         k = 6
         h = pyr.level(k)
-        lo, hi = rp.index_range(0.0, 1.0, k)
+        lo, hi = _index_range(0.0, 1.0, k)
         brute = sum(
             np.sin(n * 2.0**-k) * (h[n] - h[n - 1]) for n in range(lo + 1, hi + 1)
         )
@@ -75,7 +76,7 @@ class TestStaircaseIntegral:
         # with no averages of its own, at the time between the cells
         field = rp.ScalarField.t_only(np.cos) if name == "cos" else rp.BUILTIN_FIELDS[name]
         pyr = rp.gen_brownian(6, 1).pyramid()
-        lo, hi = rp.index_range(0.1, 0.73, 3)
+        lo, hi = _index_range(0.1, 0.73, 3)
         assert hi == lo + 1
         h, t = pyr.level(3), hi * 2.0**-3
         got = rp.staircase_integral(field, pyr, 0.1, 0.73, 3)
@@ -123,7 +124,7 @@ def integrate_cases(draw):
         a, b = ia / n, draw(st.integers(ia + 1, n)) / n
     else:
         a, b = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True)))
-        assume(rp.index_range(a, b, K - 2) is not None)
+        assume(_index_range(a, b, K - 2) is not None)
     field = draw(st.sampled_from([rp.BUILTIN_FIELDS["tx"], rp.BUILTIN_FIELDS["sin_t_x"],
                                   BISECTING]))
     return path, a, b, field, draw(st.sampled_from([1e-8, 1e-12]))
@@ -167,7 +168,7 @@ class TestIntegrateLevels:
         res = rp.integrate(field, path, a, b, rp.ConvergenceConfig(tol=1e-12))
         ends = (float(path.eval(a)), float(path.eval(b)))
         levels = [k for k in range(res.levels[0], res.levels[1] + 1)
-                  if rp.index_range(a, b, k) is not None]
+                  if _index_range(a, b, k) is not None]
         want = [rp.staircase_integral(field, path.pyramid(), a, b, k, endpoint_values=ends)
                 for k in levels]
         assert res.level_values.tobytes() == np.array(want).tobytes()
@@ -177,9 +178,9 @@ class TestIntegrateLevels:
 
         def counted(a, b, k):
             calls.append(k)
-            return rp.index_range(a, b, k)
+            return _index_range(a, b, k)
 
-        monkeypatch.setattr(integrator, "index_range", counted)
+        monkeypatch.setattr(integrator, "_index_range", counted)
         monkeypatch.setattr(integrator, "staircase_integral", None)   # not called
         res = rp.integrate(rp.BUILTIN_FIELDS["tx"], rp.gen_brownian(10, 4), 0.1, 0.9,
                            rp.ConvergenceConfig(tol=1e-12))
@@ -195,7 +196,7 @@ class TestIntegrateLevels:
         res = rp.integrate(field, path, a, b, rp.ConvergenceConfig(tol=tol))
         ends = (float(path.eval(a)), float(path.eval(b)))
         levels = [k for k in range(res.levels[0], res.levels[1] + 1)
-                  if rp.index_range(a, b, k) is not None]
+                  if _index_range(a, b, k) is not None]
         got = quadrature_rows(field, lambda f: rp.integrate(f, path, a, b,
                                                             rp.ConvergenceConfig(tol=tol)))
         want = quadrature_rows(field, lambda f: [
@@ -501,7 +502,7 @@ def skeleton_cases(draw):
     if draw(st.booleans()):
         k = draw(st.integers(1, K - 1))
         a, b = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True)))
-        rng = integrator.index_range(a, b, k)
+        rng = _index_range(a, b, k)
         assume(rng is not None)
         g = np.array([path.eval(a), path.eval(b)])
         sk = integrator._skeleton(path.pyramid().level(k), k, rng[0], rng[1] - rng[0] + 1, g)

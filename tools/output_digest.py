@@ -216,6 +216,11 @@ def diagnostics_corpus() -> None:
     for threads in (1, 2):
         _emit(f"wiener_ensemble/{threads}",
               _outcome(rp.wiener_ensemble, [0, 2, 4], 6, 10, 11, threads=threads))
+    # odd K: the bridge starts from level 0 in its scratch, not in the samples
+    for K in (11, 13):
+        for seed in (1, 2**40 + 3):
+            _emit(f"gen_brownian/{K}/{seed}", rp.gen_brownian(K, seed).samples)
+    _emit("wiener_ensemble/K11", _outcome(rp.wiener_ensemble, [0, 2, 5], 6, 11, 11, threads=2))
 
 
 def integrator_corpus() -> None:
