@@ -91,10 +91,12 @@ def existence_report(pyramid: AveragePyramid, beta: float) -> DiagnosticsReport:
     Every level's sibling gaps come from one subtraction over the pyramid's
     block, and |B_{k-1}| sums level k-1's contiguous run of them, so each area
     equals ``levy_area(pyramid, k - 1)`` bit for bit; an overflowing gap raises
-    ``NonFinite`` naming the lowest level it reaches.
+    ``NonFinite`` naming the lowest level it reaches.  beta takes the Hölder
+    range (0, 1] of ``OdeProblem``, so ``solve`` checks every problem it
+    accepts; at beta = 1 the terms are the areas themselves.
     """
-    if not 0.0 < beta < 1.0:
-        raise BadExponents("beta must lie in (0, 1)")
+    if not 0.0 < beta <= 1.0:
+        raise BadExponents("beta must lie in (0, 1]")
     ks = np.arange(1, pyramid.K)
     gaps = _all_child_gaps(pyramid)
     np.abs(gaps, out=gaps)   # in place: one transient of 2**(K-1) - 1 values, not two

@@ -153,6 +153,14 @@ class _Skeleton:
         return times
 
     @functools.cached_property
+    def offsets(self) -> np.ndarray:
+        """Each of ``times[:-1]`` less its block's first time: c * 2**-k for
+        c = 0 .. span - 1 in every block; read-only."""
+        offsets = np.tile(np.arange(self.span) * 2.0 ** -self.k, self.n_blocks)
+        offsets.flags.writeable = False
+        return offsets
+
+    @functools.cached_property
     def rise(self) -> np.ndarray:
         return self.hi - self.lo
 

@@ -14,9 +14,13 @@ driver resolved that finely, are built once per window, kept on the problem,
 and shared by all its sweeps and the residual check; so is the first
 quadrature panel of every vertical that a component reading its driver
 integrates over.  A sweep hands every component to the one staircase kernel
-as a field and evaluates only F, on arguments it builds without copies or
-broadcasts: the iterate interpolated into one array, and F's value passed on
-as is when it already has the shape the kernel asks for.
+as a field and evaluates only F.  The iterate reaches F through one reader
+per driver skeleton: a read-only table of the iterate at the skeleton's
+times, linearly interpolated between grid points with ``np.interp``'s own
+arithmetic and built once per sweep, which a time-only component gets as it
+is and a component reading its driver gathers at its quadrature rows' times.
+F's value is passed on as is when it already has the shape the kernel asks
+for.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from .diagnostics import existence_report
 from .dyadic import DyadicPath, _grid_span, holder_seminorm
 from .errors import (BadExponents, BadInterval, LengthMismatch, LevelOutOfRange,
                      NonFinite, NonFiniteIterate, SchemaError, WindowUnderflow)
-from .integrator import ScalarField, _grid_values, _increment_skeleton, _skeleton_sum
+from .integrator import (ScalarField, _grid_values, _increment_skeleton, _Skeleton,
+                         _skeleton_sum)
 # Sweeps no longer call it, but bench/selftest.py looks it up on this module.
 from .integrator import cumulative_increments  # noqa: F401
 from .quadrature import _QUAD_TOL, _panel_grid
@@ -47,7 +52,9 @@ class FieldComponent:
     integrand is a pure function of time and needs no inner quadrature; t
     has shape (N,) and y, x stack N values per row.  When True, x[j] is the
     (rows, nodes) quadrature grid while t and every y[i] have shape
-    (rows, 1); other drivers are spread to the grid's shape.
+    (rows, 1); other drivers are spread to the grid's shape.  A time-only
+    component's t, y and x are shared with the driver's other components and
+    with later sweeps, so they are read-only.
     """
 
     evaluate: callable
@@ -146,31 +153,75 @@ def picard_operator(
     """One application of the fixed-point map on the window [a, b].
 
     ``y_current`` holds the iterate on the level grid of [a, b] (shape
-    (m, n_grid)); the return value is y_start + the cumulative component
-    integrals on the same grid.  Each component's increments are the closed
-    staircase sums of ``cumulative_increments``: every F_ij goes to the one
-    staircase kernel as a field, summed on driver j's cached skeleton.
+    (m, n_grid)) and must be finite; the return value is y_start + the
+    cumulative component integrals on the same grid, with y_start of shape
+    (m,).  Each component's increments are the closed staircase sums of
+    ``cumulative_increments``: every F_ij goes to the one staircase kernel as
+    a field, summed on driver j's cached skeleton, and reads the iterate
+    through that skeleton's ``_iterate_reader``.
     """
-    y_start = problem.y0 if y_start is None else np.asarray(y_start, dtype=float)
+    m = problem.F.m
+    if grid_level < 0:
+        raise LevelOutOfRange(f"grid level {grid_level} is negative")
     ia, ib = _grid_span(a, b, grid_level)
-    t_grid = np.arange(ia, ib + 1) * 2.0 ** -grid_level
-    if y_current.shape != (problem.F.m, t_grid.size):
+    y_current = np.asarray(y_current, dtype=float)
+    if y_current.shape != (m, ib - ia + 1):
         raise LengthMismatch("iterate shape does not match the window grid")
-
-    def y_at(t):
-        y = np.empty((problem.F.m, *t.shape))
-        for i, row in enumerate(y_current):
-            y[i] = np.interp(t, t_grid, row)
-        return y
-
-    out = np.repeat(y_start[:, None], t_grid.size, axis=1)
+    y_start = problem.y0 if y_start is None else np.asarray(y_start, dtype=float)
+    if y_start.shape != (m,):
+        raise LengthMismatch(f"y_start must hold one value per component, shape ({m},)")
+    if not np.isfinite(y_current).all():
+        raise NonFiniteIterate("Picard iterate must be finite")
+    out = np.empty_like(y_current)
+    out[:] = y_start[:, None]
     for j, (sk, x_at, grid) in enumerate(_window_plan(problem, a, b, grid_level)):
-        for i in range(problem.F.m):
+        y_at = _iterate_reader(y_current, sk, grid_level)
+        for i in range(m):
             sf = _composed_field(problem.F.components[i][j], j, y_at, problem.drivers, x_at)
             out[i, 1:] += np.cumsum(_skeleton_sum(sk, sf, _QUAD_TOL, grid))
     if not np.isfinite(out).all():
         raise NonFiniteIterate("Picard sweep produced non-finite values")
     return out
+
+
+def _iterate_reader(y_current: np.ndarray, sk: _Skeleton, grid_level: int):
+    """The iterate, linearly interpolated between its grid points, as a function of time.
+
+    The iterate is built once per sweep at the skeleton's times, as one
+    (m, len(times)) table that every component of the driver shares, so it is
+    read-only.  It equals ``np.interp(sk.times, t_grid, row)`` for every row
+    bit for bit, by ``np.interp``'s own arithmetic: the time c * 2**-k past
+    grid point j, 0 < c < span, gets slope * (c * 2**-k) + y[j] with slope =
+    (y[j + 1] - y[j]) * 2**grid_level, exact since the cell width is
+    2**-grid_level, and grid points and the last point are copied.  A finite
+    iterate whose slope passes the float range gives +-inf there, as
+    ``np.interp`` does, and no warning.  The reader hands back the table
+    itself for ``sk.times``; at other times of the skeleton's level-k grid,
+    such as the (rows, 1) times of quadrature rows, it gathers the table's
+    columns t * 2**k - first.
+    """
+    m, n = y_current.shape
+    span = sk.span
+    left = y_current[:, :-1]
+    table = np.empty((m, (n - 1) * span + 1))
+    body = table[:, :-1]
+    with np.errstate(over="ignore", invalid="ignore"):   # silent, as np.interp is
+        slope = (y_current[:, 1:] - left) * 2.0 ** grid_level
+        np.multiply(slope.repeat(span, axis=1), sk.offsets, out=body)
+        body += left.repeat(span, axis=1)
+    body[:, ::span] = left         # grid points: exact, where slope * 0 may be nan
+    table[:, -1] = y_current[:, -1]
+    table.flags.writeable = False
+    times, scale, first = sk.times, 2.0 ** sk.k, sk.first
+
+    def y_at(t):
+        if t is times:
+            return table
+        columns = (t * scale).astype(np.intp)
+        columns -= first
+        return table.take(columns, axis=1)
+
+    return y_at
 
 
 def _window_plan(problem: OdeProblem, a: float, b: float, grid_level: int) -> list[tuple]:
@@ -210,12 +261,12 @@ def _window_plan(problem: OdeProblem, a: float, b: float, grid_level: int) -> li
 def _composed_field(comp: FieldComponent, j: int, y_at, drivers, x_at) -> ScalarField:
     """Freeze every argument of F_ij except x_j along the current iterate.
 
-    F_ij is evaluated at the times the staircase kernel asks for: y is the
-    iterate ``y_at(t)``.  A component that does not read x_j is a t_only
-    field, evaluated at the window's distinct times, where ``x_at`` holds
-    every driver's values.  Otherwise every other driver is read at t; on the
-    quadrature grid t and y keep the kernel's (rows, 1) time column, and only
-    other drivers and the result are spread to the grid.
+    F_ij is evaluated at the times the staircase kernel asks for, where the
+    reader ``y_at`` gives the iterate.  A component that does not read x_j is
+    a t_only field, evaluated at the window's distinct times, where ``x_at``
+    holds every driver's values.  Otherwise every other driver is read at t;
+    on the quadrature grid t and y keep the kernel's (rows, 1) time column,
+    and only other drivers and the result are spread to the grid.
     """
     if not comp.depends_on_driver:
         def f_t(t, x):

@@ -141,6 +141,11 @@ class TestExistenceReport:
         with pytest.raises(rp.BadExponents):
             rp.existence_report(constant_pyramid(), 1.5)
 
+    def test_beta_one_weighs_every_area_by_one(self):
+        # the Hölder range (0, 1] of OdeProblem, whose drivers solve checks here
+        report = rp.existence_report(rp.gen_brownian(10, 4).pyramid(), 1.0)
+        assert report.terms.tobytes() == report.levy_areas.tobytes()
+
     def test_short_series_is_inconclusive(self):
         # K = 3 resolves two terms, too few for the 4-level trend
         report = rp.existence_report(rp.gen_brownian(3, 2).pyramid(), 0.5)

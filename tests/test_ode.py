@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -72,6 +73,66 @@ class TestPicardOperator:
         with pytest.raises(ValueError, match="read-only"):
             rp.picard_operator(prob, np.ones((1, 2**6 + 1)), 0.0, 1.0, 6)
 
+    def test_time_only_field_cannot_write_the_iterate(self):
+        # the iterate's table at the window times is shared by the driver's components
+        def write_y(t, y, x):
+            y[0] += 1.0
+            return y[0]
+
+        prob = rp.OdeProblem(F=rp.MatrixField.scalar(write_y), drivers=[rp.gen_brownian(10, 1)],
+                             y0=np.array([1.0]), beta=0.5)
+        with pytest.raises(ValueError, match="read-only"):
+            rp.picard_operator(prob, np.ones((1, 2**6 + 1)), 0.0, 1.0, 6)
+
+    @pytest.mark.parametrize("y_start", [np.array([1.0, 2.0]), 1.0, np.ones((1, 1))],
+                             ids=["two-values", "scalar", "2-d"])
+    def test_y_start_holds_one_value_per_component(self, y_start):
+        with pytest.raises(rp.LengthMismatch, match="y_start"):
+            rp.picard_operator(linear_problem(K=10), np.ones((1, 2**6 + 1)), 0.0, 1.0, 6,
+                               y_start=y_start)
+
+    def test_negative_grid_level(self):
+        with pytest.raises(rp.LevelOutOfRange, match="negative"):
+            rp.picard_operator(linear_problem(K=10), np.ones((1, 2)), 0.0, 1.0, -1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_iterate_is_refused_before_F_runs(self, bad):
+        calls = []
+
+        def F(t, y, x):
+            calls.append(t.shape)
+            return y[0]
+
+        prob = rp.OdeProblem(F=rp.MatrixField.scalar(F), drivers=[rp.gen_brownian(10, 1)],
+                             y0=np.array([1.0]), beta=0.5)
+        y = np.ones((1, 2**6 + 1))
+        y[0, 17] = bad
+        with pytest.raises(rp.NonFiniteIterate, match="iterate must be finite"):
+            rp.picard_operator(prob, y, 0.0, 1.0, 6)
+        assert calls == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=st.integers(0, 6), L=st.integers(1, 8), m=st.integers(1, 2), data=st.data())
+def test_iterate_reader_is_np_interp(e, L, m, data):
+    # spans of 2**e level-k cells per grid cell, windows that start after 0,
+    # signed zeros, and values whose slope overflows: the reader equals
+    # np.interp bit for bit at the window times and at (rows, 1) row times
+    k, span, n = L + e, 1 << e, 1 << L
+    ia = data.draw(st.integers(1, n - 1))
+    ib = data.draw(st.integers(ia + 1, n))
+    values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.7e308, 1.7e308))
+    y = np.array(data.draw(st.lists(values, min_size=m * (ib - ia + 1),
+                                    max_size=m * (ib - ia + 1)))).reshape(m, -1)
+    sk = integrator._skeleton(np.zeros(1 << k), k, ia * span, span, np.zeros(ib - ia + 1))
+    t_grid = np.arange(ia, ib + 1) * 2.0 ** -L
+    rows = data.draw(st.lists(st.integers(0, sk.times.size - 1), min_size=1, max_size=40))
+    t_rows = sk.times[rows][:, None]
+    y_at = ode._iterate_reader(y, sk, L)
+    for t in (sk.times, t_rows):
+        want = np.stack([np.interp(t, t_grid, row) for row in y])
+        assert y_at(t).tobytes() == want.tobytes()
+
 
 class TestMatrixField:
     @pytest.mark.parametrize("components", [[], [[]], [[], []]])
@@ -122,6 +183,17 @@ class TestSolve:
     def test_beta_outside_the_unit_interval(self, beta):
         with pytest.raises(rp.BadExponents, match="beta must lie in"):
             linear_problem(K=8, beta=beta)
+
+    def test_beta_one_is_checked_like_any_other_beta(self):
+        # OdeProblem takes beta in (0, 1], and so does the driver check that solve runs
+        cfg = rp.SolverConfig(grid_level=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rp.solve(linear_problem(K=10, beta=1.0), cfg)
+        want = rp.solve(linear_problem(K=10, beta=1.0),
+                        rp.SolverConfig(grid_level=6, check_drivers=False))
+        assert got.y.tobytes() == want.y.tobytes()
+        assert got.converged
 
     @pytest.mark.parametrize("y0", [np.nan, np.inf, -np.inf])
     def test_non_finite_y0_raises_before_any_sweep(self, y0):

@@ -12,7 +12,8 @@ taken out of ``reproduce``'s line.  Files go to a temporary directory, which
 is the working directory while the CLI runs and is removed at exit.
 
 Two trees give the same lines exactly when every output is bit-identical,
-so a refactor is checked by running this on both and comparing:
+so a refactor is checked by running this on both and comparing, with
+``tools/compare_digests.py`` when the change moves outputs on purpose:
 
     PYTHONPATH=src python tools/output_digest.py > digest.txt
 
@@ -135,6 +136,8 @@ def cli_corpus() -> None:
             _cli(f"diagnose/{tag}/{beta}", ["diagnose", "--path", f"{tag}.csv", "--beta", beta,
                                             "--json", "--json-out", "d.json"], ("d.json",))
     _cli("diagnose/verdict", ["diagnose", "--path", "bm.csv", "--beta", "0.6"])
+    for beta in ("1", "1.5"):
+        _cli(f"diagnose/bm/{beta}", ["diagnose", "--path", "bm.csv", "--beta", beta, "--json"])
     for tag in ("bm", "osc", "sq"):
         for field in ("tx", "sin_t_x", "x*x*x-sin(x)", "t_plus_x2"):
             _cli(f"integrate/{tag}/{field}", ["integrate", "--path", f"{tag}.csv", "--field", field,
@@ -179,6 +182,8 @@ def diagnostics_corpus() -> None:
     for name, pyr in pyramids.items():
         for beta in (0.2, 0.5, 0.8):
             _emit(f"existence_report/{name}/{beta}", _outcome(rp.existence_report, pyr, beta))
+    for name, beta in (("bm12_1", 1.0), ("osc", 1.0), ("const", 1.0), ("bm12_1", 1.5)):
+        _emit(f"existence_report/{name}/{beta}", _outcome(rp.existence_report, pyramids[name], beta))
     # at K = 18, next to the paths above: the one-pass report, and gap prefixes
     # cut at a narrow interval's right end, at the left, middle and right
     bm18 = rp.gen_brownian(18, 1).pyramid()
@@ -260,6 +265,29 @@ def integrator_corpus() -> None:
             _emit(f"solve/{name}/{grid_level}",
                   _outcome(rp.solve, problem, rp.SolverConfig(grid_level=grid_level,
                                                               check_drivers=False)))
+    # sweeps on windows that start after 0, and the sweep's refusals: a y_start
+    # of the wrong shape, a negative grid level and a non-finite iterate
+    rng = np.random.default_rng(7)
+    for name, problem in problems.items():
+        for a, b, grid_level in ((0.25, 0.75, 6), (0.5, 1.0, 8)):
+            y = rng.uniform(0.5, 2.0, (1, round((b - a) * (1 << grid_level)) + 1))
+            _emit(f"picard_operator/{name}/{a}/{b}/{grid_level}",
+                  _outcome(rp.picard_operator, problem, y, a, b, grid_level))
+    y = np.ones((1, 2**6 + 1))
+    for tag, y_start in (("two", np.array([1.0, 2.0])), ("scalar", 1.0), ("2-d", np.ones((1, 1)))):
+        _emit(f"picard_operator/y_start/{tag}",
+              _outcome(rp.picard_operator, problems["linear"], y, 0.0, 1.0, 6, y_start=y_start))
+    _emit("picard_operator/level/-1",
+          _outcome(rp.picard_operator, problems["linear"], np.ones((1, 2)), 0.0, 1.0, -1))
+    for bad in (np.nan, np.inf):
+        y_bad = y.copy()
+        y_bad[0, 17] = bad
+        _emit(f"picard_operator/iterate/{bad}",
+              _outcome(rp.picard_operator, problems["linear"], y_bad, 0.0, 1.0, 6))
+    # beta = 1 through solve's driver check
+    problem = rp.OdeProblem(F=linear, drivers=[rp.gen_analytic("linear", 12)],
+                            y0=np.array([1.0]), beta=1.0)
+    _emit("solve/linear/beta/1", _outcome(rp.solve, problem, rp.SolverConfig(grid_level=6)))
     # time-only components reading both drivers: at grid level 4 the K = 12
     # driver's window plan reads the K = 8 driver through eval, all others by stride
     two = rp.MatrixField([[
