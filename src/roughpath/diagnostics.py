@@ -18,7 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dyadic import AveragePyramid, _all_child_gaps, _cells_within, _mean_levels
+from .dyadic import AveragePyramid, _all_child_gaps, _cells_within, _check_beta, _mean_levels
 from .errors import BadExponents, BadInterval, LevelOutOfRange
 from .generators import _check_brownian_args, _fill_brownian
 
@@ -95,8 +95,7 @@ def existence_report(pyramid: AveragePyramid, beta: float) -> DiagnosticsReport:
     range (0, 1] of ``OdeProblem``, so ``solve`` checks every problem it
     accepts; at beta = 1 the terms are the areas themselves.
     """
-    if not 0.0 < beta <= 1.0:
-        raise BadExponents("beta must lie in (0, 1]")
+    _check_beta(beta)
     ks = np.arange(1, pyramid.K)
     gaps = _all_child_gaps(pyramid)
     np.abs(gaps, out=gaps)   # in place: one transient of 2**(K-1) - 1 values, not two
@@ -132,8 +131,7 @@ def gap_functional(
     """
     if not (0.0 <= a < b <= 1.0):
         raise BadInterval(f"bad interval [{a}, {b}]")
-    if not 0.0 < beta < 1.0:
-        raise BadExponents("beta must lie in (0, 1)")
+    _check_beta(beta)
     total = 0.0
     for k in range(base_level(a, b) + 1, pyramid.K - 1):
         c_lo, c_hi = _cells_within(a, b, k)
@@ -177,11 +175,10 @@ def scaling_norm(
     per level and call.  The first strictly greater value wins, by depth and
     then left to right; a NaN, 0/0 once width**(beta+gamma) underflows, never does.
     """
-    if beta <= 0 or gamma <= 0:
-        raise BadExponents("beta and gamma must be positive")
+    _check_beta(beta)
+    if gamma <= 0:
+        raise BadExponents("gamma must be positive")
     sums = [np.zeros(1 << j) for j in range(min(scan_depth, pyramid.K - 2) + 1)]
-    if sums and not beta < 1.0:
-        raise BadExponents("beta must lie in (0, 1)")
     for k in range(2, pyramid.K - 1):    # depth j sums levels j + 2 = base_level + 1 .. K - 2
         prefix = _gap_prefix(pyramid, k)
         for j in range(min(len(sums), k - 1)):

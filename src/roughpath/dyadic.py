@@ -246,6 +246,12 @@ class HolderEstimate:
     pairs_scanned: int
 
 
+def _check_beta(beta: float) -> None:
+    """Refuse an exponent outside the Hölder range (0, 1] that every beta of the library takes."""
+    if not 0.0 < beta <= 1.0:
+        raise BadExponents("beta must lie in (0, 1]")
+
+
 def holder_seminorm(path: DyadicPath, alpha: float, max_lag_levels: int = 3) -> HolderEstimate:
     """Scan dyadic point pairs (t_{j,i}, t_{j,i+l}), l <= 2**max_lag_levels, at
     every level j and return the largest Hölder quotient found."""

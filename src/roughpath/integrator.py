@@ -6,16 +6,16 @@ f(t, x) dx over that staircase is a sum of one-dimensional integrals over the
 vertical segments.  One kernel sums them at one level for a run of equal
 blocks of cells, each block closed by verticals to given end values.  It
 comes in two parts: a skeleton, which depends only on the path, the level
-and the blocks, and a sum, which evaluates one field on a skeleton.  The
-skeleton holds the verticals' end heights as one flat array in which
-adjacent blocks share their end value, so the verticals' lower and upper
-ends are two views of it, and it spreads values at the distinct times to the
-verticals by block copies.  In one block a vertical's time follows from its
-row, so a one-block quadrature sum builds no array of times.
-``staircase_integral`` builds and sums a one-block skeleton and
-``cumulative_increments`` (behind ``indefinite_integral``) a many-block one;
-the Picard operator builds its window's skeletons once and sums every
-component's field on them.
+and the blocks, and a sum on a skeleton.  The skeleton holds the verticals'
+end heights as one flat array in which adjacent blocks share their end
+value, so the verticals' lower and upper ends are two views of it, and it
+spreads values at the distinct times to the verticals by block copies.  A
+sum either multiplies the rises by a time-only integrand's values at the
+times or runs quadrature along the verticals, evaluated at each row's column
+of the times.  ``_skeleton_sum`` picks one for a ``ScalarField``;
+``staircase_integral`` sums a one-block skeleton and ``cumulative_increments``
+(behind ``indefinite_integral``) a many-block one.  The Picard operator
+builds its window's skeletons once and calls the two sums directly.
 ``integrate`` runs the one-block sum, closed to (g(a), g(b)) so endpoint
 truncation never pollutes the limit, over levels until two consecutive
 differences, of levels that move an end of their cells, fall under tolerance.
@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import AveragePyramid, DyadicPath, _add_tents, _cells_within, _grid_span
-from .errors import BadExponents, BadInterval, LevelOutOfRange, NonFinite
+from .dyadic import (AveragePyramid, DyadicPath, _add_tents, _cells_within, _check_beta,
+                     _grid_span)
+from .errors import BadInterval, LevelOutOfRange, NonFinite
 from .quadrature import _QUAD_TOL, _PanelGrid, refine_batch
 
 _DEPENDS_ON = ("both", "t_only", "x_only")
@@ -130,9 +131,10 @@ class _Skeleton:
     n_blocks*(span + 1) + 1 values with the end values at every
     (span + 1)-th slot, and ``lo`` and ``hi`` are its views [:-1] and [1:].
     Vertical j of block i is row i*(span + 1) + j, at the time
-    ``times[i*span + j]``; ``by_row`` spreads values at the times to the
-    rows.  None of it depends on the integrand, so it can be built once and
-    summed for any number of fields.
+    ``times[i*span + j]``, the column that ``columns`` holds for it;
+    ``by_row`` spreads values at the times to the rows.  None of it depends
+    on the integrand, so it can be built once and summed for any number of
+    integrands.
     """
 
     k: int
@@ -161,6 +163,14 @@ class _Skeleton:
         return offsets
 
     @functools.cached_property
+    def columns(self) -> np.ndarray:
+        """Each row's column of ``times``: i*span + j for row i*(span + 1) + j; read-only."""
+        columns = np.arange(self.lo.size)
+        columns -= columns // (self.span + 1)
+        columns.flags.writeable = False
+        return columns
+
+    @functools.cached_property
     def rise(self) -> np.ndarray:
         return self.hi - self.lo
 
@@ -186,38 +196,43 @@ def _skeleton(h: np.ndarray, k: int, first: int, span: int, g: np.ndarray) -> _S
     return _Skeleton(k, first, span, heights[:-1], heights[1:])
 
 
-def _skeleton_sum(sk: _Skeleton, field: ScalarField, tol: float,
-                  grid: _PanelGrid | None = None) -> np.ndarray:
-    """The closed staircase sum of every block of ``sk`` for one field.
+def _sum_at_times(sk: _Skeleton, values: np.ndarray) -> np.ndarray:
+    """The block sums of ``sk`` for a time-only integrand given by its
+    ``values`` at ``sk.times``: the end time two blocks share is evaluated once."""
+    terms = sk.by_row(values)
+    del values                 # the rows hold a copy; a level array less at the peak
+    terms *= sk.rise.reshape(terms.shape)
+    return terms.sum(axis=1)
 
-    All verticals go into one quadrature batch, each integrating f(t, x) at
-    its own time t for x from its ``lo`` to its ``hi``, or, for a t_only
-    field, one product with its values at the distinct times, so the end
-    time that two adjacent blocks share is evaluated once and spread to its
-    rows by ``by_row``.  A one-block sum computes the times of the rows
-    quadrature hands over from the rows, and builds no array of every row's
-    time: at level 16 on [0, 1] such an array takes 512 KiB, and a few of
-    them take the transient heap of ``integrate`` past the size that glibc
-    gives back to the system on free, to fault it in again on the next call.
-    A many-block sum gathers its rows' times from one such array,
-    ``by_row(times)``, built per sum: in a Picard sweep the gather costs less
-    than the arithmetic per row would.  ``grid``, when given, is
-    ``_panel_grid(sk.lo, sk.hi)``, kept by a caller that sums many fields on
-    one skeleton.  Block sums run in a fixed order.
+
+def _sum_by_quadrature(sk: _Skeleton, eval_cols, tol: float,
+                       grid: _PanelGrid | None = None) -> np.ndarray:
+    """The block sums of ``sk``, every vertical in one quadrature batch.
+
+    ``eval_cols(columns, x)`` evaluates the integrand on the (rows, nodes)
+    grid ``x`` at each row's column of ``sk.times``: the row itself in one
+    block, ``sk.columns`` of it in many.  ``grid`` is ``_panel_grid(sk.lo, sk.hi)``.
     """
-    if field.depends_on == "t_only":
-        terms = sk.by_row(field.value_at_times(sk.times))
-        terms *= sk.rise.reshape(terms.shape)
-    else:
-        first, step = sk.first, 2.0 ** -sk.k
-        t_abs = None if sk.n_blocks == 1 else sk.by_row(sk.times).ravel()
-
-        def eval_xs(owner, x):
-            t = (first + owner) * step if t_abs is None else t_abs[owner]
-            return np.asarray(field.evaluate(t[:, None], x), dtype=float)
-
-        terms = refine_batch(eval_xs, sk.lo, sk.hi, tol, grid=grid)
+    eval_xs = eval_cols
+    if sk.n_blocks > 1:
+        columns = sk.columns
+        eval_xs = lambda owner, x: eval_cols(columns.take(owner), x)
+    terms = refine_batch(eval_xs, sk.lo, sk.hi, tol, grid=grid)
     return terms.reshape(sk.n_blocks, sk.span + 1).sum(axis=1)
+
+
+def _skeleton_sum(sk: _Skeleton, field: ScalarField, tol: float) -> np.ndarray:
+    """The block sums of ``sk`` for one field.  A quadrature row's time is
+    computed from its column as ``sk.times`` is, with no array of every row's
+    time: at level 16 that takes 512 KiB, which glibc frees and faults in again."""
+    if field.depends_on == "t_only":
+        return _sum_at_times(sk, field.value_at_times(sk.times))
+    first, step = sk.first, 2.0 ** -sk.k
+
+    def eval_cols(columns, x):
+        return np.asarray(field.evaluate(((first + columns) * step)[:, None], x), dtype=float)
+
+    return _sum_by_quadrature(sk, eval_cols, tol)
 
 
 def staircase_integral(
@@ -342,8 +357,7 @@ def adversarial_integrand(
 
     exactly, which is the returned predicted value.
     """
-    if not 0.0 < beta < 1.0:
-        raise BadExponents("beta must lie in (0, 1)")
+    _check_beta(beta)
     if not 2 <= k_max <= pyramid.K - 2:
         raise LevelOutOfRange(f"k_max must lie in [2, {pyramid.K - 2}]")
     f = np.zeros((1 << pyramid.K) + 1)

@@ -13,14 +13,11 @@ every driver's values at its times, read by stride from the samples of every
 driver resolved that finely, are built once per window, kept on the problem,
 and shared by all its sweeps and the residual check; so is the first
 quadrature panel of every vertical that a component reading its driver
-integrates over.  A sweep hands every component to the one staircase kernel
-as a field and evaluates only F.  The iterate reaches F through one reader
-per driver skeleton: a read-only table of the iterate at the skeleton's
-times, linearly interpolated between grid points with ``np.interp``'s own
-arithmetic and built once per sweep, which a time-only component gets as it
-is and a component reading its driver gathers at its quadrature rows' times.
-F's value is passed on as is when it already has the shape the kernel asks
-for.
+integrates over.  A sweep builds the iterate at each skeleton's times as one
+read-only table, by ``np.interp``'s arithmetic, and calls the staircase
+kernel's two sums: a time-only component is evaluated once, at the times,
+and one reading its driver on quadrature rows, each at its column of the
+times.  F's value is passed on as is when it has the shape the sum asks for.
 """
 
 from __future__ import annotations
@@ -31,11 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import existence_report
-from .dyadic import DyadicPath, _grid_span, holder_seminorm
-from .errors import (BadExponents, BadInterval, LengthMismatch, LevelOutOfRange,
+from .dyadic import DyadicPath, _check_beta, _grid_span, holder_seminorm
+from .errors import (BadInterval, LengthMismatch, LevelOutOfRange,
                      NonFinite, NonFiniteIterate, SchemaError, WindowUnderflow)
-from .integrator import (ScalarField, _grid_values, _increment_skeleton, _Skeleton,
-                         _skeleton_sum)
+from .integrator import (_grid_values, _increment_skeleton, _Skeleton, _sum_at_times,
+                         _sum_by_quadrature)
 # Sweeps no longer call it, but bench/selftest.py looks it up on this module.
 from .integrator import cumulative_increments  # noqa: F401
 from .quadrature import _QUAD_TOL, _panel_grid
@@ -48,9 +45,9 @@ class FieldComponent:
     ``evaluate(t, y, x)`` is elementwise over arguments that broadcast
     against each other: y[i] and x[q] broadcast with t, and the result
     broadcasts to their common shape.  ``depends_on_driver`` says whether
-    F_ij reads its own integration variable x_j.  When False the composed
-    integrand is a pure function of time and needs no inner quadrature; t
-    has shape (N,) and y, x stack N values per row.  When True, x[j] is the
+    F_ij reads its own integration variable x_j.  When False the integrand
+    is a pure function of time and needs no inner quadrature; t has shape
+    (N,) and y, x stack N values per row.  When True, x[j] is the
     (rows, nodes) quadrature grid while t and every y[i] have shape
     (rows, 1); other drivers are spread to the grid's shape.  A time-only
     component's t, y and x are shared with the driver's other components and
@@ -112,8 +109,7 @@ class OdeProblem:
             raise LengthMismatch("dimension mismatch between F, drivers, and y0")
         if not np.isfinite(self.y0).all():
             raise NonFinite("y0 must be finite")
-        if not 0.0 < self.beta <= 1.0:
-            raise BadExponents("beta must lie in (0, 1]")
+        _check_beta(self.beta)
         if not 0.0 < self.horizon <= 1.0:
             raise BadInterval("horizon must lie in (0, 1]")
 
@@ -156,9 +152,9 @@ def picard_operator(
     (m, n_grid)) and must be finite; the return value is y_start + the
     cumulative component integrals on the same grid, with y_start of shape
     (m,).  Each component's increments are the closed staircase sums of
-    ``cumulative_increments``: every F_ij goes to the one staircase kernel as
-    a field, summed on driver j's cached skeleton, and reads the iterate
-    through that skeleton's ``_iterate_reader``.
+    ``cumulative_increments`` on driver j's cached skeleton: ``_sum_at_times``
+    of a time-only F_ij's values, or ``_sum_by_quadrature`` of its
+    ``_row_evaluator``, both reading the iterate from ``_iterate_table``.
     """
     m = problem.F.m
     if grid_level < 0:
@@ -175,30 +171,32 @@ def picard_operator(
     out = np.empty_like(y_current)
     out[:] = y_start[:, None]
     for j, (sk, x_at, grid) in enumerate(_window_plan(problem, a, b, grid_level)):
-        y_at = _iterate_reader(y_current, sk, grid_level)
+        table = _iterate_table(y_current, sk, grid_level)
         for i in range(m):
-            sf = _composed_field(problem.F.components[i][j], j, y_at, problem.drivers, x_at)
-            out[i, 1:] += np.cumsum(_skeleton_sum(sk, sf, _QUAD_TOL, grid))
+            comp = problem.F.components[i][j]
+            if comp.depends_on_driver:
+                eval_cols = _row_evaluator(comp.evaluate, j, problem.drivers, sk.times, table)
+                sums = _sum_by_quadrature(sk, eval_cols, _QUAD_TOL, grid)
+            else:
+                values = comp.evaluate(sk.times, table, x_at)
+                sums = _sum_at_times(sk, _shaped(values, sk.times.shape))
+            out[i, 1:] += np.cumsum(sums)
     if not np.isfinite(out).all():
         raise NonFiniteIterate("Picard sweep produced non-finite values")
     return out
 
 
-def _iterate_reader(y_current: np.ndarray, sk: _Skeleton, grid_level: int):
-    """The iterate, linearly interpolated between its grid points, as a function of time.
+def _iterate_table(y_current: np.ndarray, sk: _Skeleton, grid_level: int) -> np.ndarray:
+    """The iterate, linearly interpolated between its grid points, at the skeleton's times.
 
-    The iterate is built once per sweep at the skeleton's times, as one
-    (m, len(times)) table that every component of the driver shares, so it is
-    read-only.  It equals ``np.interp(sk.times, t_grid, row)`` for every row
-    bit for bit, by ``np.interp``'s own arithmetic: the time c * 2**-k past
-    grid point j, 0 < c < span, gets slope * (c * 2**-k) + y[j] with slope =
-    (y[j + 1] - y[j]) * 2**grid_level, exact since the cell width is
-    2**-grid_level, and grid points and the last point are copied.  A finite
-    iterate whose slope passes the float range gives +-inf there, as
-    ``np.interp`` does, and no warning.  The reader hands back the table
-    itself for ``sk.times``; at other times of the skeleton's level-k grid,
-    such as the (rows, 1) times of quadrature rows, it gathers the table's
-    columns t * 2**k - first.
+    One read-only (m, len(times)) table, built once per sweep and shared by
+    every component of the driver.  It equals ``np.interp(sk.times, t_grid,
+    row)`` for every row bit for bit, by ``np.interp``'s own arithmetic: the
+    time c * 2**-k past grid point j, 0 < c < span, gets slope * (c * 2**-k)
+    + y[j] with slope = (y[j + 1] - y[j]) * 2**grid_level, exact since the
+    cell width is 2**-grid_level, and grid points and the last point are
+    copied.  A finite iterate whose slope passes the float range gives +-inf
+    there, as ``np.interp`` does, and no warning.
     """
     m, n = y_current.shape
     span = sk.span
@@ -212,16 +210,7 @@ def _iterate_reader(y_current: np.ndarray, sk: _Skeleton, grid_level: int):
     body[:, ::span] = left         # grid points: exact, where slope * 0 may be nan
     table[:, -1] = y_current[:, -1]
     table.flags.writeable = False
-    times, scale, first = sk.times, 2.0 ** sk.k, sk.first
-
-    def y_at(t):
-        if t is times:
-            return table
-        columns = (t * scale).astype(np.intp)
-        columns -= first
-        return table.take(columns, axis=1)
-
-    return y_at
+    return table
 
 
 def _window_plan(problem: OdeProblem, a: float, b: float, grid_level: int) -> list[tuple]:
@@ -258,34 +247,26 @@ def _window_plan(problem: OdeProblem, a: float, b: float, grid_level: int) -> li
     return problem._plans[key]
 
 
-def _composed_field(comp: FieldComponent, j: int, y_at, drivers, x_at) -> ScalarField:
-    """Freeze every argument of F_ij except x_j along the current iterate.
-
-    F_ij is evaluated at the times the staircase kernel asks for, where the
-    reader ``y_at`` gives the iterate.  A component that does not read x_j is
-    a t_only field, evaluated at the window's distinct times, where ``x_at``
-    holds every driver's values.  Otherwise every other driver is read at t;
-    on the quadrature grid t and y keep the kernel's (rows, 1) time column,
-    and only other drivers and the result are spread to the grid.
-    """
-    if not comp.depends_on_driver:
-        def f_t(t, x):
-            value = comp.evaluate(t, y_at(t), x_at)
-            return value if np.shape(value) == t.shape else np.broadcast_to(value, t.shape)
-
-        return ScalarField(evaluate=f_t, depends_on="t_only")
-
-    def f_tx(t, x):
-        x = np.asarray(x, dtype=float)
+def _row_evaluator(evaluate, j: int, drivers, times: np.ndarray, table: np.ndarray):
+    """F_ij for a component reading x_j, on quadrature rows at ``columns`` of
+    ``times`` and of the iterate's ``table``: t and y get (rows, 1) columns;
+    the other drivers, read at t, and the value get the grid's shape."""
+    def eval_cols(columns, x):
+        t = times.take(columns)[:, None]
         if len(drivers) == 1:
             xx = x[None]
         else:
             xx = np.stack([x if q == j else np.broadcast_to(d.eval(t), x.shape)
                            for q, d in enumerate(drivers)])
-        value = comp.evaluate(t, y_at(t), xx)
-        return value if np.shape(value) == x.shape else np.broadcast_to(value, x.shape)
+        return _shaped(evaluate(t, table.take(columns[:, None], axis=1), xx), x.shape)
 
-    return ScalarField(evaluate=f_tx, depends_on="both")
+    return eval_cols
+
+
+def _shaped(value, shape: tuple) -> np.ndarray:
+    """F's value as floats, broadcast to ``shape`` only when it has another shape."""
+    value = np.asarray(value, dtype=float)
+    return value if value.shape == shape else np.broadcast_to(value, shape)
 
 
 def solve(problem: OdeProblem, cfg: SolverConfig | None = None) -> OdeSolution:

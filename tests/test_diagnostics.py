@@ -202,10 +202,15 @@ class TestGapFunctional:
         with pytest.raises(rp.BadInterval):
             rp.gap_functional(constant_pyramid(), 0.5, 0.5, 0.5)
 
-    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize("beta", [0.0, 1.5])
     def test_bad_beta(self, beta):
-        with pytest.raises(rp.BadExponents):
+        with pytest.raises(rp.BadExponents, match=r"beta must lie in \(0, 1\]"):
             rp.gap_functional(constant_pyramid(), 0.0, 1.0, beta)
+
+    def test_beta_one_gives_a_finite_value(self):
+        # the Hölder range (0, 1] of existence_report and OdeProblem
+        mu = rp.gap_functional(rp.gen_brownian(10, 4).pyramid(), 0.0, 1.0, 1.0)
+        assert np.isfinite(mu) and mu > 0.0
 
 
 class TestScalingNorm:
@@ -213,10 +218,16 @@ class TestScalingNorm:
         est = rp.scaling_norm(constant_pyramid(), 0.5, 0.5)
         assert est.value == 0.0
 
-    @pytest.mark.parametrize("beta, gamma", [(0.0, 0.5), (0.5, 0.0), (-0.1, 0.5)])
+    @pytest.mark.parametrize("beta, gamma", [(0.0, 0.5), (0.5, 0.0), (-0.1, 0.5), (1.5, 0.5)])
     def test_bad_exponents(self, beta, gamma):
         with pytest.raises(rp.BadExponents):
             rp.scaling_norm(constant_pyramid(), beta, gamma)
+
+    def test_beta_one_is_the_full_interval_value_or_more(self):
+        pyr = rp.gen_brownian(10, 4).pyramid()
+        est = rp.scaling_norm(pyr, 1.0, 0.5, scan_depth=4)
+        assert np.isfinite(est.value)
+        assert est.value >= rp.gap_functional(pyr, 0.0, 1.0, 1.0)
 
     def test_dominates_full_interval_ratio(self):
         pyr = rp.gen_brownian(12, 21).pyramid()

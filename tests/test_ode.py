@@ -114,10 +114,11 @@ class TestPicardOperator:
 
 @settings(max_examples=200, deadline=None)
 @given(e=st.integers(0, 6), L=st.integers(1, 8), m=st.integers(1, 2), data=st.data())
-def test_iterate_reader_is_np_interp(e, L, m, data):
+def test_iterate_table_is_np_interp(e, L, m, data):
     # spans of 2**e level-k cells per grid cell, windows that start after 0,
-    # signed zeros, and values whose slope overflows: the reader equals
-    # np.interp bit for bit at the window times and at (rows, 1) row times
+    # signed zeros, and values whose slope overflows: the table equals
+    # np.interp bit for bit at the window times, and so do its columns that
+    # quadrature rows read at their times
     k, span, n = L + e, 1 << e, 1 << L
     ia = data.draw(st.integers(1, n - 1))
     ib = data.draw(st.integers(ia + 1, n))
@@ -126,12 +127,12 @@ def test_iterate_reader_is_np_interp(e, L, m, data):
                                     max_size=m * (ib - ia + 1)))).reshape(m, -1)
     sk = integrator._skeleton(np.zeros(1 << k), k, ia * span, span, np.zeros(ib - ia + 1))
     t_grid = np.arange(ia, ib + 1) * 2.0 ** -L
-    rows = data.draw(st.lists(st.integers(0, sk.times.size - 1), min_size=1, max_size=40))
-    t_rows = sk.times[rows][:, None]
-    y_at = ode._iterate_reader(y, sk, L)
-    for t in (sk.times, t_rows):
+    rows = np.array(data.draw(st.lists(st.integers(0, sk.lo.size - 1), min_size=1, max_size=40)))
+    table = ode._iterate_table(y, sk, L)
+    assert not table.flags.writeable
+    for t, got in ((sk.times, table), (sk.times[sk.columns[rows]], table[:, sk.columns[rows]])):
         want = np.stack([np.interp(t, t_grid, row) for row in y])
-        assert y_at(t).tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes()
 
 
 class TestMatrixField:

@@ -3,8 +3,8 @@
 The corpus runs every CLI subcommand, the staircase integrals
 (``integrate``, ``staircase_integral``, ``cumulative_increments``), ``solve``,
 the diagnostics (``existence_report``, ``gap_functional``, ``scaling_norm``),
-``holder_seminorm``, ``wiener_ensemble`` and the details of every
-``roughpath reproduce`` criterion.  Each output is hashed from a canonical
+``adversarial_integrand``, ``holder_seminorm``, ``wiener_ensemble`` and the
+details of every ``roughpath reproduce`` criterion.  Each output is hashed from a canonical
 encoding: array dtype, shape and bytes, scalar type and bytes, dict keys in
 order, dataclass fields, and an exception's type and message.  CLI runs hash
 the exit code, stdout, stderr and every file they write, with the runtime
@@ -172,6 +172,11 @@ def cli_corpus() -> None:
     _cli("reproduce", ["reproduce", "pyramid-exactness"])
 
 
+def _tent_integrand(pyramid, beta: float):
+    f, predicted = rp.adversarial_integrand(pyramid, beta, 5)
+    return f.samples, predicted
+
+
 def diagnostics_corpus() -> None:
     paths = {f"bm{K}_{seed}": rp.gen_brownian(K, seed) for K in (2, 4, 8, 12) for seed in (1, 2)}
     paths["osc"] = rp.gen_oscillatory(0.3, 0.3, 1.0, 3, 12)
@@ -213,6 +218,13 @@ def diagnostics_corpus() -> None:
     for beta, gamma in ((0.0, 0.5), (0.5, 0.0), (1.0, 0.5), (float("nan"), 0.5)):
         _emit(f"scaling_norm/bad/{beta}/{gamma}",
               _outcome(rp.scaling_norm, pyramids["bm8_1"], beta, gamma))
+    # beta = 1 is the top of the Hölder range (0, 1] that every diagnostic takes
+    for name in ("bm12_1", "osc"):
+        _emit(f"gap_functional/{name}/0.0/1.0/1.0",
+              _outcome(rp.gap_functional, pyramids[name], 0.0, 1.0, 1.0))
+        for beta in (0.45, 1.0, 1.5):
+            _emit(f"adversarial_integrand/{name}/{beta}",
+                  _outcome(_tent_integrand, pyramids[name], beta))
     for name in ("bm12_1", "osc", "cex", "sine"):
         for alpha in (0.3, 0.5, 1.0):
             for lags in (0, 3):
