@@ -178,6 +178,8 @@ def scaling_norm(
     _check_beta(beta)
     if gamma <= 0:
         raise BadExponents("gamma must be positive")
+    if scan_depth < 0:
+        raise LevelOutOfRange(f"scan_depth must be >= 0, got {scan_depth}")
     sums = [np.zeros(1 << j) for j in range(min(scan_depth, pyramid.K - 2) + 1)]
     for k in range(2, pyramid.K - 1):    # depth j sums levels j + 2 = base_level + 1 .. K - 2
         prefix = _gap_prefix(pyramid, k)

@@ -95,8 +95,8 @@ def _require_finite(samples: np.ndarray) -> tuple[float, float]:
 def _cells_within(a: float, b: float, k: int) -> tuple[int, int]:
     """Index range [c_lo, c_hi] of level-k cells fully inside [a, b]."""
     scale = float(1 << k)
-    c_lo = math.ceil(a * scale - 4.0 * np.spacing(max(1.0, a * scale)))
-    c_hi = math.floor(b * scale + 4.0 * np.spacing(max(1.0, b * scale))) - 1
+    c_lo = math.ceil(a * scale - 4.0 * math.ulp(max(1.0, a * scale)))
+    c_hi = math.floor(b * scale + 4.0 * math.ulp(max(1.0, b * scale))) - 1
     return c_lo, c_hi
 
 

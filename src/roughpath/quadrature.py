@@ -124,7 +124,7 @@ def refine_batch(eval_xs, lo, hi, tol: float = _QUAD_TOL, *, grid: _PanelGrid | 
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    total = np.zeros(lo.size)
+    total = np.empty(lo.size)   # every slice writes its own rows
     # a non-finite integrand or panel sum raises NonFinite below; numpy's
     # overflow and invalid-value warnings would only print it first
     with np.errstate(over="ignore", invalid="ignore"):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from types import SimpleNamespace
@@ -168,6 +169,51 @@ class TestCsvWriters:
         assert out.read_bytes() == want.encode()
 
 
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "**": np.power,
+           "pow": np.power, "sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs,
+           "sqrt": np.sqrt, "log": np.log}
+
+
+def _expression_trees():
+    """Expression trees as nested tuples: a leaf name or constant, ("neg" or
+    "pos", child), (operator, left, right), (function, child) or ("pow", a, b)."""
+    leaves = st.sampled_from(["t", "x", "2", "0.5", "3"])
+
+    def extend(child):
+        return st.one_of(
+            st.tuples(st.sampled_from(["neg", "pos"]), child),
+            st.tuples(st.sampled_from(["+", "-", "*", "/", "**", "pow"]), child, child),
+            st.tuples(st.sampled_from(["sin", "cos", "exp", "abs", "sqrt", "log"]), child),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+def _source(tree) -> str:
+    if isinstance(tree, str):
+        return tree
+    op, *args = tree
+    inner = [_source(arg) for arg in args]
+    if op in ("neg", "pos"):
+        return ("-" if op == "neg" else "+") + f"({inner[0]})"
+    if len(inner) == 2 and op != "pow":
+        return f"({inner[0]}){op}({inner[1]})"
+    return f"{op}({','.join(inner)})"
+
+
+def _plain_value(tree, t, x):
+    """The tree's value by plain numpy calls, each on fresh arrays."""
+    if isinstance(tree, str):
+        return t if tree == "t" else x if tree == "x" else float(tree)
+    op, *args = tree
+    values = [_plain_value(arg, t, x) for arg in args]
+    if op == "neg":
+        return -values[0]
+    if op == "pos":
+        return values[0]
+    return _UFUNCS[op](*values)
+
+
 class TestFieldExpressions:
     def test_dependence_inference(self):
         assert field_from_expression("sin(t)*x").depends_on == "both"
@@ -233,6 +279,70 @@ class TestFieldExpressions:
     def test_accepts_moderate_nesting(self):
         field = field_from_expression("-" * 60 + "x" + "+x" * 60)
         assert field.evaluate(np.array([0.0]), np.array([2.0]))[0] == 122.0
+
+    @pytest.mark.parametrize("expr", ["sin(x,t)", "sin()", "pow(x)", "pow(x,t,x)"])
+    def test_rejects_a_wrong_argument_count(self, expr):
+        # np.sin(x, t) would write sin(x) into t
+        with pytest.raises(rp.SchemaError, match="argument"):
+            field_from_expression(expr)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree=_expression_trees(), data=st.data())
+    def test_value_is_the_plain_numpy_value(self, tree, data):
+        # a (rows, 1) time column against a transposed (rows, nodes) panel, as the
+        # staircase kernel calls every field, or the other way round
+        rows, nodes = 6, 5
+        dtypes = data.draw(st.tuples(*[st.sampled_from([np.float64, np.int64])] * 2), "dtypes")
+        seed = data.draw(st.integers(0, 2**32 - 1), "seed")
+        rng = np.random.default_rng(seed)
+        t = (rng.uniform(0.0, 3.0, (rows, 1)) if dtypes[0] == np.float64
+             else rng.integers(0, 4, (rows, 1))).astype(dtypes[0])
+        x = (rng.uniform(-3.0, 3.0, (nodes, rows)) if dtypes[1] == np.float64
+             else rng.integers(-3, 4, (nodes, rows))).astype(dtypes[1]).T
+        if data.draw(st.booleans(), "swap"):
+            t, x = x, t
+        readonly = data.draw(st.booleans(), "readonly")
+        for arg in (t, x):
+            arg.flags.writeable = not readonly
+        t_before, x_before = t.copy(), x.copy()
+        field = field_from_expression(_source(tree))
+        shape = np.broadcast_shapes(t.shape, x.shape)
+        with np.errstate(all="ignore"):
+            try:
+                want = _plain_value(tree, t, x)
+            except ValueError as exc:   # an integer to a negative integer power
+                with pytest.raises(type(exc)):
+                    field.evaluate(t, x)
+                return
+            want = np.broadcast_to(np.asarray(want, dtype=float), shape)
+            got = field.evaluate(t, x)
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == shape
+        assert not np.shares_memory(got, t) and not np.shares_memory(got, x)
+        assert np.array_equal(t, t_before) and np.array_equal(x, x_before)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+    @pytest.mark.parametrize("expr, bound", [
+        ("sin(3*t)*exp(-x*x)+t*x", 2.3),
+        ("exp(-x*x)", 1.0),
+        ("x*x*x-sin(x)", 2.0),
+    ])
+    def test_peak_memory_in_result_arrays(self, expr, bound):
+        # one 4096-row slice of staircase verticals: each operator writes into a
+        # temporary of the result's shape, so the peak counts few result arrays;
+        # numpy's per-call scratch of a few KiB is below the rounding
+        t = np.linspace(0.0, 1.0, 4096)[:, None]
+        x = np.linspace(-2.0, 2.0, 7 * 4096).reshape(7, 4096).T
+        field = field_from_expression(expr)
+        field.evaluate(t, x)
+        tracemalloc.start()
+        try:
+            value = field.evaluate(t, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert round(peak / value.nbytes, 1) <= bound
 
 
 class TestCliCommands:

@@ -305,6 +305,11 @@ class TestScalingNormScan:
         est = rp.scaling_norm(constant_pyramid(K=8), 0.5, 2000.0, scan_depth=6)
         assert est.value == 0.0 and est.argmax_interval == (0.0, 1.0)
 
+    def test_negative_scan_depth_is_refused(self):
+        # depth -1 scans no cell, which would read as the value 0.0 on (0, 1)
+        with pytest.raises(rp.LevelOutOfRange, match="scan_depth"):
+            rp.scaling_norm(rp.gen_brownian(8, 1).pyramid(), 0.5, 0.5, scan_depth=-1)
+
     def test_holds_nothing_after_the_call(self):
         pyr = rp.gen_brownian(16, 5).pyramid()
         tracemalloc.start()

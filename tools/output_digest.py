@@ -1,7 +1,8 @@
 """Print ``name sha256`` for every output of a fixed, seeded corpus.
 
 The corpus runs every CLI subcommand, the staircase integrals
-(``integrate``, ``staircase_integral``, ``cumulative_increments``), ``solve``,
+(``integrate``, ``staircase_integral``, ``cumulative_increments``) of builtin
+fields and compiled expressions, ``solve``,
 the diagnostics (``existence_report``, ``gap_functional``, ``scaling_norm``),
 ``adversarial_integrand``, ``holder_seminorm``, ``wiener_ensemble`` and the
 details of every ``roughpath reproduce`` criterion.  Each output is hashed from a canonical
@@ -218,6 +219,7 @@ def diagnostics_corpus() -> None:
     for beta, gamma in ((0.0, 0.5), (0.5, 0.0), (1.0, 0.5), (float("nan"), 0.5)):
         _emit(f"scaling_norm/bad/{beta}/{gamma}",
               _outcome(rp.scaling_norm, pyramids["bm8_1"], beta, gamma))
+    _emit("scaling_norm/bad-depth/-1", _outcome(rp.scaling_norm, pyramids["bm8_1"], 0.5, 0.5, -1))
     # beta = 1 is the top of the Hölder range (0, 1] that every diagnostic takes
     for name in ("bm12_1", "osc"):
         _emit(f"gap_functional/{name}/0.0/1.0/1.0",
@@ -243,11 +245,19 @@ def diagnostics_corpus() -> None:
 def integrator_corpus() -> None:
     paths = {"bm": rp.gen_brownian(12, 4), "osc": rp.gen_oscillatory(0.3, 0.3, 1.0, 3, 12),
              "sq": rp.gen_analytic("square", 12)}
-    fields = ("x", "tx", "sin_t_x", "t_plus_x2")
+    fields = {name: rp.BUILTIN_FIELDS[name] for name in ("x", "tx", "sin_t_x", "t_plus_x2")}
+    # compiled expressions: a (rows, 1) operand against (rows, 7), a constant
+    # subexpression, unary minus chains, ** and pow, every function, NaN from
+    # log and sqrt, one-variable values that have or lack the broadcast shape,
+    # and the bare arguments
+    expressions = ("sin(3*t)*exp(-x*x)+t*x", "sin(3*t)*exp(-x*x)", "2*3+x*t", "--x*-t-(-(-2))",
+                   "x**2*t-pow(1+t,x)+(2+t)**-x",
+                   "sin(x)+cos(t)*exp(-x)+abs(x-t)/(2+t)-sqrt(1+x*x)*log(2+t)",
+                   "log(x-1)*t", "t*sqrt(x-2)", "x*x*x-sin(x)", "exp(-x*x)", "t+1", "x", "t")
+    fields.update((expr, rp.field_from_expression(expr)) for expr in expressions)
     for name, path in paths.items():
         pyr = path.pyramid()
-        for field in fields:
-            f = rp.BUILTIN_FIELDS[field]
+        for field, f in fields.items():
             for a, b in ((0.0, 1.0), (0.1, 0.73), (0.25, 0.5)):
                 _emit(f"integrate/{name}/{field}/{a}/{b}", _outcome(rp.integrate, f, path, a, b))
                 ends = (path.eval(a), path.eval(b))
