@@ -25,7 +25,6 @@ from .diagnostics import (
     gap_functional,
     levy_area,
     operator_tail_constant,
-    quadratic_gap_sum,
     scaling_norm,
     wiener_ensemble,
     wiener_statistic,

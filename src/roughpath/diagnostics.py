@@ -2,8 +2,8 @@
 
 Everything here is a read-only reduction of an average pyramid: Lévy areas
 between successive staircases, their weighted partial sums, interval gap
-functionals, the scaling norm built from them, per-level quadratic gap sums,
-and the Wiener ensemble statistic.
+functionals, the scaling norm built from them, and the Wiener ensemble
+statistic.
 
 Convention: the Lévy area between the level-k and level-(k+1) staircases is
 the exact geometric area 2**-(k+1) * sum_n |h[k+1][2n] - h[k+1][2n+1]|.  All
@@ -214,19 +214,6 @@ def operator_tail_constant(pyramid: AveragePyramid, beta: float) -> float:
     return float(best)
 
 
-def quadratic_gap_sum(pyramid: AveragePyramid, a: float, b: float, k: int) -> float:
-    """Per-level sum of squared sibling gaps over cells inside [a, b]."""
-    if not 0.0 <= a < b <= 1.0:
-        raise BadInterval(f"bad interval [{a}, {b}]")
-    if not 0 <= k <= pyramid.K - 2:
-        raise LevelOutOfRange(f"quadratic_gap_sum needs 0 <= k <= {pyramid.K - 2}")
-    c_lo, c_hi = _cells_within(a, b, k)
-    if c_hi < c_lo:
-        return 0.0
-    g = pyramid.child_gap(k)
-    return float(np.square(g[c_lo : c_hi + 1]).sum())
-
-
 def wiener_statistic(pyramid: AveragePyramid, k: int) -> float:
     """2**(-k/2) * sum_m |h[k+1][2m+1] - h[k+1][2m]|.
 
@@ -234,7 +221,7 @@ def wiener_statistic(pyramid: AveragePyramid, k: int) -> float:
     below the statistic's own dispersion.
     """
     if not 0 <= k <= pyramid.K - 6:
-        raise LevelOutOfRange(f"wiener_statistic needs k <= {pyramid.K - 6}")
+        raise LevelOutOfRange(f"wiener_statistic needs 0 <= k <= K - 6 = {pyramid.K - 6}, got {k}")
     return float(2.0 ** (-k / 2.0) * np.abs(pyramid.child_gap(k)).sum())
 
 

@@ -257,6 +257,8 @@ def holder_seminorm(path: DyadicPath, alpha: float, max_lag_levels: int = 3) -> 
     every level j and return the largest Hölder quotient found."""
     if not 0.0 < alpha <= 1.0:
         raise BadExponents("alpha must lie in (0, 1]")
+    if max_lag_levels < 0:
+        raise LevelOutOfRange(f"max_lag_levels must be >= 0, got {max_lag_levels}")
     K = path.resolution_level
     s = path.samples
     best = 0.0

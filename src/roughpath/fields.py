@@ -4,11 +4,16 @@ The CLI accepts either a builtin field name or an arithmetic expression in
 ``t`` and ``x`` using +, -, *, /, ** and the functions sin, cos, exp, abs,
 pow, sqrt, log.  Expressions compile to vectorized numpy callables; the
 dependence class is inferred from which variables appear.  An expression
-evaluates into its own temporaries: on float64 arguments each operator
-writes its result into an array that the expression made itself and that
-already has the result's shape, so few result-sized arrays are live at once.
-It never writes ``t``, ``x`` or a constant and never returns one of its
-arguments.  Expressions above a fixed length or nesting depth are rejected
+evaluates into its own temporaries: on float64 arguments each call takes the
+broadcast shape of (t, x) once, a unary operator writes into an operand that
+the expression made, and a binary one into the first such operand that has
+the broadcast shape, so few result-sized arrays are live at once.  A value of
+that shape that the expression made is returned as it is; any other value (a
+bare argument, a constant, a one-variable array of a smaller shape) is
+multiplied into fresh ones of the broadcast shape, by the rule that
+``ScalarField.t_only`` and ``ScalarField.x_only`` also follow.  It never
+writes ``t``, ``x`` or a constant and never returns one of its arguments.
+Expressions above a fixed length or nesting depth are rejected
 with ``SchemaError``: compiling and evaluating them recurse once per level
 of nesting.
 """
@@ -19,7 +24,7 @@ import operator
 import numpy as np
 
 from .errors import SchemaError
-from .integrator import ScalarField
+from .integrator import ScalarField, _at_broadcast_shape
 
 _MAX_CHARS = 2000         # field expression length cap
 _MAX_DEPTH = 200          # syntax-tree levels, counting operator and context nodes
@@ -42,24 +47,21 @@ _BINOPS = {
     ast.Pow: np.power,
 }
 
-_ARGS = ("t", "x")
-
 
 def _compile(node):
-    """``node`` as (call, variables, made): ``call(t, x, full)`` evaluates it
-    with ``full = _full_arguments(t, x)``, ``variables`` is the frozenset of
-    argument names it reads, and ``made`` says that its value is one the
-    expression made: an array when ``full`` is set, never an argument or a
-    constant."""
+    """``node`` as (call, variables, made): ``call(t, x, shape)`` evaluates it
+    with ``shape = _shape(t, x)``, ``variables`` is the frozenset of argument
+    names it reads, and ``made`` says that its value is one the expression
+    made: an array when ``shape`` is set, never an argument or a constant."""
     if isinstance(node, ast.Expression):
         return _compile(node.body)
     if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
         value = float(node.value)
-        return (lambda t, x, full: value), frozenset(), False
+        return (lambda t, x, shape: value), frozenset(), False
     if isinstance(node, ast.Name):
-        if node.id not in _ARGS:
+        if node.id not in ("t", "x"):
             raise SchemaError(f"unknown name {node.id!r} in field expression")
-        call = (lambda t, x, full: t) if node.id == "t" else (lambda t, x, full: x)
+        call = (lambda t, x, shape: t) if node.id == "t" else (lambda t, x, shape: x)
         return call, frozenset([node.id]), False
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
         return _operator(_BINOPS[type(node.op)],
@@ -81,59 +83,51 @@ def _compile(node):
 def _operator(fn, operands: list):
     """The ufunc ``fn`` on one or two compiled operands, compiled.
 
-    With ``full`` set, the result goes into an operand that the expression
-    made and that has the result's shape: one that reads all of this node's
-    variables always has it, and one that reads fewer has it when its
-    variable's argument has the broadcast shape.  Otherwise the result is a
-    fresh value, as numpy gives it; unary minus uses the operator, so that a
-    negated constant stays a Python float.
+    With ``shape`` set, a unary operator writes into its operand when the
+    expression made it, and a binary one into the first operand that the
+    expression made and that has the broadcast shape ``shape``, which the
+    result then has too.  Otherwise the result is a fresh value, as numpy
+    gives it; unary minus uses the operator, so that a negated constant
+    stays a Python float.
     """
     calls = [call for call, _, _ in operands]
     variables = frozenset().union(*(v for _, v, _ in operands))
-    plain = operator.neg if fn is np.negative else fn
-    # (operand, None) for one that has the result's shape, then (operand,
-    # argument index) for one that reads the single variable of that argument
-    # and has the shape when the argument does; the first that holds is used
-    owned = [(i, v) for i, (_, v, made) in enumerate(operands) if made]
-    targets = ([(i, None) for i, v in owned if v == variables]
-               + [(i, _ARGS.index(min(v))) for i, v in owned if v != variables])
+    made = [i for i, (_, _, m) in enumerate(operands) if m]
     if len(calls) == 1:
         (inner,) = calls
-        if not targets:
-            return (lambda t, x, full: plain(inner(t, x, full))), variables, bool(variables)
+        plain = operator.neg if fn is np.negative else fn
+        if not made:
+            return (lambda t, x, shape: plain(inner(t, x, shape))), variables, bool(variables)
 
-        def unary(t, x, full):
-            value = inner(t, x, full)
-            return plain(value) if full is None else fn(value, out=value)
+        def unary(t, x, shape):
+            value = inner(t, x, shape)
+            return plain(value) if shape is None else fn(value, out=value)
 
         return unary, variables, True
     left, right = calls
 
-    def binary(t, x, full):
-        values = (left(t, x, full), right(t, x, full))
-        if full is not None:
-            for i, arg in targets:
-                if arg is None or full[arg]:
+    def binary(t, x, shape):
+        values = (left(t, x, shape), right(t, x, shape))
+        if shape is not None:
+            for i in made:
+                if values[i].shape == shape:
                     return fn(*values, out=values[i])
         return fn(*values)
 
     return binary, variables, bool(variables)
 
 
-def _full_arguments(t, x):
-    """(t has the broadcast shape, x has it) when t and x are float64 arrays
-    of one or more dimensions that broadcast together; else None, and every
-    operator returns a fresh value, as numpy gives it for these arguments."""
+def _shape(t, x):
+    """The broadcast shape of t and x when they are float64 arrays of one or
+    more dimensions that broadcast together; else None, and every operator
+    returns a fresh value, as numpy gives it for these arguments."""
     if not (type(t) is type(x) is np.ndarray and t.ndim and x.ndim
             and t.dtype == np.float64 and x.dtype == np.float64):
         return None
-    if t.shape == x.shape:
-        return True, True
     try:
-        shape = np.broadcast(t, x).shape
+        return np.broadcast(t, x).shape
     except ValueError:   # the operator that meets the mismatch names it
         return None
-    return t.shape == shape, x.shape == shape
 
 
 def _check_depth(tree: ast.AST) -> None:
@@ -156,31 +150,26 @@ def field_from_expression(expr: str) -> ScalarField:
         raise SchemaError(f"field expression too deeply nested to parse: {exc!r}") from exc
     _check_depth(tree)
     call, names, made = _compile(tree)
-    if names == {"t", "x"}:
-        # every node is elementwise, so the value already has the broadcast shape
-        return ScalarField(
-            evaluate=lambda t, x: np.asarray(call(t, x, _full_arguments(t, x)), dtype=float))
-    arg = _ARGS.index(min(names)) if names else None
 
     def evaluate(t, x):
-        full = _full_arguments(t, x)
-        value = call(t, x, full)
-        if made and full is not None and full[arg]:
-            return value   # an array made here, of the broadcast shape
-        ones = np.ones(np.broadcast(np.asarray(t), np.asarray(x)).shape)
-        return np.multiply(np.asarray(value, dtype=float), ones, out=ones)
+        shape = _shape(t, x)
+        value = call(t, x, shape)
+        if made and shape is not None and value.shape == shape:
+            return value
+        return _at_broadcast_shape(value, t, x)
 
-    return ScalarField(evaluate=evaluate, depends_on="t_only" if names == {"t"} else "x_only")
+    depends_on = "both" if len(names) == 2 else "t_only" if names == {"t"} else "x_only"
+    return ScalarField(evaluate=evaluate, depends_on=depends_on)
 
 
 BUILTIN_FIELDS = {
-    "one": ScalarField.x_only(lambda x: np.ones_like(np.asarray(x, dtype=float))),
+    "one": ScalarField.x_only(lambda x: 1.0),
     "x": ScalarField.x_only(lambda x: x),
     "x2": ScalarField.x_only(lambda x: np.square(x)),
     "tx": ScalarField(
         evaluate=lambda t, x: t * x,
         depends_on="both",
-        dt_partial=lambda t, x: x * np.ones_like(t * x),
+        dt_partial=lambda t, x: _at_broadcast_shape(x, t, x),
     ),
     "sin_t_x": ScalarField(
         evaluate=lambda t, x: np.sin(t) * x,
@@ -190,7 +179,7 @@ BUILTIN_FIELDS = {
     "t_plus_x2": ScalarField(
         evaluate=lambda t, x: t + np.square(x),
         depends_on="both",
-        dt_partial=lambda t, x: np.ones_like(t + x),
+        dt_partial=lambda t, x: _at_broadcast_shape(1.0, t, x),
     ),
     "sin2x_expx": ScalarField.x_only(lambda x: np.sin(2.0 * x) * np.exp(x)),
 }

@@ -19,6 +19,9 @@ builds its window's skeletons once and calls the two sums directly.
 ``integrate`` runs the one-block sum, closed to (g(a), g(b)) so endpoint
 truncation never pollutes the limit, over levels until two consecutive
 differences, of levels that move an end of their cells, fall under tolerance.
+A field's value has the broadcast shape of (t, x): ``_at_broadcast_shape``
+brings any other value to it, for ``ScalarField``'s one-variable lifts and
+for the compiled expressions and builtins of ``fields``.
 """
 
 from __future__ import annotations
@@ -41,11 +44,23 @@ _ZERO = np.zeros(1)        # the buffer of value_at_times' x
 _ZERO.flags.writeable = False
 
 
+def _at_broadcast_shape(value, t, x) -> np.ndarray:
+    """``value`` times fresh ones of the broadcast shape of (t, x), in float64.
+
+    A field value has that shape whichever variables it reads; the product
+    keeps every bit of ``value`` and is never one of the arguments.
+    """
+    ones = np.ones(np.broadcast(t, x).shape)
+    return np.multiply(np.asarray(value, dtype=float), ones, out=ones)
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """Two-argument integrand f(t, x), with its time partial when known.
 
-    ``evaluate`` must be vectorized over numpy arrays and broadcast (t, x).
+    ``evaluate`` must be vectorized over numpy arrays and return a value of
+    the broadcast shape of (t, x).  The one-variable lifts ``x_only`` and
+    ``t_only`` reach it by multiplying f's value into fresh ones of that shape.
     ``depends_on`` marks the dependence class, one of 'both', 't_only' and
     'x_only': 't_only' integrands need no quadrature at all.  ``integrate``
     takes no 'x_only' shortcut; the exact reduction of an integrand f(x) to
@@ -59,12 +74,13 @@ class ScalarField:
 
     @staticmethod
     def x_only(f) -> "ScalarField":
-        return ScalarField(evaluate=lambda t, x: f(x), depends_on="x_only")
+        return ScalarField(evaluate=lambda t, x: _at_broadcast_shape(f(x), t, x),
+                           depends_on="x_only")
 
     @staticmethod
     def t_only(f, dt_partial=None) -> "ScalarField":
         def lift(fn):
-            return lambda t, x: fn(t) * np.ones_like(np.asarray(x, dtype=float))
+            return lambda t, x: _at_broadcast_shape(fn(t), t, x)
 
         return ScalarField(
             evaluate=lift(f),

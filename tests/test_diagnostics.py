@@ -347,49 +347,6 @@ class TestOperatorTailConstant:
         assert math.isinf(rp.operator_tail_constant(path.pyramid(), 0.3))
 
 
-class TestQuadraticGapSum:
-    def test_constant_zero(self):
-        assert rp.quadratic_gap_sum(constant_pyramid(), 0.0, 1.0, 3) == 0.0
-
-    def test_bad_interval(self):
-        with pytest.raises(rp.BadInterval):
-            rp.quadratic_gap_sum(constant_pyramid(), 0.6, 0.4, 3)
-
-    @pytest.mark.parametrize("k", [-1, 9])
-    def test_bad_level(self, k):
-        with pytest.raises(rp.LevelOutOfRange):
-            rp.quadratic_gap_sum(constant_pyramid(K=10), 0.0, 1.0, k)
-
-    def test_no_cell_inside_is_zero(self):
-        # no level-3 cell fits in [0.3, 0.4]
-        pyr = rp.gen_brownian(10, 1).pyramid()
-        assert rp.quadratic_gap_sum(pyr, 0.3, 0.4, 3) == 0.0
-
-    def test_linear_closed_form(self):
-        pyr = rp.gen_analytic("linear", 12).pyramid()
-        for k in (2, 5, 8):
-            child = pyr.level(k + 1)
-            brute = float(np.square(child[0::2] - child[1::2]).sum())
-            got = rp.quadratic_gap_sum(pyr, 0.0, 1.0, k)
-            assert got == pytest.approx(brute, rel=1e-14)
-            assert got == pytest.approx(2.0 ** -(k + 2), rel=1e-12)
-
-    def test_brownian_bounded_sweep(self):
-        # per-level sums stay uniformly bounded across resolved levels
-        maxima = []
-        for i in range(100):
-            pyr = rp.gen_brownian(12, 4000 + i).pyramid()
-            maxima.append(max(rp.quadratic_gap_sum(pyr, 0.0, 1.0, k) for k in range(2, pyr.K - 1)))
-        assert np.median(maxima) < 0.6
-
-    def test_degree_two_homogeneity(self):
-        path = rp.gen_brownian(10, 5)
-        scaled = rp.DyadicPath(3.0 * path.samples, 10)
-        a = rp.quadratic_gap_sum(path.pyramid(), 0.0, 1.0, 4)
-        b = rp.quadratic_gap_sum(scaled.pyramid(), 0.0, 1.0, 4)
-        assert b == pytest.approx(9.0 * a, rel=1e-12)
-
-
 class TestWienerStatistic:
     def test_constant_zero(self):
         assert rp.wiener_statistic(constant_pyramid(value=2.0, K=12), 4) == 0.0
@@ -405,6 +362,11 @@ class TestWienerStatistic:
         pyr = rp.gen_brownian(10, 0).pyramid()
         with pytest.raises(rp.LevelOutOfRange):
             rp.wiener_statistic(pyr, 5)
+
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_refusal_names_the_range(self, k):
+        with pytest.raises(rp.LevelOutOfRange, match=r"0 <= k <= K - 6 = 2, got "):
+            rp.wiener_statistic(rp.gen_brownian(8, 0).pyramid(), k)
 
     def test_positive_homogeneity(self):
         path = rp.gen_brownian(12, 17)

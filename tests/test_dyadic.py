@@ -271,6 +271,11 @@ class TestHolderSeminorm:
         with pytest.raises(rp.BadExponents):
             rp.holder_seminorm(rp.gen_analytic("linear", 4), 0.0)
 
+    def test_negative_lag_levels_are_refused(self):
+        # 1 << -1 raised a bare "negative shift count" ValueError
+        with pytest.raises(rp.LevelOutOfRange, match="max_lag_levels"):
+            rp.holder_seminorm(rp.gen_analytic("linear", 4), 0.5, max_lag_levels=-1)
+
     def test_reports_pair_count(self):
         est = rp.holder_seminorm(rp.gen_analytic("sine", 6), 0.5, max_lag_levels=2)
         assert est.pairs_scanned > 0

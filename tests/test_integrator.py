@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import roughpath as rp
 from roughpath import integrator
@@ -665,7 +666,10 @@ class TestLevelKernelProperties:
         path, k, a, b = case
         tx = rp.BUILTIN_FIELDS["tx"]
         step = closed_sum(tx, path, a, b, k + 1) - closed_sum(tx, path, a, b, k)
-        want = -(2.0 ** -(k + 3)) * rp.quadratic_gap_sum(path.pyramid(), a, b, k)
+        # a and b sit on the level-(k - 1) grid, so the level-k cells inside
+        # [a, b] run from a * 2**k to b * 2**k
+        gaps = path.pyramid().child_gap(k)[round(a * 2**k) : round(b * 2**k)]
+        want = -(2.0 ** -(k + 3)) * float(np.square(gaps).sum())
         assert abs(step - want) <= 1e-14 * max(1.0, np.abs(path.samples).max() ** 2)
 
     @settings(max_examples=60, deadline=None)
@@ -723,6 +727,62 @@ class TestDependsOn:
                   rp.ScalarField.x_only(np.cos).depends_on,
                   rp.ScalarField.t_only(rp.gen_brownian(4, 0).eval).depends_on]
         assert set(kinds) == {"both", "t_only", "x_only"}
+
+
+_LIFT_RETURNS = {
+    "scalar": lambda v: 2.5,
+    "float array": lambda v: 3.0 * v - 1.0,
+    "integer array": lambda v: np.floor(4.0 * v).astype(np.int64),
+}
+
+
+class TestBroadcastShape:
+    def test_constant_lift_is_the_compiled_constant(self):
+        # x_only returned the bare float 2.0, which the quadrature's matmul refused
+        lifted = rp.ScalarField.x_only(lambda x: 2.0)
+        compiled = rp.field_from_expression("2")
+        path = rp.gen_brownian(10, 3)
+        got, want = (rp.integrate(f, path, 0.0, 1.0) for f in (lifted, compiled))
+        assert (got.value, got.levels, got.converged) == (want.value, want.levels, want.converged)
+        assert np.array_equal(got.level_values, want.level_values)
+        assert got.value == pytest.approx(2.0 * (path.samples[-1] - path.samples[0]), abs=1e-12)
+        for k in (2, 5, 8):
+            assert (rp.staircase_integral(lifted, path.pyramid(), 0.0, 1.0, k)
+                    == rp.staircase_integral(compiled, path.pyramid(), 0.0, 1.0, k))
+        assert rp.green_eval(lifted, path, 0.7) == rp.green_eval(compiled, path, 0.7)
+
+    @pytest.mark.parametrize("name, part, want", [
+        ("one", "evaluate", lambda t, x: 1.0),
+        ("tx", "dt_partial", lambda t, x: x),
+        ("t_plus_x2", "dt_partial", lambda t, x: 1.0),
+    ], ids=["one", "tx.dt_partial", "t_plus_x2.dt_partial"])
+    def test_builtins_reach_the_broadcast_shape(self, name, part, want):
+        # a time column against a panel, and a state column against a time panel
+        column = np.linspace(0.0, 1.0, 4)[:, None]
+        panel = np.linspace(-2.0, 2.0, 28).reshape(7, 4).T
+        for t, x in ((column, panel), (panel, column)):
+            got = getattr(rp.BUILTIN_FIELDS[name], part)(t, x)
+            assert got.dtype == np.float64 and got.shape == (4, 7)
+            assert not np.shares_memory(got, t) and not np.shares_memory(got, x)
+            assert np.array_equal(got, np.broadcast_to(want(t, x), (4, 7)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=1, max_dims=3,
+                                                      max_side=4),
+           returns=st.sampled_from(sorted(_LIFT_RETURNS)), seed=st.integers(0, 2**32 - 1))
+    def test_lifts_have_the_broadcast_shape(self, shapes, returns, seed):
+        # both lifts give f's value times ones of the broadcast shape, bit for
+        # bit, whether f returns a scalar or an array of its argument's shape
+        f = _LIFT_RETURNS[returns]
+        rng = np.random.default_rng(seed)
+        t, x = (rng.uniform(-2.0, 2.0, shape) for shape in shapes.input_shapes)
+        for lift, arg in ((rp.ScalarField.t_only, t), (rp.ScalarField.x_only, x)):
+            got = lift(f).evaluate(t, x)
+            want = f(arg) * np.ones(shapes.result_shape)
+            assert type(got) is np.ndarray and got.dtype == np.float64
+            assert got.shape == shapes.result_shape
+            assert not np.shares_memory(got, t) and not np.shares_memory(got, x)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @st.composite

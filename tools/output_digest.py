@@ -232,6 +232,7 @@ def diagnostics_corpus() -> None:
             for lags in (0, 3):
                 _emit(f"holder_seminorm/{name}/{alpha}/{lags}",
                       _outcome(rp.holder_seminorm, paths[name], alpha, lags))
+    _emit("holder_seminorm/bad-lag/-1", _outcome(rp.holder_seminorm, paths["bm12_1"], 0.5, -1))
     for threads in (1, 2):
         _emit(f"wiener_ensemble/{threads}",
               _outcome(rp.wiener_ensemble, [0, 2, 4], 6, 10, 11, threads=threads))
