@@ -254,8 +254,8 @@ def wiener_ensemble(
     _check_brownian_args(K, seed)
     k_list = [int(k) for k in k_list]
     for k in k_list:
-        if k > K - 6:
-            raise LevelOutOfRange(f"k={k} needs K >= {k + 6}")
+        if not 0 <= k <= K - 6:
+            raise LevelOutOfRange(f"wiener_ensemble needs 0 <= k <= K - 6 = {K - 6}, got {k}")
 
     threads = max(1, min(threads or 1, _usable_cores(), n_paths))
     ends = [seed + n_paths * i // threads for i in range(threads + 1)]

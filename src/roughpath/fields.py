@@ -4,18 +4,16 @@ The CLI accepts either a builtin field name or an arithmetic expression in
 ``t`` and ``x`` using +, -, *, /, ** and the functions sin, cos, exp, abs,
 pow, sqrt, log.  Expressions compile to vectorized numpy callables; the
 dependence class is inferred from which variables appear.  An expression
-evaluates into its own temporaries: on float64 arguments each call takes the
-broadcast shape of (t, x) once, a unary operator writes into an operand that
-the expression made, and a binary one into the first such operand that has
-the broadcast shape, so few result-sized arrays are live at once.  A value of
-that shape that the expression made is returned as it is; any other value (a
-bare argument, a constant, a one-variable array of a smaller shape) is
-multiplied into fresh ones of the broadcast shape, by the rule that
-``ScalarField.t_only`` and ``ScalarField.x_only`` also follow.  It never
-writes ``t``, ``x`` or a constant and never returns one of its arguments.
-Expressions above a fixed length or nesting depth are rejected
-with ``SchemaError``: compiling and evaluating them recurse once per level
-of nesting.
+evaluates into its own temporaries.  On float64 arguments every array that
+an operand yields, other than ``t`` and ``x`` themselves, is one the
+expression made: a unary operator writes into it, and a binary one into the
+first such operand of the broadcast shape of (t, x).  Such a value of that
+shape is returned as it is; any other value is brought to the shape by the
+rule of ``ScalarField``'s one-variable lifts.  So an expression never writes
+``t``, ``x`` or a constant and never returns one of its arguments.
+Expressions above a fixed length or nesting depth are rejected with
+``SchemaError``: compiling and evaluating them recurse once per level of
+nesting.
 """
 
 import ast
@@ -26,6 +24,7 @@ import numpy as np
 from .errors import SchemaError
 from .integrator import ScalarField, _at_broadcast_shape
 
+_ARRAY = np.ndarray       # bound once: every operator call tests its operands' type
 _MAX_CHARS = 2000         # field expression length cap
 _MAX_DEPTH = 200          # syntax-tree levels, counting operator and context nodes
 
@@ -49,26 +48,21 @@ _BINOPS = {
 
 
 def _compile(node):
-    """``node`` as (call, variables, made): ``call(t, x, shape)`` evaluates it
-    with ``shape = _shape(t, x)``, ``variables`` is the frozenset of argument
-    names it reads, and ``made`` says that its value is one the expression
-    made: an array when ``shape`` is set, never an argument or a constant."""
+    """``node`` as ``call(t, x, shape)``, evaluated with ``shape = _shape(t, x)``."""
     if isinstance(node, ast.Expression):
         return _compile(node.body)
     if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
         value = float(node.value)
-        return (lambda t, x, shape: value), frozenset(), False
+        return lambda t, x, shape: value
     if isinstance(node, ast.Name):
         if node.id not in ("t", "x"):
             raise SchemaError(f"unknown name {node.id!r} in field expression")
-        call = (lambda t, x, shape: t) if node.id == "t" else (lambda t, x, shape: x)
-        return call, frozenset([node.id]), False
+        return (lambda t, x, shape: t) if node.id == "t" else (lambda t, x, shape: x)
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        return _operator(_BINOPS[type(node.op)],
-                         [_compile(node.left), _compile(node.right)])
+        return _operator(_BINOPS[type(node.op)], _compile(node.left), _compile(node.right))
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         inner = _compile(node.operand)
-        return _operator(np.negative, [inner]) if isinstance(node.op, ast.USub) else inner
+        return _operator(np.negative, inner) if isinstance(node.op, ast.USub) else inner
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
         if node.func.id not in _FUNCS or node.keywords:
             raise SchemaError(f"unsupported function {node.func.id!r}")
@@ -76,45 +70,39 @@ def _compile(node):
         if len(node.args) != fn.nin:
             # a surplus argument would reach the ufunc as its output array
             raise SchemaError(f"{node.func.id} takes {fn.nin} argument(s), got {len(node.args)}")
-        return _operator(fn, [_compile(arg) for arg in node.args])
+        return _operator(fn, *map(_compile, node.args))
     raise SchemaError(f"unsupported syntax in field expression: {ast.dump(node)}")
 
 
-def _operator(fn, operands: list):
+def _operator(fn, *operands):
     """The ufunc ``fn`` on one or two compiled operands, compiled.
 
-    With ``shape`` set, a unary operator writes into its operand when the
-    expression made it, and a binary one into the first operand that the
-    expression made and that has the broadcast shape ``shape``, which the
-    result then has too.  Otherwise the result is a fresh value, as numpy
-    gives it; unary minus uses the operator, so that a negated constant
-    stays a Python float.
+    With ``shape`` set, an array operand other than t and x is one the
+    expression made: a unary operator writes into it, a binary one into the
+    first such operand of the broadcast shape.  Otherwise numpy gives a fresh
+    value; unary minus uses the operator, so a negated constant stays a float.
     """
-    calls = [call for call, _, _ in operands]
-    variables = frozenset().union(*(v for _, v, _ in operands))
-    made = [i for i, (_, _, m) in enumerate(operands) if m]
-    if len(calls) == 1:
-        (inner,) = calls
+    if len(operands) == 1:
+        (inner,) = operands
         plain = operator.neg if fn is np.negative else fn
-        if not made:
-            return (lambda t, x, shape: plain(inner(t, x, shape))), variables, bool(variables)
 
         def unary(t, x, shape):
             value = inner(t, x, shape)
-            return plain(value) if shape is None else fn(value, out=value)
+            if shape is not None and value is not t and value is not x and type(value) is _ARRAY:
+                return fn(value, out=value)
+            return plain(value)
 
-        return unary, variables, True
-    left, right = calls
+        return unary
+    left, right = operands
 
     def binary(t, x, shape):
         values = (left(t, x, shape), right(t, x, shape))
-        if shape is not None:
-            for i in made:
-                if values[i].shape == shape:
-                    return fn(*values, out=values[i])
+        for out in values:
+            if out is not t and out is not x and type(out) is _ARRAY and out.shape == shape:
+                return fn(*values, out=out)
         return fn(*values)
 
-    return binary, variables, bool(variables)
+    return binary
 
 
 def _shape(t, x):
@@ -149,15 +137,16 @@ def field_from_expression(expr: str) -> ScalarField:
     except (RecursionError, MemoryError) as exc:
         raise SchemaError(f"field expression too deeply nested to parse: {exc!r}") from exc
     _check_depth(tree)
-    call, names, made = _compile(tree)
+    call = _compile(tree)
 
     def evaluate(t, x):
         shape = _shape(t, x)
         value = call(t, x, shape)
-        if made and shape is not None and value.shape == shape:
+        if value is not t and value is not x and type(value) is _ARRAY and value.shape == shape:
             return value
         return _at_broadcast_shape(value, t, x)
 
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} & {"t", "x"}
     depends_on = "both" if len(names) == 2 else "t_only" if names == {"t"} else "x_only"
     return ScalarField(evaluate=evaluate, depends_on=depends_on)
 

@@ -119,7 +119,7 @@ class IntegralResult:
 
 
 def _index_range(a: float, b: float, k: int) -> tuple[int, int] | None:
-    """Level-k cell indices whose parent cell lies inside [a, b].
+    """Level-k cell indices, k >= 1, whose parent cell lies inside [a, b].
 
     Cell n is [n*2**-k, (n+1)*2**-k]; its parent is the level-(k-1) cell
     containing it.  Returns (n_lo, n_hi) for the contiguous run of admitted
@@ -127,8 +127,6 @@ def _index_range(a: float, b: float, k: int) -> tuple[int, int] | None:
     """
     if not (0.0 <= a < b <= 1.0):
         raise BadInterval(f"bad interval [{a}, {b}]")
-    if k < 1:
-        raise LevelOutOfRange("index_range needs k >= 1")
     p_lo, p_hi = _cells_within(a, b, k - 1)
     if p_hi < p_lo:
         return None
@@ -266,6 +264,8 @@ def staircase_integral(
     (g(a), g(b)), the closing verticals join the staircase to them, which
     removes the first-order endpoint truncation; ``integrate`` uses that form.
     """
+    if k < 1:
+        raise LevelOutOfRange(f"staircase_integral needs level k >= 1, got {k}")
     if k > pyramid.K - 1:
         raise LevelOutOfRange(f"level {k} needs path resolution > {k}")
     rng = _index_range(a, b, k)

@@ -175,7 +175,7 @@ def picard_operator(
         for i in range(m):
             comp = problem.F.components[i][j]
             if comp.depends_on_driver:
-                eval_cols = _row_evaluator(comp.evaluate, j, problem.drivers, sk.times, table)
+                eval_cols = _row_evaluator(comp.evaluate, j, x_at, sk.times, table)
                 sums = _sum_by_quadrature(sk, eval_cols, _QUAD_TOL, grid)
             else:
                 values = comp.evaluate(sk.times, table, x_at)
@@ -217,29 +217,27 @@ def _window_plan(problem: OdeProblem, a: float, b: float, grid_level: int) -> li
     """One (skeleton, x_at, grid) triple per driver j for the window [a, b], built on first use.
 
     ``x_at`` holds every driver's values at the skeleton's times, shape
-    (d, len(times)), read-only since F receives it; it is None when column j
-    has no time-only component.  The times sit on the skeleton's level-k
-    grid, so a driver resolved to level k or finer is read from its samples
-    by stride, and only a coarser one, in a system of mixed resolutions, is
-    interpolated by ``eval``.  ``grid`` is the first-panel quadrature grid of
-    the skeleton's verticals, read-only; it is None when no component of
-    column j reads x_j.
+    (d, len(times)), read-only since F receives it; time-only components get
+    it whole and quadrature rows their columns of it.  The times sit on the
+    skeleton's level-k grid, so a driver resolved to level k or finer is read
+    from its samples by stride, and only a coarser one, in a system of mixed
+    resolutions, is interpolated by ``eval``.  ``grid`` is the first-panel
+    quadrature grid of the skeleton's verticals, read-only; it is None when no
+    component of column j reads x_j.
     """
     key = (a, b, grid_level)
     if key not in problem._plans:
         plan = problem._plans[key] = []
         for j, driver in enumerate(problem.drivers):
             sk = _increment_skeleton(driver, a, b, grid_level)
-            column = [row[j].depends_on_driver for row in problem.F.components]
-            x_at = grid = None
-            if not all(column):
-                n = sk.n_blocks * sk.span
-                x_at = np.empty((len(problem.drivers), n + 1))
-                for q, d in enumerate(problem.drivers):
-                    x_at[q] = (_grid_values(d, sk.k, sk.first, sk.first + n)
-                               if d.resolution_level >= sk.k else d.eval(sk.times))
-                x_at.flags.writeable = False
-            if any(column):
+            n = sk.n_blocks * sk.span
+            x_at = np.empty((len(problem.drivers), n + 1))
+            for q, d in enumerate(problem.drivers):
+                x_at[q] = (_grid_values(d, sk.k, sk.first, sk.first + n)
+                           if d.resolution_level >= sk.k else d.eval(sk.times))
+            x_at.flags.writeable = False
+            grid = None
+            if any(row[j].depends_on_driver for row in problem.F.components):
                 grid = _panel_grid(sk.lo, sk.hi)
                 for array in grid:
                     array.flags.writeable = False
@@ -247,17 +245,19 @@ def _window_plan(problem: OdeProblem, a: float, b: float, grid_level: int) -> li
     return problem._plans[key]
 
 
-def _row_evaluator(evaluate, j: int, drivers, times: np.ndarray, table: np.ndarray):
+def _row_evaluator(evaluate, j: int, x_at: np.ndarray, times: np.ndarray, table: np.ndarray):
     """F_ij for a component reading x_j, on quadrature rows at ``columns`` of
-    ``times`` and of the iterate's ``table``: t and y get (rows, 1) columns;
-    the other drivers, read at t, and the value get the grid's shape."""
+    ``times``, of the drivers' ``x_at`` and of the iterate's ``table``: t and
+    y get (rows, 1) columns; the other drivers and the value get the grid's
+    shape."""
     def eval_cols(columns, x):
         t = times.take(columns)[:, None]
-        if len(drivers) == 1:
+        if len(x_at) == 1:
             xx = x[None]
         else:
-            xx = np.stack([x if q == j else np.broadcast_to(d.eval(t), x.shape)
-                           for q, d in enumerate(drivers)])
+            at = x_at.take(columns[:, None], axis=1)
+            xx = np.stack([x if q == j else np.broadcast_to(row, x.shape)
+                           for q, row in enumerate(at)])
         return _shaped(evaluate(t, table.take(columns[:, None], axis=1), xx), x.shape)
 
     return eval_cols

@@ -323,6 +323,34 @@ class TestFieldExpressions:
         assert np.array_equal(np.isnan(got), nan)
         assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
+    @settings(max_examples=200, deadline=None)
+    @given(tree=_expression_trees(), data=st.data())
+    def test_value_shares_no_memory_with_an_argument(self, tree, data):
+        # t and x are writable float64 arrays, of two shapes or one array passed
+        # as both, and each leaf t or x reaches its operator as itself, through
+        # unary plus, or as the copies x*1 and t/1 that the expression makes:
+        # no operator writes an argument and the value is no view of one
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        x = rng.uniform(-3.0, 3.0, (6, 5))
+        t = x if data.draw(st.booleans(), "same") else rng.uniform(0.0, 3.0, (6, 1))
+        if data.draw(st.booleans(), "swap"):
+            t, x = x, t
+        t_before, x_before = t.copy(), x.copy()
+
+        def wrapped(node):
+            if node in ("t", "x"):
+                form = data.draw(st.sampled_from(["{}", "+{}", "+++{}", "{}*1", "{}/1"]), node)
+                return form.format(node)
+            return node if isinstance(node, str) else (node[0], *map(wrapped, node[1:]))
+
+        field = field_from_expression(_source(wrapped(tree)))
+        with np.errstate(all="ignore"):
+            got = field.evaluate(t, x)
+            want = _plain_value(tree, t_before, x_before)
+        assert not np.shares_memory(got, t) and not np.shares_memory(got, x)
+        assert t.tobytes() == t_before.tobytes() and x.tobytes() == x_before.tobytes()
+        np.testing.assert_array_equal(got, np.broadcast_to(want, got.shape))
+
     @pytest.mark.parametrize("expr, bound", [
         ("sin(3*t)*exp(-x*x)+t*x", 2.3),
         ("exp(-x*x)", 1.0),
@@ -649,6 +677,14 @@ class TestCliCommands:
     def test_empty_ensemble_exit_code(self, capsys, argv):
         assert main([*argv, "--n-paths", "0"]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "validation"
+
+    def test_wiener_mc_negative_level_exit_code(self, capsys):
+        # wiener_ensemble names itself when it refuses the level
+        assert main(["wiener-mc", "--k", "-1", "--n-paths", "2", "--K", "12"]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "validation",
+            "detail": "wiener_ensemble needs 0 <= k <= K - 6 = 6, got -1",
+        }
 
     def test_solve_ode(self, tmp_path, capsys):
         src = tmp_path / "x.csv"

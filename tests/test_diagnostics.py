@@ -482,6 +482,17 @@ class TestWienerEnsemble:
         with pytest.raises(rp.LevelOutOfRange):
             rp.wiener_ensemble([10], 2, 14, seed=1)
 
+    @pytest.mark.parametrize("k", [-1, 5])
+    def test_level_refused_before_any_path(self, monkeypatch, k):
+        # wiener_ensemble checks 0 <= k <= K - 6 itself, before a path is built
+        def unbuilt(*args):
+            raise AssertionError("a path was built")
+
+        monkeypatch.setattr(diagnostics, "_fill_brownian", unbuilt)
+        with pytest.raises(rp.LevelOutOfRange,
+                           match=rf"^wiener_ensemble needs 0 <= k <= K - 6 = 4, got {k}$"):
+            rp.wiener_ensemble([k], 2, 10, 1)
+
     def test_path_argument_errors(self):
         with pytest.raises(ValueError, match="nonnegative"):
             rp.wiener_ensemble([0], 2, 6, seed=-1)

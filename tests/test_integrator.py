@@ -38,10 +38,6 @@ class TestIndexRange:
         with pytest.raises(rp.BadInterval):
             _index_range(0.7, 0.2, 3)
 
-    def test_level_below_one(self):
-        with pytest.raises(rp.LevelOutOfRange, match="k >= 1"):
-            _index_range(0.0, 1.0, 0)
-
 
 class TestStaircaseIntegral:
     def test_constant_field_telescopes(self):
@@ -101,6 +97,14 @@ class TestStaircaseIntegral:
         pyr = rp.gen_analytic("linear", 6).pyramid()
         with pytest.raises(rp.LevelOutOfRange):
             rp.staircase_integral(rp.BUILTIN_FIELDS["x"], pyr, 0.0, 1.0, 6)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_level_below_one(self, k):
+        # the refusal names the function called, not a helper
+        pyr = rp.gen_analytic("linear", 6).pyramid()
+        with pytest.raises(rp.LevelOutOfRange,
+                           match=f"staircase_integral needs level k >= 1, got {k}"):
+            rp.staircase_integral(rp.BUILTIN_FIELDS["x"], pyr, 0.0, 1.0, k)
 
     def test_no_parent_cell_fits(self):
         pyr = rp.gen_analytic("linear", 8).pyramid()

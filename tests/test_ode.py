@@ -385,6 +385,20 @@ def component(evaluate, depends_on_driver=False):
     return rp.FieldComponent(evaluate=evaluate, depends_on_driver=depends_on_driver)
 
 
+def other_driver_problem(K1, K2):
+    """dy1 = x2 dx1, time-only, and dy2 = x1 x2 dx2, on quadrature rows."""
+    zero = component(lambda t, y, x: np.zeros_like(t))
+    return rp.OdeProblem(
+        F=rp.MatrixField([
+            [component(lambda t, y, x: x[1]), zero],
+            [zero, component(lambda t, y, x: x[0] * x[1], depends_on_driver=True)],
+        ]),
+        drivers=analytic_drivers(K1, K2),
+        y0=np.zeros(2),
+        beta=0.9,
+    )
+
+
 @pytest.mark.parametrize("K1, K2", [(14, 14), (12, 14)])
 class TestMultiDriver:
     def test_exponential_of_driver_sum(self, K1, K2):
@@ -406,21 +420,26 @@ class TestMultiDriver:
     def test_components_read_the_other_driver(self, K1, K2):
         # dy1 = x2 dx1 gives 1 - cos t; dy2 = x1 x2 dx2, whose integrand reads
         # its own driver too, gives sin(2t) / 8 - t cos(2t) / 4
-        zero = component(lambda t, y, x: np.zeros_like(t))
-        prob = rp.OdeProblem(
-            F=rp.MatrixField([
-                [component(lambda t, y, x: x[1]), zero],
-                [zero, component(lambda t, y, x: x[0] * x[1], depends_on_driver=True)],
-            ]),
-            drivers=analytic_drivers(K1, K2),
-            y0=np.zeros(2),
-            beta=0.9,
-        )
-        sol = rp.solve(prob, rp.SolverConfig(tol=1e-9, grid_level=10))
+        sol = rp.solve(other_driver_problem(K1, K2), rp.SolverConfig(tol=1e-9, grid_level=10))
         t = sol.t
         assert np.abs(sol.y[0] - (1.0 - np.cos(t))).max() < 1e-6
         assert np.abs(sol.y[1] - (np.sin(2 * t) / 8 - t * np.cos(2 * t) / 4)).max() < 1e-6
         assert sol.converged
+
+    def test_sweeps_read_the_other_drivers_from_the_plan(self, K1, K2):
+        # once the window's plan is built, a sweep calls no driver's eval:
+        # quadrature rows take the other drivers' values from the plan's x_at
+        prob = other_driver_problem(K1, K2)
+        y = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 2**10 + 1))
+        want = reference_operator(prob, y, 0.0, 1.0, 10)
+        ode._window_plan(prob, 0.0, 1.0, 10)
+
+        def unread(self, t):
+            raise AssertionError("a sweep read a driver through eval")
+
+        with mock.patch.object(rp.DyadicPath, "eval", unread):
+            got = rp.picard_operator(prob, y, 0.0, 1.0, 10)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestContinuity:

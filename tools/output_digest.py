@@ -241,6 +241,7 @@ def diagnostics_corpus() -> None:
         for seed in (1, 2**40 + 3):
             _emit(f"gen_brownian/{K}/{seed}", rp.gen_brownian(K, seed).samples)
     _emit("wiener_ensemble/K11", _outcome(rp.wiener_ensemble, [0, 2, 5], 6, 11, 11, threads=2))
+    _emit("wiener_ensemble/bad-k/-1", _outcome(rp.wiener_ensemble, [-1], 2, 10, 1))
 
 
 def integrator_corpus() -> None:
@@ -273,6 +274,8 @@ def integrator_corpus() -> None:
         for f_name, f in (("x", lambda x: x), ("abs03", lambda x: np.abs(x) ** 0.3)):
             _emit(f"integrate_state_only/{name}/{f_name}",
                   _outcome(rp.integrate_state_only, f, path, 0.0, 1.0))
+    _emit("staircase_integral/bad-level/0",
+          _outcome(rp.staircase_integral, fields["x"], paths["bm"].pyramid(), 0.0, 1.0, 0))
     linear = rp.MatrixField.linear_in_y()
     sin_y = rp.MatrixField.scalar(lambda t, y, x: np.sin(x[0]) * y[0], depends_on_driver=True)
     problems = {
