@@ -51,7 +51,7 @@ from .errors import (
     SchemaError,
     WindowUnderflow,
 )
-from .fields import BUILTIN_FIELDS, field_from_expression, resolve_field
+from .fields import BUILTIN_FIELDS, ScalarField, field_from_expression, resolve_field
 from .generators import (
     gen_analytic,
     gen_brownian,
@@ -62,7 +62,6 @@ from .generators import (
 from .integrator import (
     ConvergenceConfig,
     IntegralResult,
-    ScalarField,
     adversarial_integrand,
     cumulative_increments,
     indefinite_integral,

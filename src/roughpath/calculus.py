@@ -20,7 +20,8 @@ import numpy as np
 
 from .dyadic import DyadicPath, _cells_within
 from .errors import BadInterval, LevelOutOfRange, MissingDerivative
-from .integrator import ScalarField, integrate_state_only
+from .fields import ScalarField, _placeholder
+from .integrator import integrate_state_only
 
 # A fixed rule per path cell with no error estimate; changing it would move the
 # ito-residual and wiener-constant numbers.  8-point Gauss-Legendre on [-1, 1],
@@ -114,7 +115,7 @@ def integration_by_parts(field: ScalarField, path: DyadicPath, s: float) -> floa
     fs, f0 = field.value_at_times(np.array([s, 0.0]))
     gs, g0 = float(path.eval(s)), float(path.samples[0])
     correction = _time_integral(
-        lambda t, g: g * np.asarray(field.dt_partial(t, np.zeros_like(t)), dtype=float),
+        lambda t, g: g * np.asarray(field.dt_partial(t, _placeholder(t.shape)), dtype=float),
         path, s,
     )
     return float(fs * gs - f0 * g0 - correction)

@@ -22,7 +22,7 @@ from .calculus import green_eval, ito_compare
 from .diagnostics import existence_report, wiener_ensemble
 from .dyadic import average_pyramid
 from .errors import NonFiniteIterate, QuadratureFailure, RoughPathError, WindowUnderflow
-from .fields import resolve_field
+from .fields import _placeholder, resolve_field
 from .generators import gen_analytic, gen_brownian, gen_counterexample, gen_oscillatory
 from .integrator import ConvergenceConfig, integrate
 from .io import (
@@ -160,7 +160,7 @@ def _ito_compare(args):
         raise RoughPathError("ito-compare needs a state-only field")
     _check_budget(args.K, args.n_paths)
     paths = (gen_brownian(args.K, args.seed + i) for i in range(args.n_paths))
-    f = lambda x: field.evaluate(np.zeros_like(np.asarray(x, dtype=float)), x)
+    f = lambda x: field.evaluate(_placeholder(np.shape(x)), x)
     report = ito_compare(f, paths, s=args.s)
     if args.out:
         write_residuals_csv(range(args.seed, args.seed + report["n_paths"]), report["residuals"],

@@ -21,7 +21,7 @@ from .diagnostics import (
     wiener_statistic,
 )
 from .dyadic import DyadicPath, average_pyramid, holder_seminorm
-from .fields import BUILTIN_FIELDS
+from .fields import BUILTIN_FIELDS, ScalarField
 from .generators import (
     gen_analytic,
     gen_brownian,
@@ -31,7 +31,6 @@ from .generators import (
 )
 from .integrator import (
     ConvergenceConfig,
-    ScalarField,
     adversarial_integrand,
     integrate,
     integrate_state_only,

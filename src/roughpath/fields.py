@@ -1,32 +1,41 @@
-"""Named integrands and a small expression grammar over (t, x).
+"""Integrands f(t, x): ``ScalarField``, the builtins and the expression grammar.
 
-The CLI accepts either a builtin field name or an arithmetic expression in
-``t`` and ``x`` using +, -, *, /, ** and the functions sin, cos, exp, abs,
-pow, sqrt, log.  Expressions compile to vectorized numpy callables; the
-dependence class is inferred from which variables appear.  An expression
-evaluates into its own temporaries.  On float64 arguments every array that
-an operand yields, other than ``t`` and ``x`` themselves, is one the
-expression made: a unary operator writes into it, and a binary one into the
-first such operand of the broadcast shape of (t, x).  Such a value of that
-shape is returned as it is; any other value is brought to the shape by the
-rule of ``ScalarField``'s one-variable lifts.  So an expression never writes
-``t``, ``x`` or a constant and never returns one of its arguments.
-Expressions above a fixed length or nesting depth are rejected with
-``SchemaError``: compiling and evaluating them recurse once per level of
-nesting.
+A field value has the broadcast shape of (t, x) whichever variables it reads:
+``_at_broadcast_shape`` brings any other value to it, for the one-variable
+lifts and for compiled expressions.  A variable that a one-variable field
+ignores is read as ``_placeholder`` zeros, built in O(1).
+
+The CLI accepts a builtin field name or an arithmetic expression in ``t``,
+``x`` and numbers using +, -, *, /, ** and the functions sin, cos, exp, abs,
+pow, sqrt, log; each builtin is such an expression, with its time partial as
+another.  Expressions compile to vectorized numpy callables; the dependence
+class is inferred from which variables appear.  An expression evaluates into
+its own temporaries: on float64 arguments every array that an operand
+yields, other than ``t`` and ``x`` themselves, is one the expression made.
+A unary operator writes into it, and a binary one into the first such
+operand of the broadcast shape, which is returned as it is.  So an
+expression never writes ``t``, ``x`` or a constant and never returns one of
+its arguments.  Expressions above a fixed length or nesting depth are
+rejected with ``SchemaError``: compiling and evaluating them recurse once per
+level of nesting.
 """
+
+from __future__ import annotations
 
 import ast
 import operator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import SchemaError
-from .integrator import ScalarField, _at_broadcast_shape
 
 _ARRAY = np.ndarray       # bound once: every operator call tests its operands' type
 _MAX_CHARS = 2000         # field expression length cap
 _MAX_DEPTH = 200          # syntax-tree levels, counting operator and context nodes
+_DEPENDS_ON = ("both", "t_only", "x_only")
+_ZERO = np.zeros(1)       # the buffer of every placeholder
+_ZERO.flags.writeable = False
 
 _FUNCS = {
     "sin": np.sin,
@@ -47,11 +56,64 @@ _BINOPS = {
 }
 
 
+def _placeholder(shape) -> np.ndarray:
+    """Zeros of ``shape`` for a variable the field ignores: a read-only view
+    with zero strides over one stored zero, built in O(1) where ``np.zeros``
+    would fill an array of that shape."""
+    return np.ndarray(shape, float, _ZERO, 0, (0,) * len(shape))
+
+
+def _at_broadcast_shape(value, t, x) -> np.ndarray:
+    """``value`` times fresh ones of the broadcast shape of (t, x), in float64.
+
+    A field value has that shape whichever variables it reads; the product
+    keeps every bit of ``value`` and is never one of the arguments.
+    """
+    ones = np.ones(np.broadcast(t, x).shape)
+    return np.multiply(np.asarray(value, dtype=float), ones, out=ones)
+
+
+@dataclass(frozen=True)
+class ScalarField:
+    """Two-argument integrand f(t, x), with its time partial when known.
+
+    ``evaluate`` must be vectorized over numpy arrays and return a value of
+    the broadcast shape of (t, x).  The one-variable lifts ``x_only`` and
+    ``t_only`` reach it by multiplying f's value into fresh ones of that shape.
+    ``depends_on`` marks the dependence class, one of 'both', 't_only' and
+    'x_only': 't_only' integrands need no quadrature at all.  ``integrate``
+    takes no 'x_only' shortcut; the exact reduction of an integrand f(x) to
+    one definite integral between path values is ``integrate_state_only``.
+    ``dt_partial`` feeds the Green route of ``calculus``.
+    """
+
+    evaluate: callable
+    depends_on: str = "both"
+    dt_partial: callable | None = None
+
+    @staticmethod
+    def x_only(f) -> "ScalarField":
+        return ScalarField(evaluate=lambda t, x: _at_broadcast_shape(f(x), t, x),
+                           depends_on="x_only")
+
+    @staticmethod
+    def t_only(f, dt_partial=None) -> "ScalarField":
+        lift = lambda fn: lambda t, x: _at_broadcast_shape(fn(t), t, x)
+        return ScalarField(lift(f), "t_only", None if dt_partial is None else lift(dt_partial))
+
+    def __post_init__(self):
+        if self.depends_on not in _DEPENDS_ON:
+            raise ValueError(f"unknown depends_on {self.depends_on!r}; "
+                             f"expected one of {', '.join(map(repr, _DEPENDS_ON))}")
+
+    def value_at_times(self, t: np.ndarray) -> np.ndarray:
+        """f at the times ``t`` with x a placeholder of zeros, which a t_only field ignores."""
+        return np.asarray(self.evaluate(t, _placeholder(t.shape)), dtype=float)
+
+
 def _compile(node):
     """``node`` as ``call(t, x, shape)``, evaluated with ``shape = _shape(t, x)``."""
-    if isinstance(node, ast.Expression):
-        return _compile(node.body)
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):   # bool is an int subclass
         value = float(node.value)
         return lambda t, x, shape: value
     if isinstance(node, ast.Name):
@@ -137,7 +199,7 @@ def field_from_expression(expr: str) -> ScalarField:
     except (RecursionError, MemoryError) as exc:
         raise SchemaError(f"field expression too deeply nested to parse: {exc!r}") from exc
     _check_depth(tree)
-    call = _compile(tree)
+    call = _compile(tree.body)
 
     def evaluate(t, x):
         shape = _shape(t, x)
@@ -151,26 +213,24 @@ def field_from_expression(expr: str) -> ScalarField:
     return ScalarField(evaluate=evaluate, depends_on=depends_on)
 
 
+# name -> (f, its time partial or None), each an expression of the grammar;
+# x*x is np.multiply, which rounds as np.square does
+_BUILTINS = {
+    "one": ("1", None),
+    "x": ("x", None),
+    "x2": ("x*x", None),
+    "tx": ("t*x", "x"),
+    "sin_t_x": ("sin(t)*x", "cos(t)*x"),
+    "t_plus_x2": ("t+x*x", "1"),
+    "sin2x_expx": ("sin(2*x)*exp(x)", None),
+}
+
 BUILTIN_FIELDS = {
-    "one": ScalarField.x_only(lambda x: 1.0),
-    "x": ScalarField.x_only(lambda x: x),
-    "x2": ScalarField.x_only(lambda x: np.square(x)),
-    "tx": ScalarField(
-        evaluate=lambda t, x: t * x,
-        depends_on="both",
-        dt_partial=lambda t, x: _at_broadcast_shape(x, t, x),
-    ),
-    "sin_t_x": ScalarField(
-        evaluate=lambda t, x: np.sin(t) * x,
-        depends_on="both",
-        dt_partial=lambda t, x: np.cos(t) * x,
-    ),
-    "t_plus_x2": ScalarField(
-        evaluate=lambda t, x: t + np.square(x),
-        depends_on="both",
-        dt_partial=lambda t, x: _at_broadcast_shape(1.0, t, x),
-    ),
-    "sin2x_expx": ScalarField.x_only(lambda x: np.sin(2.0 * x) * np.exp(x)),
+    name: replace(
+        field_from_expression(f),
+        dt_partial=None if partial is None else field_from_expression(partial).evaluate,
+    )
+    for name, (f, partial) in _BUILTINS.items()
 }
 
 

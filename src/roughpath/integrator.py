@@ -19,9 +19,8 @@ builds its window's skeletons once and calls the two sums directly.
 ``integrate`` runs the one-block sum, closed to (g(a), g(b)) so endpoint
 truncation never pollutes the limit, over levels until two consecutive
 differences, of levels that move an end of their cells, fall under tolerance.
-A field's value has the broadcast shape of (t, x): ``_at_broadcast_shape``
-brings any other value to it, for ``ScalarField``'s one-variable lifts and
-for the compiled expressions and builtins of ``fields``.
+Integrands are the ``ScalarField``s of ``fields``; ``integrate_state_only``
+takes a plain f(x).
 """
 
 from __future__ import annotations
@@ -34,73 +33,10 @@ import numpy as np
 from .dyadic import (AveragePyramid, DyadicPath, _add_tents, _cells_within, _check_beta,
                      _grid_span)
 from .errors import BadInterval, LevelOutOfRange, NonFinite
+from .fields import ScalarField
 from .quadrature import _QUAD_TOL, _PanelGrid, refine_batch
 
-_DEPENDS_ON = ("both", "t_only", "x_only")
-
 _STATE_ONLY_TOL = 1e-13   # the absolute quadrature tolerance of integrate_state_only
-
-_ZERO = np.zeros(1)        # the buffer of value_at_times' x
-_ZERO.flags.writeable = False
-
-
-def _at_broadcast_shape(value, t, x) -> np.ndarray:
-    """``value`` times fresh ones of the broadcast shape of (t, x), in float64.
-
-    A field value has that shape whichever variables it reads; the product
-    keeps every bit of ``value`` and is never one of the arguments.
-    """
-    ones = np.ones(np.broadcast(t, x).shape)
-    return np.multiply(np.asarray(value, dtype=float), ones, out=ones)
-
-
-@dataclass(frozen=True)
-class ScalarField:
-    """Two-argument integrand f(t, x), with its time partial when known.
-
-    ``evaluate`` must be vectorized over numpy arrays and return a value of
-    the broadcast shape of (t, x).  The one-variable lifts ``x_only`` and
-    ``t_only`` reach it by multiplying f's value into fresh ones of that shape.
-    ``depends_on`` marks the dependence class, one of 'both', 't_only' and
-    'x_only': 't_only' integrands need no quadrature at all.  ``integrate``
-    takes no 'x_only' shortcut; the exact reduction of an integrand f(x) to
-    one definite integral between path values is ``integrate_state_only``.
-    ``dt_partial`` feeds the Green route of ``calculus``.
-    """
-
-    evaluate: callable
-    depends_on: str = "both"
-    dt_partial: callable | None = None
-
-    @staticmethod
-    def x_only(f) -> "ScalarField":
-        return ScalarField(evaluate=lambda t, x: _at_broadcast_shape(f(x), t, x),
-                           depends_on="x_only")
-
-    @staticmethod
-    def t_only(f, dt_partial=None) -> "ScalarField":
-        def lift(fn):
-            return lambda t, x: _at_broadcast_shape(fn(t), t, x)
-
-        return ScalarField(
-            evaluate=lift(f),
-            depends_on="t_only",
-            dt_partial=None if dt_partial is None else lift(dt_partial),
-        )
-
-    def __post_init__(self):
-        if self.depends_on not in _DEPENDS_ON:
-            raise ValueError(f"unknown depends_on {self.depends_on!r}; "
-                             f"expected one of {', '.join(map(repr, _DEPENDS_ON))}")
-
-    def value_at_times(self, t: np.ndarray) -> np.ndarray:
-        """f at the times ``t`` with x = 0, which a t_only field ignores.
-
-        x is a read-only view of t's shape with zero strides over one stored
-        zero: built in O(1), where ``np.zeros`` would fill an array as long as t.
-        """
-        x = np.ndarray(t.shape, float, _ZERO, 0, (0,) * t.ndim)
-        return np.asarray(self.evaluate(t, x), dtype=float)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ significant digits so round-trips are bit-exact.  The layouts:
 - Itô residuals: header ``seed,residual``.
 
 The path reader rejects a header-only file, a NaN or non-increasing time
-column, and times off the dyadic grid.
+column, a row count other than 2**K + 1 for K >= 1, and times off the
+dyadic grid.
 """
 
 import json
@@ -75,7 +76,7 @@ def read_path_csv(filename) -> DyadicPath:
         raise SchemaError("t must be strictly increasing")
     n = t.size - 1
     K = round(math.log2(n)) if n > 0 else 0
-    if n <= 0 or (1 << K) != n:
+    if n < 2 or (1 << K) != n:
         raise SchemaError(f"row count {t.size} is not 2**K + 1 for any K >= 1")
     grid = np.arange(n + 1) / n
     if not np.abs(t - grid).max() <= GRID_TOLERANCE:

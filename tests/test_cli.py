@@ -48,6 +48,13 @@ class TestPathCsv:
         with pytest.raises(rp.NonDyadicGrid):
             read_path_csv(fname)
 
+    def test_two_rows_rejected(self, tmp_path):
+        # n = 1 interval would be K = 0, which no path has
+        fname = tmp_path / "bad.csv"
+        fname.write_text("t,value\n0,0\n1,1\n")
+        with pytest.raises(rp.SchemaError, match=r"row count 2 is not 2\*\*K \+ 1 for any K >= 1"):
+            read_path_csv(fname)
+
     def test_wrong_count_rejected(self, tmp_path):
         fname = tmp_path / "bad.csv"
         fname.write_text("t,value\n0,0\n0.25,1\n0.5,2\n1,3\n")
@@ -252,7 +259,8 @@ class TestFieldExpressions:
         with pytest.raises(rp.SchemaError):
             field_from_expression("__import__('os')")
 
-    @pytest.mark.parametrize("expr", ["x if t else 1", "x < t", "[x]", "x % 2", "'x'"])
+    @pytest.mark.parametrize("expr", ["x if t else 1", "x < t", "[x]", "x % 2", "'x'",
+                                      "True*x", "x+False"])
     def test_rejects_unsupported_syntax(self, expr):
         with pytest.raises(rp.SchemaError, match="unsupported syntax"):
             field_from_expression(expr)
@@ -373,6 +381,74 @@ class TestFieldExpressions:
         assert round(peak / value.nbytes, 1) <= bound
 
 
+# Each builtin as the numpy formula it names, with its time partial or None.
+_BUILTIN_FORMULAS = {
+    "one": (lambda t, x: 1.0, None),
+    "x": (lambda t, x: x, None),
+    "x2": (lambda t, x: np.square(x), None),
+    "tx": (lambda t, x: t * x, lambda t, x: x),
+    "sin_t_x": (lambda t, x: np.sin(t) * x, lambda t, x: np.cos(t) * x),
+    "t_plus_x2": (lambda t, x: t + np.square(x), lambda t, x: 1.0),
+    "sin2x_expx": (lambda t, x: np.sin(2.0 * x) * np.exp(x), None),
+}
+
+
+def _builtin_parts(name):
+    """(builtin callable, numpy formula) for f and, when it has one, its partial."""
+    field = rp.BUILTIN_FIELDS[name]
+    f, partial = _BUILTIN_FORMULAS[name]
+    assert (field.dt_partial is None) == (partial is None)
+    return [(field.evaluate, f)] + ([(field.dt_partial, partial)] if partial else [])
+
+
+def _float64_of_shape(got, want, shape):
+    """``got`` is a float64 ndarray of ``shape`` holding ``want``'s bits."""
+    want = np.broadcast_to(np.asarray(want, dtype=float), shape)
+    assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestBuiltinFields:
+    def test_names_and_classes(self):
+        assert set(rp.BUILTIN_FIELDS) == set(_BUILTIN_FORMULAS)
+        assert {name: f.depends_on for name, f in rp.BUILTIN_FIELDS.items()} == {
+            "one": "x_only", "x": "x_only", "x2": "x_only", "tx": "both", "sin_t_x": "both",
+            "t_plus_x2": "both", "sin2x_expx": "x_only"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(sorted(_BUILTIN_FORMULAS)),
+           layout=st.sampled_from(["column-panel", "panel-column", "green"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_float64_values_are_the_numpy_formula(self, name, layout, seed):
+        # a (rows, 1) time column against a (rows, nodes) panel as the staircase
+        # kernel passes them, the other way round, and green_eval's
+        # (cells, nodes, 1) times against its (cells, nodes, nodes) states
+        rng = np.random.default_rng(seed)
+        shapes = {"column-panel": ((5, 1), (5, 7)), "panel-column": ((5, 7), (5, 1)),
+                  "green": ((3, 8, 1), (3, 8, 8))}[layout]
+        t = rng.uniform(-4.0, 4.0, shapes[0])
+        x = rng.uniform(-4.0, 4.0, shapes[1])
+        shape = np.broadcast_shapes(t.shape, x.shape)
+        for builtin, formula in _builtin_parts(name):
+            _float64_of_shape(builtin(t, x), formula(t, x), shape)
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(sorted(_BUILTIN_FORMULAS)), data=st.data())
+    def test_integer_and_scalar_values_are_float64(self, name, data):
+        # numpy keeps t*x and t + x*x in int64 on integers; a field value is float64
+        kind = data.draw(st.sampled_from(["arrays", "ints", "floats"]), "kind")
+        if kind == "arrays":
+            t = np.arange(-2, 2).reshape(4, 1)
+            x = data.draw(st.lists(st.integers(-5, 5), min_size=3, max_size=3), "x")
+            x = np.array([x] * 4)
+        else:
+            number = st.integers(-5, 5) if kind == "ints" else st.floats(-5.0, 5.0)
+            t, x = data.draw(number, "t"), data.draw(number, "x")
+        shape = np.broadcast_shapes(np.shape(t), np.shape(x))
+        for builtin, formula in _builtin_parts(name):
+            _float64_of_shape(builtin(t, x), formula(t, x), shape)
+
+
 class TestCliCommands:
     def test_gen_path_row_count(self, tmp_path, capsys):
         out = tmp_path / "bm.csv"
@@ -479,6 +555,17 @@ class TestCliCommands:
         out, err = capsys.readouterr()
         assert json.loads(out)["error"] == "validation"
         assert "Traceback" not in err
+
+    def test_boolean_literal_exit_code(self, tmp_path, capsys):
+        # True is an int to isinstance, but no number of the grammar
+        src = tmp_path / "b.csv"
+        main(["gen-path", "--kind", "brownian", "--K", "8", "--seed", "1", "--out", str(src)])
+        capsys.readouterr()
+        assert main(["integrate", "--path", str(src), "--field", "True*x"]) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["error"] == "validation"
+        assert "unsupported syntax" in json.loads(out)["detail"]
+        assert err == ""
 
     @pytest.mark.parametrize("exc", [
         MemoryError(), MemoryError("Unable to allocate 256. TiB for an array with shape "

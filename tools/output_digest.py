@@ -2,7 +2,7 @@
 
 The corpus runs every CLI subcommand, the staircase integrals
 (``integrate``, ``staircase_integral``, ``cumulative_increments``) of builtin
-fields and compiled expressions, ``solve``,
+fields and compiled expressions, the builtins on integer arguments, ``solve``,
 the diagnostics (``existence_report``, ``gap_functional``, ``scaling_norm``),
 ``adversarial_integrand``, ``holder_seminorm``, ``wiener_ensemble`` and the
 details of every ``roughpath reproduce`` criterion.  Each output is hashed from a canonical
@@ -146,6 +146,9 @@ def cli_corpus() -> None:
     _cli("integrate/off-grid", ["integrate", "--path", "bm.csv", "--field", "sin(t)*x",
                                 "--a", "0.1", "--b", "0.73", "--tol", "1e-6", "--min-level", "3"])
     _cli("integrate/bad-field", ["integrate", "--path", "bm.csv", "--field", "exp(1000*x)"])
+    _cli("integrate/bool-literal", ["integrate", "--path", "bm.csv", "--field", "True*x"])
+    Path("two.csv").write_text("t,value\n0,0\n1,1\n")
+    _cli("diagnose/two-rows", ["diagnose", "--path", "two.csv", "--beta", "0.6"])
     for tag in ("lin", "sq", "bm"):
         _cli(f"green-check/{tag}", ["green-check", "--path", f"{tag}.csv", "--field", "sin_t_x"])
     _cli("ito-compare", ["ito-compare", "--field", "x2", "--K", "8", "--n-paths", "3",
@@ -274,6 +277,11 @@ def integrator_corpus() -> None:
         for f_name, f in (("x", lambda x: x), ("abs03", lambda x: np.abs(x) ** 0.3)):
             _emit(f"integrate_state_only/{name}/{f_name}",
                   _outcome(rp.integrate_state_only, f, path, 0.0, 1.0))
+    # the builtins and their time partials on integer arrays and Python ints
+    t_int, x_int = np.arange(-2, 2).reshape(4, 1), np.arange(-3, 3)
+    for name, f in rp.BUILTIN_FIELDS.items():
+        _emit(f"builtin/{name}/int", [fn(t, x) for fn in (f.evaluate, f.dt_partial) if fn
+                                      for t, x in ((t_int, x_int), (2, 3))])
     _emit("staircase_integral/bad-level/0",
           _outcome(rp.staircase_integral, fields["x"], paths["bm"].pyramid(), 0.0, 1.0, 0))
     linear = rp.MatrixField.linear_in_y()
