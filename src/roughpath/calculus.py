@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicPath, _cells_within
+from .dyadic import DyadicPath, _cells_within, _grid_values
 from .errors import BadInterval, LevelOutOfRange, MissingDerivative
 from .fields import ScalarField, _placeholder
 from .integrator import integrate_state_only
@@ -54,12 +54,11 @@ def _cells(path: DyadicPath, s: float, level: int):
     Whole cells come in chunks of ``_CHUNK``; when s is off the level grid, a
     last partial cell ends at (s, g(s)).
     """
-    K = path.resolution_level
-    if not 0 <= level <= K:
+    if not 0 <= level <= path.resolution_level:
         raise LevelOutOfRange("discretization level must lie in 0 .. path resolution")
     if not 0.0 < s <= 1.0:
         raise BadInterval("s must lie in (0, 1]")
-    g = path.samples[:: 1 << (K - level)]
+    g = _grid_values(path, level, 0, 1 << level)
     step = 2.0 ** -level
     n_full = _cells_within(0.0, s, level)[1] + 1
     for lo in range(0, n_full, _CHUNK):

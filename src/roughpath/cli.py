@@ -290,7 +290,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(fn=_solve_ode)
 
     p = sub.add_parser("reproduce", help="run a named acceptance experiment")
-    p.add_argument("name", help="'all' or one of: " + ", ".join(experiments.CRITERIA_ORDER))
+    p.add_argument("name", choices=("all", *experiments.CRITERIA), metavar="name",
+                   help="'all' or one of: " + ", ".join(experiments.CRITERIA_ORDER))
     p.set_defaults(fn=_reproduce)
 
     return parser, sub.choices

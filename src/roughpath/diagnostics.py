@@ -18,8 +18,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dyadic import AveragePyramid, _all_child_gaps, _cells_within, _check_beta, _mean_levels
-from .errors import BadExponents, BadInterval, LevelOutOfRange
+from .dyadic import (AveragePyramid, _all_child_gaps, _cells_within, _check_beta,
+                     _check_interval, _mean_levels)
+from .errors import BadExponents, LevelOutOfRange
 from .generators import _check_brownian_args, _fill_brownian
 
 WIENER_CONSTANT = math.sqrt(2.0 / (3.0 * math.pi))
@@ -129,8 +130,7 @@ def gap_functional(
     sum_{k > k0} 2**(-(k+1)beta + 1) * sum_{cells in [a,b]} |h[k+1][2c] - h[k+1][2c+1]|,
     truncated at level K-2.
     """
-    if not (0.0 <= a < b <= 1.0):
-        raise BadInterval(f"bad interval [{a}, {b}]")
+    _check_interval(a, b)
     _check_beta(beta)
     total = 0.0
     for k in range(base_level(a, b) + 1, pyramid.K - 1):
@@ -176,7 +176,7 @@ def scaling_norm(
     then left to right; a NaN, 0/0 once width**(beta+gamma) underflows, never does.
     """
     _check_beta(beta)
-    if gamma <= 0:
+    if not gamma > 0:   # NaN too
         raise BadExponents("gamma must be positive")
     if scan_depth < 0:
         raise LevelOutOfRange(f"scan_depth must be >= 0, got {scan_depth}")

@@ -5,6 +5,12 @@ uniform grid of step ``2**-K`` and evaluated in between by piecewise-linear
 interpolation.  The pyramid holds, for every level ``k < K``, the exact
 averages of that interpolant over the level-k dyadic cells; children average
 to their parent exactly, which every downstream diagnostic relies on.
+
+The grid arithmetic every module shares lives here and nowhere else: a
+path's values on a coarser level grid (``_grid_values``), the check of an
+interval [a, b] (``_check_interval``), the cells inside an interval, an
+aligned interval's grid indices, tents on cells, and the sibling gaps of a
+pyramid, one subtraction with one overflow report (``_sibling_gaps``).
 """
 
 import math
@@ -100,6 +106,20 @@ def _cells_within(a: float, b: float, k: int) -> tuple[int, int]:
     return c_lo, c_hi
 
 
+def _check_interval(a: float, b: float) -> None:
+    """Refuse an interval [a, b] outside 0 <= a < b <= 1."""
+    if not (0.0 <= a < b <= 1.0):
+        raise BadInterval(f"bad interval [{a}, {b}]")
+
+
+def _grid_values(path: DyadicPath, k: int, i0: int, i1: int) -> np.ndarray:
+    """The path at the level-k grid points i0 .. i1, a strided view of its
+    samples, for k up to its resolution: ``eval`` returns the sample itself
+    at a grid point."""
+    stride = 1 << (path.resolution_level - k)
+    return path.samples[i0 * stride : i1 * stride + 1 : stride]
+
+
 def _grid_span(a: float, b: float, k: int) -> tuple[int, int]:
     """Indices (i, j) of a = i * 2**-k and b = j * 2**-k, which must sit exactly
     on the level-k grid with 0 <= a < b <= 1."""
@@ -145,35 +165,31 @@ class AveragePyramid:
         """Signed sibling gaps h[k+1][2n] - h[k+1][2n+1], one per level-k cell, a fresh array."""
         if not 0 <= k <= self.K - 2:
             raise LevelOutOfRange(f"child gaps need k <= {self.K - 2}")
-        child = self.level(k + 1)
-        # the averages are finite, so overflow is the only way to a non-finite gap
-        try:
-            with np.errstate(over="raise"):
-                return child[0::2] - child[1::2]
-        except FloatingPointError:
-            raise _gap_overflow(k) from None
-
-
-def _gap_overflow(k: int) -> NonFinite:
-    return NonFinite(f"a level-{k + 1} sibling gap h[{k + 1}][2n] - h[{k + 1}][2n+1] "
-                     "overflows the float range")
+        return _sibling_gaps(self._block, (1 << k) - 1, (2 << k) - 1)
 
 
 def _all_child_gaps(pyramid: AveragePyramid) -> np.ndarray:
     """``child_gap(k)`` for every k = 0 .. K-2 from one subtraction, a fresh
-    array laid out like the block: level k's gaps at [2**k - 1, 2**(k+1) - 1),
-    since level k+1's siblings sit at block indices 2m + 1 and 2m + 2 for m in
-    that range.  An overflow raises as ``child_gap(k)`` does for the lowest k
-    it reaches."""
-    block = pyramid._block
+    array laid out like the block: level k's gaps at [2**k - 1, 2**(k+1) - 1)."""
+    return _sibling_gaps(pyramid._block, 0, pyramid._block.size // 2)
+
+
+def _sibling_gaps(block: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Gaps m = start .. stop - 1 of the pyramid ``block``, block[2m + 1] -
+    block[2m + 2], a fresh array: for m in [2**k - 1, 2**(k+1) - 1) these are
+    level k+1's siblings, so that run is ``child_gap(k)``.  The averages are
+    finite, so only an overflow makes a gap non-finite; it raises
+    ``NonFinite`` naming the lowest level it reaches."""
+    pairs = block[2 * start + 1 : 2 * stop + 1].reshape(-1, 2)
     try:
         with np.errstate(over="raise"):
-            return block[1::2] - block[2::2]
+            return pairs[:, 0] - pairs[:, 1]
     except FloatingPointError:
         with np.errstate(over="ignore"):
-            gaps = block[1::2] - block[2::2]
-        first = int(np.flatnonzero(np.isinf(gaps))[0])
-        raise _gap_overflow((first + 1).bit_length() - 1) from None
+            first = start + int(np.argmax(np.isinf(pairs[:, 0] - pairs[:, 1])))
+        k = (first + 1).bit_length()     # the level of the siblings
+        raise NonFinite(f"a level-{k} sibling gap h[{k}][2n] - h[{k}][2n+1] "
+                        "overflows the float range") from None
 
 
 def average_pyramid(path: DyadicPath) -> AveragePyramid:
@@ -259,13 +275,11 @@ def holder_seminorm(path: DyadicPath, alpha: float, max_lag_levels: int = 3) -> 
         raise BadExponents("alpha must lie in (0, 1]")
     if max_lag_levels < 0:
         raise LevelOutOfRange(f"max_lag_levels must be >= 0, got {max_lag_levels}")
-    K = path.resolution_level
-    s = path.samples
     best = 0.0
     pairs = 0
     max_lag = 1 << max_lag_levels
-    for j in range(1, K + 1):
-        g = s[:: 1 << (K - j)]
+    for j in range(1, path.resolution_level + 1):
+        g = _grid_values(path, j, 0, 1 << j)
         step = 2.0 ** -j
         for lag in range(1, min(max_lag, g.size - 1) + 1):
             diffs = np.abs(g[lag:] - g[:-lag])

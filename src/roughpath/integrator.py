@@ -20,7 +20,7 @@ builds its window's skeletons once and calls the two sums directly.
 truncation never pollutes the limit, over levels until two consecutive
 differences, of levels that move an end of their cells, fall under tolerance.
 Integrands are the ``ScalarField``s of ``fields``; ``integrate_state_only``
-takes a plain f(x).
+takes a plain f(x).  Interval checks and level-grid reads are ``dyadic``'s.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import (AveragePyramid, DyadicPath, _add_tents, _cells_within, _check_beta,
-                     _grid_span)
+                     _check_interval, _grid_span, _grid_values)
 from .errors import BadInterval, LevelOutOfRange, NonFinite
 from .fields import ScalarField
 from .quadrature import _QUAD_TOL, _PanelGrid, refine_batch
@@ -60,9 +60,8 @@ def _index_range(a: float, b: float, k: int) -> tuple[int, int] | None:
     Cell n is [n*2**-k, (n+1)*2**-k]; its parent is the level-(k-1) cell
     containing it.  Returns (n_lo, n_hi) for the contiguous run of admitted
     cells, or None when no parent fits (b - a below roughly 2**-(k-1)).
+    The caller checks [a, b] once, with ``_check_interval``.
     """
-    if not (0.0 <= a < b <= 1.0):
-        raise BadInterval(f"bad interval [{a}, {b}]")
     p_lo, p_hi = _cells_within(a, b, k - 1)
     if p_hi < p_lo:
         return None
@@ -204,6 +203,7 @@ def staircase_integral(
         raise LevelOutOfRange(f"staircase_integral needs level k >= 1, got {k}")
     if k > pyramid.K - 1:
         raise LevelOutOfRange(f"level {k} needs path resolution > {k}")
+    _check_interval(a, b)
     rng = _index_range(a, b, k)
     if rng is None:
         raise BadInterval(f"no level-{k} parent cell fits inside [{a}, {b}]")
@@ -244,8 +244,7 @@ def integrate(
     per-level history.
     """
     cfg = cfg or ConvergenceConfig()
-    if not (0.0 <= a < b <= 1.0):
-        raise BadInterval(f"bad interval [{a}, {b}]")
+    _check_interval(a, b)
     K = path.resolution_level
     if K < cfg.min_level + 2:
         raise LevelOutOfRange(f"path resolution {K} below min_level + 2")
@@ -283,8 +282,7 @@ def integrate(
 def integrate_state_only(f, path: DyadicPath, a: float, b: float) -> float:
     """Exact reduction for integrands f(x): the definite integral of f between
     g(a) and g(b), by adaptive quadrature to ``_STATE_ONLY_TOL`` (no staircase limit)."""
-    if not (0.0 <= a < b <= 1.0):
-        raise BadInterval(f"bad interval [{a}, {b}]")
+    _check_interval(a, b)
     ga, gb = float(path.eval(a)), float(path.eval(b))
     if ga == gb:
         return 0.0
@@ -362,11 +360,3 @@ def _increment_skeleton(path: DyadicPath, a: float, b: float, grid_level: int) -
     k = max(K - 2, G + 1)
     span = 1 << (k - G)                   # cells per increment
     return _skeleton(path.pyramid().level(k), k, ia * span, span, _grid_values(path, G, ia, ib))
-
-
-def _grid_values(path: DyadicPath, k: int, i0: int, i1: int) -> np.ndarray:
-    """The path at the level-k grid points i0 .. i1, a strided view of its
-    samples, for k up to its resolution: ``eval`` returns the sample itself
-    at a grid point."""
-    stride = 1 << (path.resolution_level - k)
-    return path.samples[i0 * stride : i1 * stride + 1 : stride]

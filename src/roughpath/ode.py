@@ -28,11 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import existence_report
-from .dyadic import DyadicPath, _check_beta, _grid_span, holder_seminorm
+from .dyadic import DyadicPath, _check_beta, _grid_span, _grid_values, holder_seminorm
 from .errors import (BadInterval, LengthMismatch, LevelOutOfRange,
                      NonFinite, NonFiniteIterate, SchemaError, WindowUnderflow)
-from .integrator import (_grid_values, _increment_skeleton, _Skeleton, _sum_at_times,
-                         _sum_by_quadrature)
+from .integrator import _increment_skeleton, _Skeleton, _sum_at_times, _sum_by_quadrature
 # Sweeps no longer call it, but bench/selftest.py looks it up on this module.
 from .integrator import cumulative_increments  # noqa: F401
 from .quadrature import _QUAD_TOL, _panel_grid
@@ -370,22 +369,31 @@ def continuity_experiment(
 ) -> dict:
     """Solve both problems and report output distances against input distances.
 
-    Every distance is measured on [0, horizon]: the driver differences, like
-    the solution difference, are held at their horizon values to t = 1.
+    The problems must agree in m, in d, in each driver's resolution
+    (``LengthMismatch``) and in horizon (``BadInterval``), all checked
+    before either is solved.  Every distance is measured on [0, horizon]:
+    the driver differences, like the solution difference, are held at their
+    horizon values to t = 1.  Both output distances take the largest over
+    the m components.
     """
     cfg = cfg or SolverConfig()
+    pairs = list(zip(problem_a.drivers, problem_b.drivers))
+    if (problem_a.F.m, problem_a.F.d) != (problem_b.F.m, problem_b.F.d) or any(
+            da.resolution_level != db.resolution_level for da, db in pairs):
+        raise LengthMismatch("problems must share m, d and driver resolutions for comparison")
+    if problem_a.horizon != problem_b.horizon:
+        raise BadInterval("problems must share horizon and grid for comparison")
     sol_a = solve(problem_a, cfg)
     sol_b = solve(problem_b, cfg)
-    if sol_a.t.size != sol_b.t.size:
-        raise BadInterval("problems must share horizon and grid for comparison")
-    sup_out = float(np.abs(sol_a.y - sol_b.y).max())
+    dy = sol_a.y - sol_b.y
+    sup_out = float(np.abs(dy).max())
     level = int(-np.log2(sol_a.t[1]))     # t[1] = 2**-L exactly
-    holder_out = _held_seminorm(sol_a.y[0] - sol_b.y[0], level, problem_a.beta)
+    holder_out = max(_held_seminorm(row, level, problem_a.beta) for row in dy)
     dx = []                               # (driver difference on [0, horizon], its level)
-    for da, db in zip(problem_a.drivers, problem_b.drivers):
+    for da, db in pairs:
         K = da.resolution_level
         n = _grid_span(0.0, problem_a.horizon, K)[1]
-        dx.append((da.samples[: n + 1] - db.samples[: n + 1], K))
+        dx.append((_grid_values(da, K, 0, n) - _grid_values(db, K, 0, n), K))
     sup_x = max(float(np.abs(d).max()) for d, _ in dx)
     holder_x = max(_held_seminorm(d, K, problem_a.beta) for d, K in dx)
     y0_dist = float(np.abs(problem_a.y0 - problem_b.y0).max())

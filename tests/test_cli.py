@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import roughpath as rp
-from roughpath import cli, fields, ode
+from roughpath import cli, experiments, fields, ode
 from roughpath.cli import main
 from roughpath.fields import field_from_expression, resolve_field
 from roughpath.io import (
@@ -809,6 +809,18 @@ class TestCliCommands:
         assert "Traceback" not in stderr and stdout == ""
         assert not out.exists()
         return stderr
+
+    def test_reproduce_unknown_name_exits_2(self, capsys):
+        # the name is a choice of the parser; run_criterion's KeyError is for library callers
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "no-such-criterion"])
+        assert exc.value.code == 2
+        stdout, stderr = capsys.readouterr()
+        assert stderr.startswith("usage: roughpath reproduce")
+        assert "argument name: invalid choice: 'no-such-criterion'" in stderr
+        assert "Traceback" not in stderr and stdout == ""
+        with pytest.raises(KeyError, match="unknown criterion"):
+            experiments.run_criterion("no-such-criterion")
 
     def test_solve_ode_unknown_field_exits_2(self, tmp_path, capsys):
         stderr = self._solve_ode_usage_error(tmp_path, capsys, "--F=bogus")

@@ -223,6 +223,11 @@ class TestScalingNorm:
         with pytest.raises(rp.BadExponents):
             rp.scaling_norm(constant_pyramid(), beta, gamma)
 
+    def test_nan_gamma(self):
+        # NaN passes gamma <= 0; at depth 0 mu / 1.0**nan is the gap functional
+        with pytest.raises(rp.BadExponents, match="gamma must be positive"):
+            rp.scaling_norm(rp.gen_brownian(10, 4).pyramid(), 0.5, float("nan"))
+
     def test_beta_one_is_the_full_interval_value_or_more(self):
         pyr = rp.gen_brownian(10, 4).pyramid()
         est = rp.scaling_norm(pyr, 1.0, 0.5, scan_depth=4)

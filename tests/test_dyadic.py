@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import roughpath as rp
 from roughpath import generators
+from roughpath.dyadic import AveragePyramid, _all_child_gaps
 
 
 @st.composite
@@ -242,6 +243,46 @@ class TestAveragePyramid:
             child = pyr.level(k + 1)
             first, second = pyr.child_gap(k), pyr.child_gap(k)
             assert first.tobytes() == second.tobytes() == (child[0::2] - child[1::2]).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(K=st.integers(2, 12), seed=st.integers(0, 2**32), inject=st.booleans(),
+           data=st.data())
+    def test_child_gap_is_its_run_of_all_gaps(self, K, seed, inject, data):
+        # child_gap(k) and _all_child_gaps share one subtraction and one
+        # overflow report: with a sibling pair of +-1.7e308 put into the block
+        # at level k + 1, and perhaps a second one on a level at or above it,
+        # both name level k + 1, and every other level's gaps still return
+        block = rp.gen_brownian(K, seed).pyramid()._block.copy()
+        hit = set()
+        if inject:
+            k = data.draw(st.integers(0, K - 2), label="k")
+            for level in (k, data.draw(st.integers(k, K - 2), label="second")):
+                m = data.draw(st.integers((1 << level) - 1, (2 << level) - 2))
+                sign = data.draw(st.sampled_from([1.0, -1.0]))
+                block[2 * m + 1], block[2 * m + 2] = sign * 1.7e308, -sign * 1.7e308
+                hit.add(level)
+        pyr = AveragePyramid(block, K)
+        if inject:
+            def raised(call) -> str:
+                with pytest.raises(rp.NonFinite) as caught:
+                    call()
+                return str(caught.value)
+
+            def overflow(level) -> str:
+                return (f"a level-{level + 1} sibling gap h[{level + 1}][2n] - "
+                        f"h[{level + 1}][2n+1] overflows the float range")
+
+            assert raised(lambda: _all_child_gaps(pyr)) == overflow(k)
+            for level in hit:
+                assert raised(lambda: pyr.child_gap(level)) == overflow(level)
+        else:
+            gaps = _all_child_gaps(pyr)
+        for j in set(range(K - 1)) - hit:
+            child = pyr.level(j + 1)
+            want = (child[0::2] - child[1::2]).tobytes()
+            assert pyr.child_gap(j).tobytes() == want
+            if not inject:
+                assert gaps[(1 << j) - 1 : (2 << j) - 1].tobytes() == want
 
     def test_level_out_of_range(self):
         pyr = rp.gen_analytic("linear", 4).pyramid()

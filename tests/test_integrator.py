@@ -34,10 +34,6 @@ class TestIndexRange:
     def test_empty_range_flag(self):
         assert _index_range(0.3, 0.3 + 2.0**-6, 4) is None
 
-    def test_bad_interval(self):
-        with pytest.raises(rp.BadInterval):
-            _index_range(0.7, 0.2, 3)
-
 
 class TestStaircaseIntegral:
     def test_constant_field_telescopes(self):
@@ -105,6 +101,14 @@ class TestStaircaseIntegral:
         with pytest.raises(rp.LevelOutOfRange,
                            match=f"staircase_integral needs level k >= 1, got {k}"):
             rp.staircase_integral(rp.BUILTIN_FIELDS["x"], pyr, 0.0, 1.0, k)
+
+    def test_bad_interval(self):
+        # the interval is checked once per call, after the level
+        pyr = rp.gen_analytic("linear", 6).pyramid()
+        with pytest.raises(rp.BadInterval, match=r"^bad interval \[0.7, 0.2\]$"):
+            rp.staircase_integral(rp.BUILTIN_FIELDS["x"], pyr, 0.7, 0.2, 3)
+        with pytest.raises(rp.LevelOutOfRange):
+            rp.staircase_integral(rp.BUILTIN_FIELDS["x"], pyr, 0.7, 0.2, 0)
 
     def test_no_parent_cell_fits(self):
         pyr = rp.gen_analytic("linear", 8).pyramid()

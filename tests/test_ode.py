@@ -510,10 +510,57 @@ class TestContinuity:
         assert rep["input_distance"]["sup_x"] == np.abs(diff).max()
         assert rep["input_distance"]["holder_x"] == want
 
-    def test_problems_on_different_grids_are_rejected(self):
+    @staticmethod
+    def _unsolved(monkeypatch):
+        def solve(problem, cfg=None):
+            raise AssertionError("a problem was solved before the comparison was checked")
+
+        monkeypatch.setattr(ode, "solve", solve)
+
+    def test_problems_on_different_grids_are_rejected(self, monkeypatch):
+        self._unsolved(monkeypatch)
         with pytest.raises(rp.BadInterval, match="share horizon and grid"):
             rp.continuity_experiment(linear_problem(K=8), linear_problem(K=8, horizon=0.5),
                                      rp.SolverConfig(grid_level=4))
+
+    @pytest.mark.parametrize("other", ["K=14", "K=10", "m=2", "d=2"])
+    def test_incomparable_problems_are_rejected(self, other, monkeypatch):
+        # against a K = 12 linear problem: the same driver at K = 14 was read on
+        # [0, 1/4] (sup_x 0.75), at K = 10 it failed to broadcast, and m = 2
+        # broadcast silently
+        one = rp.FieldComponent(lambda t, y, x: y[0])
+        problems = {
+            "K=14": linear_problem(K=14),
+            "K=10": linear_problem(K=10),
+            "m=2": rp.OdeProblem(F=rp.MatrixField([[one], [one]]),
+                                 drivers=[rp.gen_analytic("linear", 12)],
+                                 y0=np.array([1.0, 5.0]), beta=0.9),
+            "d=2": rp.OdeProblem(F=rp.MatrixField([[one, one]]),
+                                 drivers=[rp.gen_analytic("linear", 12)] * 2,
+                                 y0=np.array([1.0]), beta=0.9),
+        }
+        self._unsolved(monkeypatch)
+        with pytest.raises(rp.LengthMismatch, match="share m, d and driver resolutions"):
+            rp.continuity_experiment(linear_problem(K=12), problems[other],
+                                     rp.SolverConfig(grid_level=6))
+
+    def test_holder_distance_reads_every_component(self):
+        # the first component stays at 1 and the second follows the driver,
+        # so only the second differs, by 0.5 sin(2 pi t): up to 0.5 in size
+        def problem(driver):
+            F = rp.MatrixField([[rp.FieldComponent(lambda t, y, x: np.zeros_like(t))],
+                                [rp.FieldComponent(lambda t, y, x: np.ones_like(t))]])
+            return rp.OdeProblem(F=F, drivers=[driver], y0=np.array([1.0, 0.0]), beta=0.5)
+
+        bent = rp.gen_analytic(lambda t: t + 0.5 * np.sin(2 * np.pi * t), 12)
+        rep = rp.continuity_experiment(problem(rp.gen_analytic("linear", 12)), problem(bent),
+                                       rp.SolverConfig(grid_level=8, check_drivers=False))
+        sol_a, sol_b = rep["solutions"]
+        assert np.abs(sol_a.y[0] - sol_b.y[0]).max() == 0.0
+        diff = sol_a.y[1] - sol_b.y[1]
+        want = rp.holder_seminorm(rp.DyadicPath(diff, 8), 0.5).seminorm_lower_bound
+        assert rep["output_distance"]["sup"] == pytest.approx(0.5, rel=1e-3)
+        assert rep["output_distance"]["holder_beta"] == want > 0.5
 
     def test_perturbation_sweep_is_linear(self):
         cfg = rp.SolverConfig(tol=1e-10, grid_level=8)

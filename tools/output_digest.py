@@ -4,13 +4,15 @@ The corpus runs every CLI subcommand, the staircase integrals
 (``integrate``, ``staircase_integral``, ``cumulative_increments``) of builtin
 fields and compiled expressions, the builtins on integer arguments, ``solve``,
 the diagnostics (``existence_report``, ``gap_functional``, ``scaling_norm``),
-``adversarial_integrand``, ``holder_seminorm``, ``wiener_ensemble`` and the
-details of every ``roughpath reproduce`` criterion.  Each output is hashed from a canonical
+``adversarial_integrand``, ``holder_seminorm``, ``wiener_ensemble``,
+``continuity_experiment``'s refusals and the details of every
+``roughpath reproduce`` criterion.  Each output is hashed from a canonical
 encoding: array dtype, shape and bytes, scalar type and bytes, dict keys in
 order, dataclass fields, and an exception's type and message.  CLI runs hash
-the exit code, stdout, stderr and every file they write, with the runtime
-taken out of ``reproduce``'s line.  Files go to a temporary directory, which
-is the working directory while the CLI runs and is removed at exit.
+the exit code (or the exception the CLI lets escape), stdout, stderr and
+every file they write, with the runtime taken out of ``reproduce``'s line.
+Files go to a temporary directory, which is the working directory while the
+CLI runs and is removed at exit.
 
 Two trees give the same lines exactly when every output is bit-identical,
 so a refactor is checked by running this on both and comparing, with
@@ -110,6 +112,8 @@ def _cli(name: str, argv: list[str], files: tuple[str, ...] = ()) -> None:
             code = cli.main(argv)
         except SystemExit as exc:   # a usage error from the argument parser
             code = exc.code
+        except Exception as exc:    # an error the CLI lets escape, traceback and all
+            code = exc
     shown = [_RUNTIME.sub("", stdout.getvalue()), stderr.getvalue(),
              [f"{w.category.__name__}: {w.message}" for w in escaped]]
     written = [Path(f).read_bytes() if Path(f).exists() else None for f in files]
@@ -174,6 +178,7 @@ def cli_corpus() -> None:
     _cli("solve-ode/bogus-F", ["solve-ode", "--drivers", "lin.csv", "--F", "bogus",
                                "--out", "y2.csv"], ("y2.csv",))
     _cli("reproduce", ["reproduce", "pyramid-exactness"])
+    _cli("reproduce/unknown", ["reproduce", "no-such-criterion"])
 
 
 def _tent_integrand(pyramid, beta: float):
@@ -219,7 +224,8 @@ def diagnostics_corpus() -> None:
                 for depth in (0, 1, 3, 6, 10):
                     _emit(f"scaling_norm/{name}/{beta}/{gamma}/{depth}",
                           _outcome(rp.scaling_norm, pyr, beta, gamma, depth))
-    for beta, gamma in ((0.0, 0.5), (0.5, 0.0), (1.0, 0.5), (float("nan"), 0.5)):
+    for beta, gamma in ((0.0, 0.5), (0.5, 0.0), (1.0, 0.5), (float("nan"), 0.5),
+                        (0.5, float("nan"))):
         _emit(f"scaling_norm/bad/{beta}/{gamma}",
               _outcome(rp.scaling_norm, pyramids["bm8_1"], beta, gamma))
     _emit("scaling_norm/bad-depth/-1", _outcome(rp.scaling_norm, pyramids["bm8_1"], 0.5, 0.5, -1))
@@ -333,6 +339,20 @@ def integrator_corpus() -> None:
     _emit("solve/two-drivers/4",
           _outcome(rp.solve, problem, rp.SolverConfig(tol=1e-9, grid_level=4,
                                                       check_drivers=False)))
+    # continuity_experiment's refusals: problems of another m, d, driver
+    # resolution or horizon than a linear K = 10 problem
+    def linear_problem(K=10, m=1, d=1, horizon=1.0):
+        F = rp.MatrixField([[rp.FieldComponent(lambda t, y, x, i=i: y[i])] * d for i in range(m)])
+        return rp.OdeProblem(F=F, drivers=[rp.gen_analytic("linear", K)] * d,
+                             y0=np.ones(m), beta=0.5, horizon=horizon)
+
+    others = {"m/2": linear_problem(m=2), "d/2": linear_problem(d=2),
+              "resolution/12": linear_problem(K=12), "resolution/8": linear_problem(K=8),
+              "horizon/0.5": linear_problem(horizon=0.5)}
+    for tag, other in others.items():
+        _emit(f"continuity_experiment/{tag}",
+              _outcome(rp.continuity_experiment, linear_problem(), other,
+                       rp.SolverConfig(grid_level=5, check_drivers=False)))
 
 
 def reproduce_corpus() -> None:
